@@ -12,22 +12,27 @@
 //!
 //! * a **scalar reference** (`*_scalar`) — the simple, obviously
 //!   correct per-output loop, retained forever as the semantic spec;
-//! * a **blocked kernel** (`*_block`) — processes [`LANES`] independent
-//!   outputs concurrently so the compiler autovectorizes the
-//!   element-wise work and breaks the floating-point add latency chain
-//!   with [`LANES`] parallel accumulators.
+//! * a **blocked kernel** (`*_block`) — shaped for the autovectorizer.
+//!   Quantisation is a plain element-wise loop with select clamps;
+//!   window sums and polyphase dot products process [`LANES`]
+//!   independent outputs concurrently, breaking the floating-point add
+//!   latency chain with [`LANES`] parallel accumulators.
 //!
 //! **Bit-exactness.** The blocked kernels are bit-identical to their
 //! scalar references by construction: they never reassociate the
 //! arithmetic of any single output. Quantisation is element-wise
-//! (order-free); window sums and polyphase dot products keep each
+//! (order-free), and its select clamps pick the same value as
+//! `f32::max`/`min` wherever the difference could reach an output (NaN
+//! and signed zeros included, see [`AdcKernel::digitise_block`]);
+//! window sums and polyphase dot products keep each
 //! output's accumulation order exactly as the scalar loop performs it —
 //! the blocked variants only interleave *independent* outputs, which
 //! IEEE-754 evaluates identically regardless of lane count. That is
 //! also why the `wide-kernels` feature (32-lane blocks instead of 8)
 //! cannot change a single bit of output. The property tests at the
 //! bottom of this file pin the equivalence for arbitrary lengths,
-//! factors and tail remainders.
+//! factors and tail remainders, and for every `f32` bit pattern the
+//! ADC can be fed.
 //!
 //! The kernels speak `f32` because that is the wire format
 //! ([`crate::gateway::SampleFrame`] carries `f32` watts): quantising
@@ -46,6 +51,9 @@ pub const LANES: usize = if cfg!(feature = "wide-kernels") {
 } else {
     8
 };
+
+/// 2^23 — smallest positive `f32` magnitude with ulp = 1.
+const ROUND_MAGIC: f32 = 8_388_608.0;
 
 /// Precomputed quantise/reconstruct constants for one [`SarAdc`]
 /// configuration: the hot loop multiplies by a cached reciprocal
@@ -92,11 +100,25 @@ impl AdcKernel {
     /// values at a code boundary.
     #[inline]
     pub fn digitise_one(&self, watts: f32) -> f32 {
-        /// 2^23 — smallest positive `f32` magnitude with ulp = 1.
-        const ROUND_MAGIC: f32 = 8_388_608.0;
         let clamped = watts.max(self.min).min(self.max);
         let scaled = (clamped - self.min) * self.inv_lsb;
         let code = ((scaled + ROUND_MAGIC) - ROUND_MAGIC).min(self.max_code);
+        self.min + code * self.lsb
+    }
+
+    /// [`Self::digitise_one`] with every clamp written as a comparison
+    /// select, which is what [`Self::digitise_block`] vectorizes.
+    #[inline]
+    fn digitise_select(&self, watts: f32) -> f32 {
+        let lo = if watts > self.min { watts } else { self.min };
+        let clamped = if lo < self.max { lo } else { self.max };
+        let scaled = (clamped - self.min) * self.inv_lsb;
+        let rounded = (scaled + ROUND_MAGIC) - ROUND_MAGIC;
+        let code = if rounded < self.max_code {
+            rounded
+        } else {
+            self.max_code
+        };
         self.min + code * self.lsb
     }
 
@@ -107,24 +129,30 @@ impl AdcKernel {
         out.extend(input.iter().map(|&w| self.digitise_one(w)));
     }
 
-    /// Blocked kernel: identical arithmetic per element, grouped into
-    /// [`LANES`]-wide chunks of straight-line array code the compiler
-    /// turns into vector clamp/mul/round sequences. Tail samples run
-    /// the scalar spec.
+    /// Blocked kernel: the spec's arithmetic per element, as a plain
+    /// element-wise loop the compiler vectorizes with contiguous loads
+    /// (a [`LANES`]-chunked form gets vectorized *across* chunks
+    /// instead, with one strided scalar load per lane).
+    ///
+    /// The clamps are comparison selects. On baseline x86-64
+    /// `f32::max`/`min` each lower to a NaN-aware sequence (`maxps`,
+    /// `cmpunordps`, `andps`, `andnps`, `orps` and two register
+    /// copies); `if w > min { w } else { min }` is one `maxps`, which
+    /// returns its second operand when the compare is false. The two
+    /// forms can differ only where that compare is false on unequal
+    /// bits. A NaN input goes to `min` in both, and the later clamps
+    /// keep it there. A signed-zero pair can come out with either sign,
+    /// and the sign is lost in `(x - min) * inv_lsb + 2^23`. So every
+    /// output bit matches [`Self::digitise_scalar`], pinned over
+    /// arbitrary bit patterns below.
     pub fn digitise_block(&self, input: &[f32], out: &mut Vec<f32>) {
-        // Size the output once and write lanes in place — per-chunk
-        // `extend` bookkeeping would cost more than the arithmetic.
-        // No `clear()` first: every slot is overwritten below, and
-        // clear-then-resize would memset the whole buffer each call.
+        // Size the output once and write in place — `extend`
+        // bookkeeping would cost more than the arithmetic. No `clear()`
+        // first: every slot is overwritten below, and clear-then-resize
+        // would memset the whole buffer each call.
         out.resize(input.len(), 0.0);
-        for (o, c) in out.chunks_exact_mut(LANES).zip(input.chunks_exact(LANES)) {
-            for (dst, &w) in o.iter_mut().zip(c) {
-                *dst = self.digitise_one(w);
-            }
-        }
-        let tail = input.len() - input.len() % LANES;
-        for (dst, &w) in out[tail..].iter_mut().zip(&input[tail..]) {
-            *dst = self.digitise_one(w);
+        for (dst, &w) in out.iter_mut().zip(input) {
+            *dst = self.digitise_select(w);
         }
     }
 }
@@ -160,16 +188,17 @@ pub fn boxcar_block(input: &[f32], m: usize, out: &mut Vec<f32>) {
     out.reserve(n_out);
     let mut i = 0;
     while i + LANES <= n_out {
-        let base = i * m;
+        // Slice the lanes' windows once: each has length exactly `m`,
+        // so the `k` loop below indexes without bounds checks.
+        let group = &input[i * m..(i + LANES) * m];
+        let windows: [&[f32]; LANES] = std::array::from_fn(|j| &group[j * m..][..m]);
         let mut acc = [0.0f32; LANES];
         for k in 0..m {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += input[base + j * m + k];
+            for (a, w) in acc.iter_mut().zip(&windows) {
+                *a += w[k];
             }
         }
-        for a in acc {
-            out.push(a * inv);
-        }
+        out.extend(acc.map(|a| a * inv));
         i += LANES;
     }
     for w in input[i * m..n_out * m].chunks_exact(m) {
@@ -390,6 +419,77 @@ mod tests {
         }
     }
 
+    /// ADC configurations whose rails sit at, below and across zero, so
+    /// the signed-zero cases of the select clamps reach both rails.
+    fn adc_rails() -> [SarAdc; 3] {
+        let mut below = adc();
+        below.full_scale_min = -400.0;
+        below.full_scale_max = 0.0;
+        let mut across = adc();
+        across.full_scale_min = -0.0;
+        across.full_scale_max = 250.0;
+        [adc(), below, across]
+    }
+
+    /// One draw of the digitise properties: an arbitrary `f32` bit
+    /// pattern for even `r`, otherwise a value in −500…4 500 W (below,
+    /// across and above the power channel's range, where codes round).
+    fn adc_input(r: u64) -> f32 {
+        if r & 1 == 0 {
+            f32::from_bits((r >> 32) as u32)
+        } else {
+            -500.0 + (r >> 40) as f32 * (5000.0 / (1u64 << 24) as f32)
+        }
+    }
+
+    fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn digitise_block_bit_exact_on_special_values() {
+        for adc in adc_rails() {
+            let k = AdcKernel::new(&adc);
+            let (min, max) = (adc.full_scale_min as f32, adc.full_scale_max as f32);
+            let specials = [
+                f32::NAN,
+                -f32::NAN,
+                f32::from_bits(0x7fc0_dead), // quiet NaN with a payload
+                f32::from_bits(0xff80_0001), // negative signalling NaN
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::from_bits(1), // smallest subnormal
+                -f32::from_bits(1),
+                f32::MIN_POSITIVE / 2.0,
+                -f32::MIN_POSITIVE,
+                f32::MAX,
+                f32::MIN,
+                min,
+                -min,
+                min.next_down(),
+                min.next_up(),
+                max,
+                -max,
+                max.next_down(),
+                max.next_up(),
+            ];
+            // Repeat the list at every offset mod LANES, so each value
+            // also runs through the vector body and the scalar tail.
+            let input: Vec<f32> = (0..specials.len() * (LANES + 1) + 3)
+                .map(|i| specials[i % specials.len()])
+                .collect();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            k.digitise_scalar(&input, &mut a);
+            k.digitise_block(&input, &mut b);
+            assert!(bits_equal(&a, &b), "rails {min}..{max}");
+            for &nan in &specials[..4] {
+                assert_eq!(k.digitise_one(nan).to_bits(), k.digitise_one(min).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn boxcar_block_bit_exact_and_drops_tail() {
         let mut rng = Rng::seed_from(3);
@@ -489,32 +589,45 @@ mod tests {
 
     proptest! {
         /// Blocked digitise is bit-exact vs the scalar reference for
-        /// arbitrary lengths (all tail remainders) and values.
+        /// arbitrary lengths (all tail remainders) and every `f32` bit
+        /// pattern: NaNs, infinities, signed zeros and subnormals are
+        /// where the select clamps differ in form from `f32::max`/`min`.
         #[test]
         fn prop_digitise_bit_exact(
-            input in proptest::collection::vec(-500.0f32..4500.0, 0..300),
+            draws in proptest::collection::vec(any::<u64>(), 0..300),
+            rails in 0usize..3,
         ) {
-            let k = AdcKernel::new(&adc());
+            let k = AdcKernel::new(&adc_rails()[rails]);
+            let input: Vec<f32> = draws.iter().map(|&r| adc_input(r)).collect();
             let (mut a, mut b) = (Vec::new(), Vec::new());
             k.digitise_scalar(&input, &mut a);
             k.digitise_block(&input, &mut b);
-            prop_assert_eq!(a.len(), b.len());
-            prop_assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            prop_assert!(bits_equal(&a, &b));
         }
 
         /// Blocked boxcar is bit-exact vs the scalar reference for
-        /// arbitrary lengths, factors and tail remainders.
+        /// arbitrary lengths, factors, tail remainders and `f32` bit
+        /// patterns. NaN sums compare as NaN only: Rust leaves the
+        /// payload of a NaN result unspecified.
         #[test]
         fn prop_boxcar_bit_exact(
-            input in proptest::collection::vec(0.0f32..4000.0, 0..400),
+            draws in proptest::collection::vec(any::<u64>(), 0..400),
             m in 1usize..24,
         ) {
+            // Mostly the ADC's output range, a quarter arbitrary bits.
+            let input: Vec<f32> = draws
+                .iter()
+                .map(|&r| if r & 3 == 0 { f32::from_bits((r >> 32) as u32) } else { adc_input(r | 1) })
+                .collect();
             let (mut a, mut b) = (Vec::new(), Vec::new());
             boxcar_scalar(&input, m, &mut a);
             boxcar_block(&input, m, &mut b);
             prop_assert_eq!(a.len(), input.len() / m);
             prop_assert_eq!(a.len(), b.len());
-            prop_assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            prop_assert!(a
+                .iter()
+                .zip(&b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())));
         }
 
         /// Blocked polyphase FIR is bit-exact vs the scalar reference

@@ -22,16 +22,19 @@ pub struct SealedBlock {
 
 impl SealedBlock {
     /// Seal a run of points (nondecreasing timestamps, 1..=65535 points)
-    /// into a compressed block.
-    pub fn seal(ts: &[f64], vs: &[f32]) -> SealedBlock {
+    /// into a compressed block. The run is encoded into `scratch`
+    /// (cleared first; keep it across seals) and the payload is then
+    /// allocated once at its exact size, so the memory a block holds is
+    /// the [`Self::size_bytes`] the tier budgets count.
+    pub fn seal(ts: &[f64], vs: &[f32], scratch: &mut Vec<u8>) -> SealedBlock {
         assert!(!ts.is_empty() && ts.len() <= MAX_BLOCK_POINTS);
-        let mut bytes = Vec::new();
-        encode_block(ts, vs, &mut bytes);
+        scratch.clear();
+        encode_block(ts, vs, scratch);
         SealedBlock {
             t_min: ts[0],
             t_max: ts[ts.len() - 1],
             n: ts.len() as u32,
-            bytes,
+            bytes: scratch.to_vec(),
         }
     }
 
@@ -57,7 +60,7 @@ mod tests {
     fn seal_records_bounds_and_roundtrips() {
         let ts: Vec<f64> = (0..300).map(|i| 5.0 + i as f64 * 0.25).collect();
         let vs: Vec<f32> = (0..300).map(|i| (i % 17) as f32 * 3.5).collect();
-        let b = SealedBlock::seal(&ts, &vs);
+        let b = SealedBlock::seal(&ts, &vs, &mut Vec::new());
         assert_eq!(b.t_min, 5.0);
         assert_eq!(b.t_max, 5.0 + 299.0 * 0.25);
         assert_eq!(b.n, 300);
@@ -69,7 +72,7 @@ mod tests {
 
     #[test]
     fn overlap_is_half_open() {
-        let b = SealedBlock::seal(&[10.0, 20.0], &[1.0, 2.0]);
+        let b = SealedBlock::seal(&[10.0, 20.0], &[1.0, 2.0], &mut Vec::new());
         assert!(b.overlaps(0.0, 10.5));
         assert!(b.overlaps(20.0, 21.0), "t_max is inclusive");
         assert!(b.overlaps(15.0, 16.0));

@@ -74,10 +74,16 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// MSB-first bit accumulator over a byte vector.
+/// MSB-first bit writer: stages bits in a 64-bit word and stores each
+/// full word as 8 big-endian bytes, so a point costs two or three
+/// `push` calls and a store every few points. The byte stream is the
+/// same as writing the bits one at a time: MSB-first, last byte
+/// zero-padded.
 struct BitWriter<'a> {
     out: &'a mut Vec<u8>,
+    /// Pending bits, MSB-aligned; every bit below the top `nbits` is 0.
     acc: u64,
+    /// Pending bit count, always < 64.
     nbits: u32,
 }
 
@@ -90,39 +96,30 @@ impl<'a> BitWriter<'a> {
         }
     }
 
-    /// Append the low `n` bits of `bits` (n ≤ 57 per call).
+    /// Append the low `n` bits of `bits` (1 ≤ n ≤ 64). Callers pass
+    /// codes with no bit set at or above `n`.
     #[inline]
     fn push(&mut self, bits: u64, n: u32) {
-        debug_assert!(n <= 57);
-        self.acc |= (bits & mask(n)) << (64 - self.nbits - n);
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.acc >> 56) as u8);
-            self.acc <<= 8;
-            self.nbits -= 8;
+        debug_assert!((1..=64).contains(&n) && (n == 64 || bits >> n == 0));
+        let free = 64 - self.nbits;
+        if n < free {
+            self.acc |= bits << (free - n);
+            self.nbits += n;
+        } else {
+            // The code completes the staged word; its low `spill` bits
+            // start the next one.
+            let spill = n - free;
+            let word = self.acc | (bits >> spill);
+            self.out.extend_from_slice(&word.to_be_bytes());
+            self.acc = if spill == 0 { 0 } else { bits << (64 - spill) };
+            self.nbits = spill;
         }
     }
 
-    /// Append a full 64-bit word.
-    #[inline]
-    fn push64(&mut self, bits: u64) {
-        self.push(bits >> 32, 32);
-        self.push(bits & 0xffff_ffff, 32);
-    }
-
+    /// Store the pending bits, zero-padded to a whole byte.
     fn finish(self) {
-        if self.nbits > 0 {
-            self.out.push((self.acc >> 56) as u8);
-        }
-    }
-}
-
-#[inline]
-fn mask(n: u32) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
+        let bytes = self.nbits.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_be_bytes()[..bytes]);
     }
 }
 
@@ -200,10 +197,19 @@ impl<'a> BitReader<'a> {
     }
 }
 
+/// Upper bound on the encoded size of an `n`-point block: the header,
+/// the raw first point (96 bits), then per point the widest timestamp
+/// code (5 + 64 bits) and the widest value code (2 + 5 + 5 + 32 bits).
+fn max_encoded_len(n: usize) -> usize {
+    2 + (96 + (n - 1) * 113).div_ceil(8)
+}
+
 /// Compress one sealed run of points into `out` (append; `out` is not
 /// cleared). `ts` and `vs` must be the same length, between 1 and
 /// [`MAX_BLOCK_POINTS`]. The round trip through [`decode_block_into`]
-/// reproduces both slices bit-for-bit.
+/// reproduces both slices bit-for-bit. `out` is reserved once for the
+/// worst case, so callers that keep it as a scratch buffer never
+/// reallocate after the first block.
 ///
 /// # Panics
 /// If the slices are empty, differ in length, or exceed
@@ -213,24 +219,27 @@ pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
     assert_eq!(ts.len(), vs.len(), "columns must align");
     assert!(!ts.is_empty(), "sealed blocks are never empty");
     assert!(ts.len() <= MAX_BLOCK_POINTS, "block too large to seal");
+    out.reserve(max_encoded_len(ts.len()));
     out.extend_from_slice(&(ts.len() as u16).to_le_bytes());
     let mut w = BitWriter::new(out);
 
     // First point: raw bits.
-    w.push64(ts[0].to_bits());
+    w.push(ts[0].to_bits(), 64);
     w.push(vs[0].to_bits() as u64, 32);
 
     let mut prev_t = ts[0].to_bits() as i64;
     let mut prev_delta: i64 = 0;
     let mut prev_v = vs[0].to_bits();
-    // Current XOR window (leading zeros, meaningful length); u32::MAX
-    // leading marks "no window yet".
-    let mut win_lead: u32 = u32::MAX;
-    let mut win_len: u32 = 0;
+    // Current XOR window as leading/trailing zero counts. No nonzero
+    // 32-bit XOR has 32 leading zeros, so the first one always opens a
+    // new window.
+    let mut win_lead: u32 = 32;
+    let mut win_trail: u32 = 0;
 
-    for i in 1..ts.len() {
+    // Each code below is its bucket prefix and payload in one push.
+    for (&t, &v) in ts[1..].iter().zip(&vs[1..]) {
         // Timestamp: delta-of-delta on raw bits.
-        let t_bits = ts[i].to_bits() as i64;
+        let t_bits = t.to_bits() as i64;
         let delta = t_bits.wrapping_sub(prev_t);
         let dod = delta.wrapping_sub(prev_delta);
         prev_t = t_bits;
@@ -239,25 +248,21 @@ pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
         if z == 0 {
             w.push(0b0, 1);
         } else if z <= 4 {
-            w.push(0b10, 2);
-            w.push(z - 1, 2);
+            w.push((0b10 << 2) | (z - 1), 4);
         } else if z < (1 << 8) {
-            w.push(0b110, 3);
-            w.push(z, 8);
+            w.push((0b110 << 8) | z, 11);
         } else if z < (1 << 16) {
-            w.push(0b1110, 4);
-            w.push(z, 16);
+            w.push((0b1110 << 16) | z, 20);
         } else if z < (1 << 32) {
-            w.push(0b11110, 5);
-            w.push(z, 32);
+            w.push((0b11110 << 32) | z, 37);
         } else {
             // Raw escape: arbitrary (e.g. non-monotonic) timestamps.
             w.push(0b11111, 5);
-            w.push64(z);
+            w.push(z, 64);
         }
 
         // Value: XOR against the previous value's bits.
-        let v_bits = vs[i].to_bits();
+        let v_bits = v.to_bits();
         let x = v_bits ^ prev_v;
         prev_v = v_bits;
         if x == 0 {
@@ -266,24 +271,17 @@ pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
         }
         let lead = x.leading_zeros();
         let trail = x.trailing_zeros();
-        let len = 32 - lead - trail;
-        let fits_window = win_lead != u32::MAX
-            && lead >= win_lead
-            && trail >= 32 - win_lead - win_len
-            && win_len <= 57 - 2;
-        if fits_window {
-            let win_trail = 32 - win_lead - win_len;
-            w.push(0b10, 2);
-            w.push((x >> win_trail) as u64, win_len);
+        if lead >= win_lead && trail >= win_trail {
+            let win_len = 32 - win_lead - win_trail;
+            w.push((0b10 << win_len) | (x >> win_trail) as u64, 2 + win_len);
         } else {
             // New window: 5 bits leading (≤31 by construction of a
             // nonzero 32-bit XOR), 5 bits length−1, then the bits.
-            w.push(0b11, 2);
-            w.push(lead as u64, 5);
-            w.push((len - 1) as u64, 5);
-            w.push((x >> trail) as u64, len);
+            let len = 32 - lead - trail;
+            let header = (0b11 << 10) | ((lead as u64) << 5) | (len - 1) as u64;
+            w.push((header << len) | (x >> trail) as u64, 12 + len);
             win_lead = lead;
-            win_len = len;
+            win_trail = trail;
         }
     }
     w.finish();

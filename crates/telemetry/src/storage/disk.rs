@@ -414,7 +414,7 @@ mod tests {
     fn mk_block(t0: f64, n: usize) -> SealedBlock {
         let ts: Vec<f64> = (0..n).map(|i| t0 + i as f64 * 0.5).collect();
         let vs: Vec<f32> = (0..n).map(|i| (i % 7) as f32 + t0 as f32).collect();
-        SealedBlock::seal(&ts, &vs)
+        SealedBlock::seal(&ts, &vs, &mut Vec::new())
     }
 
     #[test]

@@ -185,6 +185,8 @@ pub(crate) struct TierEngine {
     /// is a deque, the codec wants slices), reused across every seal.
     pub(crate) scratch_ts: Vec<f64>,
     pub(crate) scratch_vs: Vec<f32>,
+    /// Encoder output, reused across every seal.
+    scratch_bytes: Vec<u8>,
 }
 
 impl TierEngine {
@@ -203,6 +205,7 @@ impl TierEngine {
             io_errors: 0,
             scratch_ts: Vec::new(),
             scratch_vs: Vec::new(),
+            scratch_bytes: Vec::new(),
         }
     }
 
@@ -225,7 +228,7 @@ impl TierEngine {
 
     /// Seal the staged scratch run as one block of `series`.
     pub(crate) fn commit_seal(&mut self, series: usize) {
-        let block = SealedBlock::seal(&self.scratch_ts, &self.scratch_vs);
+        let block = SealedBlock::seal(&self.scratch_ts, &self.scratch_vs, &mut self.scratch_bytes);
         self.sealed_points += block.n as u64;
         self.mem_bytes += block.size_bytes();
         let s = &mut self.mem[series];
@@ -531,5 +534,44 @@ impl Iterator for TieredScan<'_> {
                 _ => None,
             };
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The memory budget and `TierStats::compressed_bytes` count each
+    /// block's payload length, so a sealed block must hold no spare
+    /// capacity beyond it.
+    #[test]
+    fn sealed_blocks_hold_exactly_the_bytes_the_budget_counts() {
+        let cfg = TieringConfig {
+            seal_block: 500,
+            ..TieringConfig::default()
+        };
+        let mut engine = TierEngine::new(cfg, 4096);
+        engine.ensure_series(1);
+        for r in 0..4 {
+            // A 500-point rail run: over 1 KB of payload.
+            engine.scratch_ts.clear();
+            engine.scratch_vs.clear();
+            engine
+                .scratch_ts
+                .extend((0..500).map(|i| r as f64 * 0.01 + i as f64 * 2e-5));
+            // Readings of a 12-bit 4 kW channel spread over 41 codes.
+            let lsb = 4000.0 / 4095.0;
+            engine
+                .scratch_vs
+                .extend((0..500).map(|i| (1700 + (r * 500 + i) * 7919 % 41) as f32 * lsb));
+            engine.commit_seal(0);
+        }
+        let blocks = &engine.mem[0].blocks;
+        assert_eq!(blocks.len(), 4);
+        for b in blocks {
+            assert!(b.size_bytes() > 1024, "{} bytes", b.size_bytes());
+            assert_eq!(b.bytes.capacity(), b.size_bytes());
+        }
+        assert_eq!(engine.stats().compressed_bytes as usize, engine.mem_bytes);
     }
 }

@@ -148,6 +148,16 @@ impl<V: SampleValue> Ring<V> {
     }
 }
 
+/// Copy the oldest `k` items of a deque into `out` (cleared first) as
+/// at most two slice copies, one per side of the ring's wrap point.
+fn copy_front<T: Copy>(ring: &VecDeque<T>, k: usize, out: &mut Vec<T>) {
+    let (head, tail) = ring.as_slices();
+    let from_head = head.len().min(k);
+    out.clear();
+    out.extend_from_slice(&head[..from_head]);
+    out.extend_from_slice(&tail[..k - from_head]);
+}
+
 /// Rollup accumulator: averages raw points into fixed buckets.
 #[derive(Debug, Clone)]
 struct Rollup {
@@ -510,10 +520,8 @@ impl TsDb {
             while s.raw.ts.len() >= trigger {
                 // The ring is a deque (possibly wrapped); stage the
                 // oldest run in the engine's reusable scratch slices.
-                engine.scratch_ts.clear();
-                engine.scratch_ts.extend(s.raw.ts.iter().take(k).copied());
-                engine.scratch_vs.clear();
-                engine.scratch_vs.extend(s.raw.vs.iter().take(k).copied());
+                copy_front(&s.raw.ts, k, &mut engine.scratch_ts);
+                copy_front(&s.raw.vs, k, &mut engine.scratch_vs);
                 engine.commit_seal(i);
                 s.raw.ts.drain(..k);
                 s.raw.vs.drain(..k);

@@ -1,9 +1,12 @@
 //! Tier-1 property suite for the tiered storage engine: codec identity
-//! over arbitrary `f32` bit patterns, truncated-decode-is-an-error,
-//! a differential compressed-vs-hot range scan on random windows, and
-//! disk-tier crash recovery.
+//! over arbitrary `f32` bit patterns, encoder bytes identical to the
+//! reference encoder, truncated-decode-is-an-error, a differential
+//! compressed-vs-hot range scan on random windows, and disk-tier crash
+//! recovery.
 
-use davide::telemetry::storage::{decode_block_into, encode_block};
+mod reference_codec;
+
+use davide::telemetry::storage::{decode_block_into, encode_block, MAX_BLOCK_POINTS};
 use davide::telemetry::tsdb::{Resolution, TsDb};
 use davide::telemetry::{DiskTierConfig, TieringConfig, TsDbConfig};
 use proptest::prelude::*;
@@ -49,6 +52,146 @@ fn rail_series(base: f64, ripple: f64, seed: u64, n: usize) -> Vec<f32> {
             (base + ripple * base * (i as f64 * 0.03).sin() + noise) as f32
         })
         .collect()
+}
+
+/// Encode with the library and with the reference encoder, both
+/// appending to the same non-empty prefix, and require identical bytes.
+fn same_bytes_as_reference(ts: &[f64], vs: &[f32]) -> Result<(), TestCaseError> {
+    let (mut got, mut want) = (vec![0xA5], vec![0xA5]);
+    encode_block(ts, vs, &mut got);
+    reference_codec::encode_block(ts, vs, &mut want);
+    let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
+    prop_assert!(
+        got == want,
+        "{} points: {} vs {} reference bytes, first difference at {:?}",
+        ts.len(),
+        got.len(),
+        want.len(),
+        first_diff
+    );
+    Ok(())
+}
+
+/// Zigzag delta-of-delta codes at every timestamp bucket edge: zero,
+/// the 2-bit bucket's 1..=4, the first 8-bit code, the last/first code
+/// of the 8-, 16- and 32-bit buckets, and raw escapes.
+const DOD_EDGES: [u64; 14] = [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5,
+    255,
+    256,
+    65_535,
+    65_536,
+    (1 << 32) - 1,
+    1 << 32,
+    1 << 63,
+    u64::MAX,
+];
+
+/// Timestamps from raw first bits `t0` whose successive delta-of-deltas
+/// (on the raw bits) have the zigzag codes `zs`.
+fn timestamps_with_dods(t0: u64, zs: &[u64]) -> Vec<f64> {
+    let (mut t, mut delta) = (t0 as i64, 0i64);
+    let mut ts = vec![f64::from_bits(t0)];
+    for &z in zs {
+        let dod = ((z >> 1) as i64) ^ -((z & 1) as i64);
+        delta = delta.wrapping_add(dod);
+        t = t.wrapping_add(delta);
+        ts.push(f64::from_bits(t as u64));
+    }
+    ts
+}
+
+/// Values from raw first bits `v0` whose successive XORs come from one
+/// draw each: a repeat, a full 32-bit-wide XOR (lead = trail = 0), an
+/// arbitrary XOR, or a narrow one inside bits 8..20 (so later narrow
+/// draws usually fit the open window).
+fn values_with_xors(v0: u32, draws: &[u64]) -> Vec<f32> {
+    let mut v = v0;
+    let mut vs = vec![f32::from_bits(v0)];
+    for &r in draws {
+        let bits = (r >> 32) as u32;
+        v ^= match r & 3 {
+            0 => 0,
+            1 => bits | 0x8000_0001,
+            2 => bits,
+            _ => (bits & 0xfff) << 8,
+        };
+        vs.push(f32::from_bits(v));
+    }
+    vs
+}
+
+/// Zigzag code for draw `r`: a bucket edge three times in four,
+/// otherwise an arbitrary code.
+fn dod_code(r: u64) -> u64 {
+    if r & 3 == 0 {
+        r
+    } else {
+        DOD_EDGES[(r >> 2) as usize % DOD_EDGES.len()]
+    }
+}
+
+#[test]
+fn encoder_matches_reference_on_single_point_and_full_blocks() {
+    same_bytes_as_reference(&[123.456], &[789.0]).unwrap();
+    same_bytes_as_reference(&[f64::NAN], &[-0.0]).unwrap();
+    let n = MAX_BLOCK_POINTS;
+    let draws: Vec<u64> = (0..n as u64 - 1)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let zs: Vec<u64> = draws.iter().map(|&r| dod_code(r)).collect();
+    let ts = timestamps_with_dods(10f64.to_bits(), &zs);
+    let vs = values_with_xors(1700f32.to_bits(), &draws);
+    same_bytes_as_reference(&ts, &vs).unwrap();
+    let uniform: Vec<f64> = (0..n).map(|i| 50.0 + i as f64 * 2e-5).collect();
+    same_bytes_as_reference(&uniform, &rail_series(1700.0, 0.05, 9, n)).unwrap();
+}
+
+proptest! {
+    /// The encoder writes exactly the reference's bytes for arbitrary
+    /// `f64` timestamp and `f32` value bit patterns.
+    #[test]
+    fn encoder_matches_reference_on_arbitrary_bits(
+        t_bits in proptest::collection::vec(any::<u64>(), 1..300),
+        seed in any::<u64>(),
+    ) {
+        let ts: Vec<f64> = t_bits.iter().map(|&b| f64::from_bits(b)).collect();
+        same_bytes_as_reference(&ts, &bit_pattern_series(seed, ts.len()))?;
+    }
+
+    /// ... and for uniform `t0 + i·dt` frames, whose rounding leaves a
+    /// ±1-ulp wobble in the delta-of-delta, over rail-shaped values.
+    #[test]
+    fn encoder_matches_reference_on_uniform_frames(
+        n in 1usize..600,
+        t0 in 0.0f64..1e6,
+        dt_pick in 0usize..4,
+        dt_free in 1e-7f64..10.0,
+        base in 1.0f64..4000.0,
+        seed in any::<u64>(),
+    ) {
+        let dt = [2e-5, 1.25e-6, 1e-2, dt_free][dt_pick];
+        let ts: Vec<f64> = (0..n).map(|i| t0 + i as f64 * dt).collect();
+        same_bytes_as_reference(&ts, &rail_series(base, 0.05, seed, n))?;
+    }
+
+    /// ... and at every delta-of-delta bucket edge, with repeats, full
+    /// 32-bit-wide and narrow XOR windows, from any first point.
+    #[test]
+    fn encoder_matches_reference_on_bucket_edges(
+        draws in proptest::collection::vec(any::<u64>(), 0..400),
+        t0 in any::<u64>(),
+        v0 in any::<u32>(),
+    ) {
+        let zs: Vec<u64> = draws.iter().map(|&r| dod_code(r.rotate_left(17))).collect();
+        let ts = timestamps_with_dods(t0, &zs);
+        same_bytes_as_reference(&ts, &values_with_xors(v0, &draws))?;
+    }
 }
 
 proptest! {
