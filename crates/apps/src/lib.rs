@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod cg;
-pub mod collectives;
 pub mod complex;
 pub mod distributed;
 pub mod fft;

@@ -245,7 +245,7 @@ pub fn e11() {
 }
 
 /// E12 — per-job / per-user energy accounting, served through the same
-/// [`QueryService`] rollup path the HTTP front-end exposes.
+/// [`QueryService`](davide_api::QueryService) rollup path the HTTP front-end exposes.
 pub fn e12() {
     use davide_api::{JobRollupRequest, QueryService, QueryServiceConfig, UserRollupRequest};
     use davide_telemetry::gateway::power_topic;

@@ -1,7 +1,7 @@
 //! Hierarchical power-budget distribution: site cap → rack caps → node
 //! caps.
 //!
-//! §III-A2 caps the total system power; [34] (Ellsworth et al., "Dynamic
+//! §III-A2 caps the total system power; \[34\] (Ellsworth et al., "Dynamic
 //! Power Sharing for Higher Job Throughput") shows that *how* the budget
 //! is split across nodes decides the QoS. Two splitters are provided:
 //! uniform (every node gets the same slice) and demand-proportional

@@ -1,7 +1,7 @@
 //! The node burn-in suite.
 //!
 //! §I: "All the nodes will be assembled and tested using the E4 standard
-//! burn-in suite by the end of March [2017]". Burn-in drives each node
+//! burn-in suite by the end of March \[2017\]". Burn-in drives each node
 //! through staged load patterns and verifies its electrical and thermal
 //! envelope: idle floor, per-stage power windows, thermal soak without
 //! throttling, and capping-controller response.

@@ -58,11 +58,6 @@ impl Cluster {
         self.racks.iter().flat_map(|r| r.nodes.iter())
     }
 
-    /// Mutable iterator over all compute nodes.
-    pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut ComputeNode> {
-        self.racks.iter_mut().flat_map(|r| r.nodes.iter_mut())
-    }
-
     /// Find a node by id.
     pub fn node(&self, id: u32) -> Result<&ComputeNode> {
         self.nodes()

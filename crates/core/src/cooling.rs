@@ -124,11 +124,6 @@ impl ThermalNode {
     pub fn must_throttle(&self) -> bool {
         self.temperature >= self.t_throttle
     }
-
-    /// True when the die exceeded its absolute maximum (safety check).
-    pub fn over_limit(&self) -> bool {
-        self.temperature > self.t_max
-    }
 }
 
 /// The rack-level hybrid cooling loop.

@@ -98,12 +98,6 @@ impl GpuModel {
         self.pstate
     }
 
-    /// True when the board is powered.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Energy-proportionality API (§IV): power the board on/off on demand.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;

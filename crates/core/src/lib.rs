@@ -6,7 +6,7 @@
 //!
 //! The crate is organised bottom-up:
 //!
-//! * foundations — [`units`], [`time`], [`rng`], [`event`], [`power`],
+//! * foundations — [`units`], [`time`], [`rng`], [`power`],
 //!   [`error`];
 //! * silicon models — [`dvfs`], [`cpu`] (POWER8+), [`gpu`] (Tesla P100),
 //!   [`memory`] (Centaur-buffered DRAM), [`interconnect`] (NVLink, PCIe,
@@ -16,7 +16,7 @@
 //!   throttling), [`node`] (the 2×POWER8 + 4×P100 Garrison derivative),
 //!   [`rack`], [`cluster`] (the 45-node, ~1 PFlops, <100 kW pilot);
 //! * control — [`capping`] (PI DVFS capping, RAPL-style window limits),
-//!   [`budget`] (site→node power sharing, [34]), [`burnin`] (the E4
+//!   [`budget`] (site→node power sharing, \[34\]), [`burnin`] (the E4
 //!   acceptance suite of §I);
 //! * context — [`efficiency`] (Top500/Green500 reference data).
 //!
@@ -34,7 +34,6 @@ pub mod cpu;
 pub mod dvfs;
 pub mod efficiency;
 pub mod error;
-pub mod event;
 pub mod gpu;
 pub mod interconnect;
 pub mod memory;

@@ -2,7 +2,7 @@
 //!
 //! The discrete-event engine counts time in integer nanoseconds so that
 //! event ordering is exact and runs are bit-reproducible; conversions to
-//! [`Seconds`](crate::units::Seconds) are provided at the edges.
+//! [`Seconds`] are provided at the edges.
 
 use crate::units::Seconds;
 use serde::{Deserialize, Serialize};

@@ -238,12 +238,6 @@ impl Hertz {
         self.0 / 1e9
     }
 
-    /// Megahertz constructor.
-    #[inline]
-    pub fn from_mhz(mhz: f64) -> Self {
-        Hertz(mhz * 1e6)
-    }
-
     /// Kilosamples-per-second constructor (for sampling rates).
     #[inline]
     pub fn from_ksps(ksps: f64) -> Self {

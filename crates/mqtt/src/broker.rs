@@ -258,7 +258,6 @@ struct ShardState {
 #[derive(Debug)]
 struct ClientInfo {
     sender: Sender<Message>,
-    client_id: String,
     filters: HashSet<String>,
     qos1: Arc<Qos1State>,
 }
@@ -426,10 +425,10 @@ pub enum PublishFate {
     /// Normal fan-out.
     Deliver,
     /// The packet never reaches the broker: no retained-store update,
-    /// no delivery. Counted in [`BrokerStats::injected_drops`].
+    /// no delivery. Counted in `mqtt_injected_drops_total` ([`BrokerObs`]).
     Drop,
     /// The packet is processed twice back-to-back (duplicate QoS 1
-    /// delivery). Counted once in [`BrokerStats::injected_dups`].
+    /// delivery). Counted once in `mqtt_injected_dups_total` ([`BrokerObs`]).
     Duplicate,
 }
 
@@ -580,17 +579,15 @@ impl Broker {
     ) -> super::client::Client {
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(queue_depth);
-        let client_id = client_id.into();
         self.clients.lock().insert(
             id,
             ClientInfo {
                 sender: tx,
-                client_id: client_id.clone(),
                 filters: HashSet::new(),
                 qos1: Arc::new(Qos1State::default()),
             },
         );
-        super::client::Client::new(self.clone(), id, client_id, rx)
+        super::client::Client::new(self.clone(), id, client_id.into(), rx)
     }
 
     /// Shared statistics handle.
@@ -1063,14 +1060,6 @@ impl Broker {
             }
         }
         resent
-    }
-
-    /// Look up a client's chosen id string (diagnostics).
-    pub fn client_name(&self, client: u64) -> Option<String> {
-        self.clients
-            .lock()
-            .get(&client)
-            .map(|c| c.client_id.clone())
     }
 }
 

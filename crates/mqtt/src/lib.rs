@@ -13,7 +13,11 @@
 //!   handles can round-trip through bytes;
 //! * [`broker`] — topic-trie subscription store, retained messages,
 //!   QoS 0/1 with delivery/drop accounting, bounded per-subscriber queues;
-//! * [`client`] — the publish/subscribe handle used by gateways & agents.
+//! * [`client`] — the publish/subscribe handle used by gateways & agents;
+//! * [`bridge`] — rack→site forwarding with QoS 1 ack-after-forward.
+//!
+//! QoS 1 state is tracked broker-side ([`Client::enable_qos1_tracking`]);
+//! nothing here drives the protocol over a socket.
 
 #![warn(missing_docs)]
 
@@ -21,8 +25,6 @@ pub mod bridge;
 pub mod broker;
 pub mod client;
 pub mod codec;
-pub mod framed;
-pub mod session;
 pub mod topic;
 
 pub use bridge::Bridge;
@@ -32,5 +34,3 @@ pub use broker::{
 };
 pub use client::Client;
 pub use codec::{CodecError, Packet, QoS};
-pub use framed::{ConnState, ServerConnection};
-pub use session::{Session, SessionEvent, SessionObs, SessionState, DEFAULT_MAX_IN_FLIGHT};

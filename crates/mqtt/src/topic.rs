@@ -5,6 +5,7 @@
 //! (broker-internal, e.g. `$SYS/...`) are not matched by filters whose
 //! first level is a wildcard.
 
+use davide_obs::Fnv1a;
 use std::fmt;
 
 /// Errors from topic/filter validation.
@@ -152,23 +153,16 @@ impl ShardSet {
 /// node/gateway name, which is exactly the axis concurrent publishers are
 /// disjoint on.
 fn shard_hash(topic: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     let mut iter = topic.split('/');
-    let l0 = iter.next().unwrap_or("");
-    for b in l0.bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
+    h.write(iter.next().unwrap_or("").as_bytes());
     if let Some(l1) = iter.next() {
-        // Fold in a NUL separator byte (`h ^ 0` is `h`) so `ab` and
-        // `a/b` cannot collide by construction.
-        h = h.wrapping_mul(FNV_PRIME);
-        for b in l1.bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+        // A NUL separator byte, so `ab` and `a/b` cannot collide by
+        // construction.
+        h.write(&[0]);
+        h.write(l1.as_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Which shard (of `shard_count`) does `topic` belong to?

@@ -16,23 +16,24 @@
 //! sound because `'static` strings never move — so a push is a handful
 //! of relaxed stores and never allocates.
 
+use crate::hash::fnv1a;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Well-known flight-recorder event kinds. Grant hops reuse the span
-/// stage names so the timeline reads in causal order.
+/// Well-known flight-recorder event kinds. Grant hops are the grant
+/// stage names, so the timeline reads in causal order.
 pub mod kind {
+    use crate::trace::{GrantStage, GRANT_STAGE_NAMES};
+
     /// Federator published a grant ([`GrantStage::FedSplit`]).
-    ///
-    /// [`GrantStage::FedSplit`]: crate::span::GrantStage::FedSplit
-    pub const FED_SPLIT: &str = "fed_split";
+    pub const FED_SPLIT: &str = GRANT_STAGE_NAMES[GrantStage::FedSplit as usize];
     /// Downlink bridge forwarded the grant onto the rack broker.
-    pub const BRIDGE_DELIVER: &str = "bridge_deliver";
+    pub const BRIDGE_DELIVER: &str = GRANT_STAGE_NAMES[GrantStage::BridgeDeliver as usize];
     /// Rack cap-watch drained the grant.
-    pub const RACK_RECEIVE: &str = "rack_receive";
+    pub const RACK_RECEIVE: &str = GRANT_STAGE_NAMES[GrantStage::RackReceive as usize];
     /// Control plane swapped its cap schedule.
-    pub const CAP_COMMAND: &str = "cap_command";
+    pub const CAP_COMMAND: &str = GRANT_STAGE_NAMES[GrantStage::CapCommand as usize];
     /// Observed system power first measured under the granted cap.
-    pub const POWER_CROSSING: &str = "power_crossing";
+    pub const POWER_CROSSING: &str = GRANT_STAGE_NAMES[GrantStage::PowerCrossing as usize];
     /// The invariant checker recorded a violation; `label` names the
     /// invariant.
     pub const VIOLATION: &str = "violation";
@@ -204,19 +205,6 @@ impl FlightRecorder {
     pub fn digest(&self) -> u64 {
         fnv1a(self.dump().as_bytes())
     }
-}
-
-/// FNV-1a over a byte slice (same constants as the sim's event-log
-/// digest).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 fn load_static_str(ptr: &AtomicU64, len: &AtomicU64) -> &'static str {

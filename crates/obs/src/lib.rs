@@ -11,20 +11,21 @@
 //!   (interned, like `SeriesId`s in the TsDb) so the hot path is pure
 //!   atomics: no locks, no allocation. [`MetricsRegistry::render_text`]
 //!   produces a Prometheus-style text exposition.
-//! * [`FrameTracer`] — causal tracing for `SampleFrame` batches. Every
-//!   frame gets a deterministic trace id derived from its topic and
-//!   wire header ([`frame_trace_id`]); each pipeline stage (broker
-//!   publish → session deliver → ingest append → predictor update →
-//!   scheduler tick → DVFS command publish) stamps a timestamp, and
-//!   closing a trace folds the stage-to-stage lags into histograms, so
-//!   end-to-end control-loop latency is a measured distribution, not a
-//!   guess.
-//! * [`GrantTracer`] — causal tracing for federation cap grants: the
-//!   federator's budget split, the retained grant publish, the downlink
-//!   bridge hop, the rack's cap-watch drain, the controller command and
-//!   the observed power crossing are stitched into one span per
-//!   (rack, grant seq), folding grant-to-actuation latency into
-//!   histograms.
+//! * [`StageTracer`] — causal tracing through an ordered stage set,
+//!   one fixed-slot table for two uses. [`Stage`] follows `SampleFrame`
+//!   batches: every frame gets a deterministic trace id derived from
+//!   its topic and wire header ([`frame_trace_id`]); each pipeline
+//!   stage (broker publish → session deliver → ingest append →
+//!   predictor update → scheduler tick → DVFS command publish) stamps a
+//!   timestamp, and closing a trace folds the stage-to-stage lags into
+//!   histograms, so end-to-end control-loop latency is a measured
+//!   distribution, not a guess. [`GrantStage`] follows federation cap
+//!   grants: the federator's budget split, the downlink bridge hop, the
+//!   rack's cap-watch drain, the controller command and the observed
+//!   power crossing are stitched into one span per (rack, grant seq),
+//!   folding grant-to-actuation latency into histograms.
+//! * [`Fnv1a`] — the streaming FNV-1a-64 hasher behind every digest,
+//!   trace id and shard placement in the workspace.
 //! * [`FlightRecorder`] — a bounded lock-free ring of recent
 //!   control-loop events, snapshotted into a deterministic text dump
 //!   the instant an invariant fires.
@@ -45,35 +46,36 @@
 pub mod bridge;
 pub mod clock;
 pub mod flight;
+pub mod hash;
 pub mod metrics;
-pub mod span;
 pub mod trace;
 
 pub use bridge::{obs_topic, FrameSink, SelfTelemetry, OBS_FILTER, OBS_PREFIX};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use flight::{FlightEvent, FlightRecorder};
+pub use hash::{fnv1a, Fnv1a};
 pub use metrics::{
     escape_label_value, rollup_counters, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry,
 };
-pub use span::{GrantStage, GrantTracer, GRANT_STAGE_COUNT, GRANT_STAGE_NAMES};
-pub use trace::{frame_trace_id, FrameTracer, Stage};
+pub use trace::{frame_trace_id, GrantStage, Stage, StageTracer, GRANT_STAGE_NAMES};
 
 use std::sync::Arc;
 
 /// The obs wiring one deployment shares across instrument sites: the
-/// registry every subsystem registers its metrics in, the frame tracer,
-/// and the clock all broker/ingest-side stamps read.
+/// registry every subsystem registers its metrics in, the frame and
+/// cap-grant tracers, the flight recorder, and the clock all
+/// broker/ingest-side stamps read.
 #[derive(Clone)]
 pub struct ObsHub {
     /// Shared metrics registry.
     pub registry: Arc<MetricsRegistry>,
     /// Shared causal frame tracer (registers its own metrics in
     /// `registry`).
-    pub tracer: Arc<FrameTracer>,
+    pub tracer: Arc<StageTracer<Stage>>,
     /// Shared cap-grant span tracer (registers its own metrics in
     /// `registry`).
-    pub span: Arc<GrantTracer>,
+    pub span: Arc<StageTracer<GrantStage>>,
     /// Shared flight recorder for the deployment's recent control-loop
     /// events.
     pub flight: Arc<FlightRecorder>,
@@ -86,8 +88,8 @@ impl ObsHub {
     /// A hub over an explicit clock.
     pub fn new(clock: Arc<dyn Clock>) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Arc::new(FrameTracer::new(&registry));
-        let span = Arc::new(GrantTracer::new(&registry));
+        let tracer = Arc::new(StageTracer::new(&registry));
+        let span = Arc::new(StageTracer::new(&registry));
         let flight = Arc::new(FlightRecorder::default());
         ObsHub {
             registry,
@@ -98,8 +100,8 @@ impl ObsHub {
         }
     }
 
-    /// Arm or disarm grant tracing and flight recording together (the
-    /// frame tracer and registry stay live). Overhead A/B runs disarm
+    /// Arm or disarm grant tracing and flight recording together (frame
+    /// tracing and the registry stay live). Overhead A/B runs disarm
     /// one side; digests must be bit-identical either way.
     pub fn set_tracing_enabled(&self, on: bool) {
         self.span.set_enabled(on);

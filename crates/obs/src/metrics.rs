@@ -7,7 +7,6 @@
 //! walks the registry and emits a Prometheus-style text exposition.
 
 use parking_lot::RwLock;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -249,20 +248,27 @@ fn escape_label_section(inner: &str) -> String {
     out
 }
 
-/// The exposition form of a stored metric name: label values escaped,
-/// bare names passed through unchanged.
-fn render_name(name: &str) -> Cow<'_, str> {
+/// A stored metric name split for exposition: the base name and the
+/// inside of its `{...}` label section with values escaped (empty for a
+/// bare name).
+fn split_name(name: &str) -> (&str, String) {
     match name.find('{') {
-        Some(open) if name.ends_with('}') => {
-            let inner = &name[open + 1..name.len() - 1];
-            let escaped = escape_label_section(inner);
-            if escaped == inner {
-                Cow::Borrowed(name)
-            } else {
-                Cow::Owned(format!("{}{{{escaped}}}", &name[..open]))
-            }
-        }
-        _ => Cow::Borrowed(name),
+        Some(open) if name.ends_with('}') => (
+            &name[..open],
+            escape_label_section(&name[open + 1..name.len() - 1]),
+        ),
+        _ => (name, String::new()),
+    }
+}
+
+/// A sample's label set: the metric name's own labels, then `extra`
+/// (the histogram bucket's `le`), braced; empty when there are none.
+fn label_set(labels: &str, extra: &str) -> String {
+    match (labels.is_empty(), extra.is_empty()) {
+        (true, true) => String::new(),
+        (false, true) => format!("{{{labels}}}"),
+        (true, false) => format!("{{{extra}}}"),
+        (false, false) => format!("{{{labels},{extra}}}"),
     }
 }
 
@@ -402,7 +408,9 @@ impl MetricsRegistry {
     /// Prometheus-style text exposition. Metrics are emitted in sorted
     /// name order; `# TYPE` lines are emitted once per base name (the
     /// part before any `{label}` suffix), so per-topic gauge families
-    /// share one TYPE line.
+    /// share one TYPE line. Every sample carries its metric's labels, a
+    /// histogram's series included, so the members of a labelled
+    /// histogram family stay distinct.
     pub fn render_text(&self) -> String {
         let g = self.inner.read();
         let mut names: Vec<&String> = g.by_name.keys().collect();
@@ -410,7 +418,7 @@ impl MetricsRegistry {
         let mut out = String::new();
         let mut last_base = String::new();
         for name in names {
-            let base = name.split('{').next().unwrap_or(name);
+            let (base, labels) = split_name(name);
             let metric = &g.by_name[name.as_str()];
             if base != last_base {
                 let ty = match metric {
@@ -421,9 +429,10 @@ impl MetricsRegistry {
                 out.push_str(&format!("# TYPE {base} {ty}\n"));
                 last_base = base.to_string();
             }
+            let own = label_set(&labels, "");
             match metric {
-                Metric::Counter(c) => out.push_str(&format!("{} {}\n", render_name(name), c.get())),
-                Metric::Gauge(gg) => out.push_str(&format!("{} {}\n", render_name(name), gg.get())),
+                Metric::Counter(c) => out.push_str(&format!("{base}{own} {}\n", c.get())),
+                Metric::Gauge(gg) => out.push_str(&format!("{base}{own} {}\n", gg.get())),
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
                     let mut cum = 0u64;
@@ -432,17 +441,17 @@ impl MetricsRegistry {
                             continue;
                         }
                         cum += b;
-                        out.push_str(&format!(
-                            "{base}_bucket{{le=\"{}\"}} {cum}\n",
-                            bucket_upper_bound(i)
-                        ));
+                        let le = format!("le=\"{}\"", bucket_upper_bound(i));
+                        let set = label_set(&labels, &le);
+                        out.push_str(&format!("{base}_bucket{set} {cum}\n"));
                     }
-                    out.push_str(&format!("{base}_bucket{{le=\"+Inf\"}} {}\n", s.count));
-                    out.push_str(&format!("{base}_sum {}\n", s.sum));
-                    out.push_str(&format!("{base}_count {}\n", s.count));
-                    out.push_str(&format!("{base}_max {}\n", s.max));
+                    let set = label_set(&labels, "le=\"+Inf\"");
+                    out.push_str(&format!("{base}_bucket{set} {}\n", s.count));
+                    out.push_str(&format!("{base}_sum{own} {}\n", s.sum));
+                    out.push_str(&format!("{base}_count{own} {}\n", s.count));
+                    out.push_str(&format!("{base}_max{own} {}\n", s.max));
                     for (q, label) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-                        out.push_str(&format!("{base}_{label} {}\n", s.quantile(q)));
+                        out.push_str(&format!("{base}_{label}{own} {}\n", s.quantile(q)));
                     }
                 }
             }
@@ -585,6 +594,34 @@ mod tests {
         // Clean names render unchanged (borrowed path).
         assert_eq!(escape_label_value("plain"), "plain");
         assert_eq!(escape_label_value("a\"b\nc\\d"), "a\\\"b\\nc\\\\d");
+    }
+
+    /// Regression: the members of a labelled histogram family render as
+    /// distinct series, each sample carrying its metric's labels
+    /// (escaped) ahead of the bucket's `le`.
+    #[test]
+    fn render_text_keeps_labelled_histograms_distinct() {
+        let r = MetricsRegistry::new();
+        r.histogram("stage_ns{from=\"a\",to=\"b\"}").record(3);
+        r.histogram("stage_ns{from=\"b\",to=\"c\\d\"}").record(5);
+        r.histogram("bare_ns").record(1);
+        let text = r.render_text();
+        assert_eq!(text.matches("# TYPE stage_ns histogram\n").count(), 1);
+        for line in [
+            "stage_ns_bucket{from=\"a\",to=\"b\",le=\"3\"} 1\n",
+            "stage_ns_bucket{from=\"a\",to=\"b\",le=\"+Inf\"} 1\n",
+            "stage_ns_sum{from=\"a\",to=\"b\"} 3\n",
+            "stage_ns_count{from=\"a\",to=\"b\"} 1\n",
+            "stage_ns_p99{from=\"a\",to=\"b\"} 3\n",
+            "stage_ns_bucket{from=\"b\",to=\"c\\\\d\",le=\"7\"} 1\n",
+            "stage_ns_sum{from=\"b\",to=\"c\\\\d\"} 5\n",
+            "bare_ns_bucket{le=\"1\"} 1\n",
+            "bare_ns_sum 1\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+        // No sample line of a labelled family is unlabelled.
+        assert!(!text.lines().any(|l| l.starts_with("stage_ns_sum ")));
     }
 
     #[test]

@@ -1,16 +1,66 @@
-//! Causal frame tracing across the telemetry → control pipeline.
+//! Causal stage tracing: one fixed-slot tracer, two stage sets.
 //!
-//! Each `SampleFrame` publication gets a deterministic trace id
-//! ([`frame_trace_id`], FNV-1a over topic + payload head) that every
-//! stage can recompute from data it already holds — no id field travels
-//! on the wire, so frame encoding and per-seed digests are untouched.
-//! Stages stamp timestamps into a fixed-capacity slot table; closing a
-//! trace folds its stage-to-stage lags into histograms and bumps a
+//! A [`StageTracer`] follows traces through an ordered set of stages.
+//! Each stage stamps a timestamp into a fixed-capacity slot table, the
+//! first stamp per stage winning; closing a trace folds its
+//! stage-to-stage lags and its set's spans into histograms and bumps a
 //! completion counter, while traces that never complete are counted by
-//! the furthest stage they reached — a per-stage frame-loss readout.
+//! the furthest stage they reached — a per-stage loss readout. The
+//! stage set ([`Stages`]) supplies everything that differs between uses
+//! as data: stage names, metric prefix, table capacity and the spans
+//! recorded on close.
+//!
+//! * [`Stage`] — `SampleFrame` publications across the telemetry →
+//!   control pipeline. The trace id ([`frame_trace_id`], FNV-1a over
+//!   topic + payload head) is recomputed by every stage from data it
+//!   already holds, so no id field travels on the wire and frame
+//!   encoding and per-seed digests are untouched.
+//! * [`GrantStage`] — federation cap grants, from the federator's budget
+//!   split to the observed power crossing. The trace id is the grant
+//!   sequence number the federator embeds in the payload
+//!   (`"<watts> <seq>"`); sequence numbers are per rack, and so is the
+//!   tracer (it lives in the rack's [`ObsHub`]). First-stamp-wins makes
+//!   retained-replay re-deliveries after a broker restart harmless.
+//!
+//! All timestamps come through the hub's injectable clock, so tracing
+//! never perturbs per-seed digests.
+//!
+//! [`ObsHub`]: crate::ObsHub
 
+use crate::hash::Fnv1a;
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use parking_lot::Mutex;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// A latency a stage set records when a trace closes: the lag from
+/// stage `from` to stage `to`, recorded only when both are stamped.
+#[derive(Clone, Copy, Debug)]
+pub struct Span {
+    /// Histogram name after the set's prefix (`e2e_ns` names
+    /// `obs_trace_e2e_ns` for frames).
+    pub name: &'static str,
+    /// Start stage index; `None` is the first stamped stage.
+    pub from: Option<usize>,
+    /// End stage index; `None` is the last stamped stage.
+    pub to: Option<usize>,
+}
+
+/// An ordered set of stages a [`StageTracer`] follows.
+pub trait Stages: Copy {
+    /// Stage names in causal order, as they appear in metric labels
+    /// (two to eight of them).
+    const NAMES: &'static [&'static str];
+    /// Metric name prefix.
+    const PREFIX: &'static str;
+    /// Slot-table capacity, a power of two: the open traces the table
+    /// holds before a full probe window evicts one as lost.
+    const CAPACITY: usize;
+    /// The spans recorded on close, besides the stage-pair lags.
+    const SPANS: &'static [Span];
+    /// This stage's index into [`NAMES`](Self::NAMES).
+    fn index(self) -> usize;
+}
 
 /// Pipeline stages a frame passes through, in causal order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,11 +80,8 @@ pub enum Stage {
     DvfsPublish = 5,
 }
 
-/// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 6;
-
-/// Stage names as they appear in metric labels.
-pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
+/// Frame stage names, indexed by [`Stage`].
+pub const STAGE_NAMES: [&str; 6] = [
     "broker_publish",
     "session_deliver",
     "ingest_append",
@@ -42,6 +89,78 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "scheduler_tick",
     "dvfs_publish",
 ];
+
+impl Stages for Stage {
+    const NAMES: &'static [&'static str] = &STAGE_NAMES;
+    const PREFIX: &'static str = "obs_trace";
+    const CAPACITY: usize = 4096;
+    /// `obs_trace_e2e_ns`: first to last stamped stage, the
+    /// control-loop latency.
+    const SPANS: &'static [Span] = &[Span {
+        name: "e2e_ns",
+        from: None,
+        to: None,
+    }];
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// The hops a cap grant takes from the federator's budget split to an
+/// observed node-power change, in causal order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(usize)]
+pub enum GrantStage {
+    /// The federator computed this rack's share and published the
+    /// retained grant on the site broker.
+    FedSplit = 0,
+    /// The downlink bridge forwarded the grant onto the rack broker.
+    BridgeDeliver = 1,
+    /// The rack's cap-watch subscriber drained the grant.
+    RackReceive = 2,
+    /// The control plane swapped its cap schedule (the ladder and the
+    /// admission envelope now read the new cap).
+    CapCommand = 3,
+    /// The plant's observed system power first measured at or under the
+    /// granted cap — actuation, as the invariant checker would see it.
+    PowerCrossing = 4,
+}
+
+/// Grant stage names, indexed by [`GrantStage`] — also the
+/// flight-recorder event kinds for grant hops.
+pub const GRANT_STAGE_NAMES: [&str; 5] = [
+    "fed_split",
+    "bridge_deliver",
+    "rack_receive",
+    "cap_command",
+    "power_crossing",
+];
+
+impl Stages for GrantStage {
+    const NAMES: &'static [&'static str] = &GRANT_STAGE_NAMES;
+    const PREFIX: &'static str = "obs_grant";
+    /// Grants are low-rate (one per rack per rebalance at most).
+    const CAPACITY: usize = 256;
+    /// `obs_grant_apply_ns` (split → controller cap command) and
+    /// `obs_grant_e2e_ns` (split → observed power crossing, the
+    /// grant-to-actuation latency the paper's reaction-time argument
+    /// turns on).
+    const SPANS: &'static [Span] = &[
+        Span {
+            name: "apply_ns",
+            from: Some(GrantStage::FedSplit as usize),
+            to: Some(GrantStage::CapCommand as usize),
+        },
+        Span {
+            name: "e2e_ns",
+            from: Some(GrantStage::FedSplit as usize),
+            to: Some(GrantStage::PowerCrossing as usize),
+        },
+    ];
+    fn index(self) -> usize {
+        self as usize
+    }
+}
 
 /// How many payload bytes participate in the trace id. 24 bytes covers
 /// the `SampleFrame` wire header (magic, version, t0, dt, n), which is
@@ -55,92 +174,93 @@ pub const TRACE_ID_PAYLOAD_BYTES: usize = 24;
 /// publish) and ingest (raw delivered payload) hold exactly these
 /// inputs, so the id links the two without wire changes.
 pub fn frame_trace_id(topic: &str, payload: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in topic.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h = (h ^ 0xFF).wrapping_mul(FNV_PRIME);
-    for &b in payload.iter().take(TRACE_ID_PAYLOAD_BYTES) {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(topic.as_bytes());
+    h.write(&[0xFF]);
+    h.write(&payload[..payload.len().min(TRACE_ID_PAYLOAD_BYTES)]);
+    h.finish()
 }
 
-/// A finalised trace's payload, copied out of the table under the lock.
+/// Most stages a set may have: the stamped-stage mask is a `u8`.
+const MAX_STAGES: usize = 8;
+/// Slots a stamp probes, from the id's home slot, before evicting.
+const PROBE: usize = 16;
+
+/// A trace copied out of the table, finalised after the lock drops.
 #[derive(Clone, Copy)]
 struct Slot {
     seen: u8,
-    t_ns: [u64; STAGE_COUNT],
+    t_ns: [u64; MAX_STAGES],
 }
-
-/// Slot-table capacity (power of two). Bounded so the tracer never
-/// allocates after construction; a full probe window evicts the oldest
-/// resident, finalising it as lost.
-const CAPACITY: usize = 4096;
-const PROBE: usize = 16;
 
 /// Struct-of-arrays slot table: probing scans the packed `seen`/`ids`
 /// arrays (64 and 8 entries per cache line), so a stamp on the ingest
 /// hot path touches one or two lines instead of one per probed slot.
+/// `t_ns` holds one row of stage stamps per slot. A slot is free when
+/// its `seen` mask is zero.
 struct Table {
     seen: Box<[u8]>,
     ids: Box<[u64]>,
-    t_ns: Box<[[u64; STAGE_COUNT]]>,
+    t_ns: Box<[u64]>,
 }
 
-impl Table {
-    fn take(&mut self, i: usize) -> Slot {
-        let s = Slot {
-            seen: self.seen[i],
-            t_ns: self.t_ns[i],
-        };
-        self.seen[i] = 0;
-        s
-    }
-}
-
-/// Fixed-capacity causal tracer. All histograms and counters live in
-/// the [`MetricsRegistry`] passed at construction:
+/// Fixed-capacity causal tracer over the stage set `S`; see the module
+/// docs. All histograms and counters live in the [`MetricsRegistry`]
+/// passed at construction, named after the set's prefix `p`:
 ///
-/// * `obs_trace_e2e_ns` — first-stamp to last-stamp latency of
-///   completed traces (the control-loop latency histogram).
-/// * `obs_trace_stage_ns{from=..,to=..}` — lag between consecutive
-///   stamped stages.
-/// * `obs_trace_completed_total` — traces closed normally.
-/// * `obs_trace_lost_total{last=..}` — traces that never completed,
-///   keyed by the furthest stage they reached.
-pub struct FrameTracer {
+/// * `{p}_stage_ns{from=..,to=..}` — lag between consecutive stamped
+///   stages;
+/// * one histogram per [`Stages::SPANS`] entry;
+/// * `{p}_completed_total` — traces closed normally;
+/// * `{p}_lost_total{last=..}` — traces evicted or flushed before they
+///   closed, keyed by the furthest stage they reached.
+pub struct StageTracer<S: Stages> {
+    enabled: AtomicBool,
     table: Mutex<Table>,
-    e2e: Histogram,
-    stage_lag: [Histogram; STAGE_COUNT - 1],
+    stage_lag: Box<[Histogram]>,
+    spans: Box<[Histogram]>,
     completed: Counter,
-    lost: [Counter; STAGE_COUNT],
+    lost: Box<[Counter]>,
+    stages: PhantomData<fn(S)>,
 }
 
-impl FrameTracer {
+impl<S: Stages> StageTracer<S> {
+    const N: usize = S::NAMES.len();
+    const MASK: usize = S::CAPACITY - 1;
+
     /// A tracer registering its metrics in `registry`.
     pub fn new(registry: &MetricsRegistry) -> Self {
-        let stage_lag = std::array::from_fn(|i| {
-            registry.histogram(&format!(
-                "obs_trace_stage_ns{{from=\"{}\",to=\"{}\"}}",
-                STAGE_NAMES[i],
-                STAGE_NAMES[i + 1]
-            ))
-        });
-        let lost = std::array::from_fn(|i| {
-            registry.counter(&format!(
-                "obs_trace_lost_total{{last=\"{}\"}}",
-                STAGE_NAMES[i]
-            ))
-        });
+        const {
+            assert!(Self::N >= 2 && Self::N <= MAX_STAGES);
+            assert!(S::CAPACITY.is_power_of_two());
+        }
+        let (p, names) = (S::PREFIX, S::NAMES);
+        let stage_lag = (0..Self::N - 1)
+            .map(|i| {
+                registry.histogram(&format!(
+                    "{p}_stage_ns{{from=\"{}\",to=\"{}\"}}",
+                    names[i],
+                    names[i + 1]
+                ))
+            })
+            .collect();
+        let spans = S::SPANS
+            .iter()
+            .map(|s| registry.histogram(&format!("{p}_{}", s.name)))
+            .collect();
+        let lost = names
+            .iter()
+            .map(|name| registry.counter(&format!("{p}_lost_total{{last=\"{name}\"}}")))
+            .collect();
         // Touch every page at construction: the zeroed allocations are
         // otherwise backed lazily, and the page faults would land in
         // the first few thousand stamp() calls on the ingest hot path.
-        let mut seen = vec![0u8; CAPACITY].into_boxed_slice();
-        let mut ids = vec![0u64; CAPACITY].into_boxed_slice();
-        let mut t_ns = vec![[0u64; STAGE_COUNT]; CAPACITY].into_boxed_slice();
+        let mut seen = vec![0u8; S::CAPACITY].into_boxed_slice();
+        let mut ids = vec![0u64; S::CAPACITY].into_boxed_slice();
+        let mut t_ns = vec![0u64; S::CAPACITY * Self::N].into_boxed_slice();
+        // SAFETY: every pointer written through comes from a `&mut` into
+        // one of the three live, initialised allocations above, so it is
+        // valid and aligned for a write of its element type.
         unsafe {
             for s in seen.iter_mut() {
                 std::ptr::write_volatile(s, 0);
@@ -148,29 +268,42 @@ impl FrameTracer {
             for id in ids.iter_mut() {
                 std::ptr::write_volatile(id, 0);
             }
-            for row in t_ns.iter_mut() {
+            for row in t_ns.chunks_exact_mut(Self::N) {
                 std::ptr::write_volatile(&mut row[0], 0);
             }
         }
-        FrameTracer {
+        StageTracer {
+            enabled: AtomicBool::new(true),
             table: Mutex::new(Table { seen, ids, t_ns }),
-            e2e: registry.histogram("obs_trace_e2e_ns"),
             stage_lag,
-            completed: registry.counter("obs_trace_completed_total"),
+            spans,
+            completed: registry.counter(&format!("{p}_completed_total")),
             lost,
+            stages: PhantomData,
         }
+    }
+
+    /// Disable (or re-enable) stamping; a disabled tracer's `stamp`,
+    /// `stamp_batch` and `close` are cheap no-ops. Used by overhead A/B
+    /// measurements.
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether stamping is active.
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Stamp `stage` of trace `id` at `now_s` (clock seconds; stored as
     /// integer nanoseconds). Creates the trace on first stamp; if the
     /// probe window is full the displaced resident is finalised as lost.
-    pub fn stamp(&self, id: u64, stage: Stage, now_s: f64) {
-        let now_ns = (now_s * 1e9).round().max(0.0) as u64;
-        let lost_slot = {
-            let mut g = self.table.lock();
-            Self::stamp_in(&mut g, id, stage, now_ns)
-        };
-        if let Some(s) = lost_slot {
+    pub fn stamp(&self, id: u64, stage: S, now_s: f64) {
+        if !self.enabled() {
+            return;
+        }
+        let lost = Self::stamp_in(&mut self.table.lock(), id, stage.index(), to_ns(now_s));
+        if let Some(s) = lost {
             self.finalize_lost(&s);
         }
     }
@@ -180,8 +313,11 @@ impl FrameTracer {
     /// hot-path amortisation (a drained batch shares one drain instant
     /// anyway). Displaced residents are finalised inline; the loss
     /// counters are plain atomics, so no lock ordering is at stake.
-    pub fn stamp_batch(&self, stage: Stage, now_s: f64, ids: impl IntoIterator<Item = u64>) {
-        let now_ns = (now_s * 1e9).round().max(0.0) as u64;
+    pub fn stamp_batch(&self, stage: S, now_s: f64, ids: impl IntoIterator<Item = u64>) {
+        if !self.enabled() {
+            return;
+        }
+        let (stage, now_ns) = (stage.index(), to_ns(now_s));
         let mut g = self.table.lock();
         for id in ids {
             if let Some(s) = Self::stamp_in(&mut g, id, stage, now_ns) {
@@ -190,72 +326,83 @@ impl FrameTracer {
         }
     }
 
+    /// The home slot of trace `id`; probing walks forward from it.
+    fn home(id: u64) -> usize {
+        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize) & Self::MASK
+    }
+
+    /// The slot holding trace `id`, if it is resident.
+    fn find(g: &Table, id: u64) -> Option<usize> {
+        let home = Self::home(id);
+        (0..PROBE)
+            .map(|k| (home + k) & Self::MASK)
+            .find(|&i| g.seen[i] != 0 && g.ids[i] == id)
+    }
+
+    /// Copy slot `i` out and free it.
+    fn take(g: &mut Table, i: usize) -> Slot {
+        let mut t_ns = [0; MAX_STAGES];
+        t_ns[..Self::N].copy_from_slice(&g.t_ns[i * Self::N..(i + 1) * Self::N]);
+        let s = Slot {
+            seen: g.seen[i],
+            t_ns,
+        };
+        g.seen[i] = 0;
+        s
+    }
+
     /// The probe/insert body shared by [`stamp`](Self::stamp) and
-    /// [`stamp_batch`](Self::stamp_batch); returns a displaced resident
-    /// for the caller to finalise as lost.
-    fn stamp_in(g: &mut Table, id: u64, stage: Stage, now_ns: u64) -> Option<Slot> {
-        let mask = CAPACITY - 1;
-        let start = (id as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) & mask;
-        let mut lost_slot = None;
-        let mut free: Option<usize> = None;
-        let mut found: Option<usize> = None;
+    /// [`stamp_batch`](Self::stamp_batch): the resident slot of `id`,
+    /// else the first free slot in the probe window, else the home slot
+    /// with its resident evicted. Returns the evicted resident for the
+    /// caller to finalise as lost.
+    fn stamp_in(g: &mut Table, id: u64, stage: usize, now_ns: u64) -> Option<Slot> {
+        let home = Self::home(id);
+        let mut free = None;
+        let mut found = None;
         for k in 0..PROBE {
-            let i = (start + k) & mask;
+            let i = (home + k) & Self::MASK;
             if g.seen[i] == 0 {
-                if free.is_none() {
-                    free = Some(i);
-                }
+                free = free.or(Some(i));
             } else if g.ids[i] == id {
                 found = Some(i);
                 break;
             }
         }
+        let mut evicted = None;
         let i = match found {
             Some(i) => i,
             None => {
-                let i = free.unwrap_or(start);
+                let i = free.unwrap_or(home);
                 if g.seen[i] != 0 {
-                    lost_slot = Some(g.take(i));
+                    evicted = Some(Self::take(g, i));
                 }
                 g.ids[i] = id;
-                g.seen[i] = 0;
                 i
             }
         };
-        if g.seen[i] & (1 << stage as usize) == 0 {
-            g.seen[i] |= 1 << stage as usize;
-            g.t_ns[i][stage as usize] = now_ns;
+        if g.seen[i] & (1 << stage) == 0 {
+            g.seen[i] |= 1 << stage;
+            g.t_ns[i * Self::N + stage] = now_ns;
         }
-        lost_slot
+        evicted
     }
 
     /// Whether trace `id` is currently resident (stamped, not closed).
     pub fn is_resident(&self, id: u64) -> bool {
-        let g = self.table.lock();
-        let mask = CAPACITY - 1;
-        let start = (id as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) & mask;
-        (0..PROBE).any(|k| {
-            let i = (start + k) & mask;
-            g.seen[i] != 0 && g.ids[i] == id
-        })
+        Self::find(&self.table.lock(), id).is_some()
     }
 
-    /// Close trace `id`: fold its lags into the histograms and count it
-    /// completed. No-op if the trace is not resident (already evicted).
+    /// Close trace `id`: fold its lags and spans into the histograms
+    /// and count it completed. No-op if the trace is not resident
+    /// (already evicted).
     pub fn close(&self, id: u64) {
+        if !self.enabled() {
+            return;
+        }
         let slot = {
             let mut g = self.table.lock();
-            let mask = CAPACITY - 1;
-            let start = (id as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) & mask;
-            let mut taken = None;
-            for k in 0..PROBE {
-                let i = (start + k) & mask;
-                if g.seen[i] != 0 && g.ids[i] == id {
-                    taken = Some(g.take(i));
-                    break;
-                }
-            }
-            taken
+            Self::find(&g, id).map(|i| Self::take(&mut g, i))
         };
         if let Some(s) = slot {
             self.finalize_completed(&s);
@@ -263,14 +410,14 @@ impl FrameTracer {
     }
 
     /// Finalise every resident trace as lost (end-of-run accounting:
-    /// anything still open never made it through the loop).
+    /// anything still open never made it through).
     pub fn flush(&self) {
         let residents: Vec<Slot> = {
             let mut g = self.table.lock();
             let mut v = Vec::new();
-            for i in 0..CAPACITY {
+            for i in 0..S::CAPACITY {
                 if g.seen[i] != 0 {
-                    v.push(g.take(i));
+                    v.push(Self::take(&mut g, i));
                 }
             }
             v
@@ -286,43 +433,44 @@ impl FrameTracer {
     }
 
     fn finalize_completed(&self, s: &Slot) {
-        let mut first = None;
-        let mut last = None;
-        let mut prev: Option<usize> = None;
-        for i in 0..STAGE_COUNT {
-            if s.seen & (1 << i) == 0 {
-                continue;
+        let stamped = |i: usize| s.seen & (1 << i) != 0;
+        let first = (0..Self::N).find(|&i| stamped(i));
+        let mut last: Option<usize> = None;
+        for i in (0..Self::N).filter(|&i| stamped(i)) {
+            if let Some(p) = last {
+                // A skipped stage folds the whole gap into the edge
+                // leaving the earlier stamped stage.
+                self.stage_lag[p].record(s.t_ns[i].saturating_sub(s.t_ns[p]));
             }
-            if first.is_none() {
-                first = Some(s.t_ns[i]);
-            }
-            last = Some(s.t_ns[i]);
-            if let Some(p) = prev {
-                // Consecutive stamped pair: attribute the lag to the
-                // (p, p+1) edge when adjacent; skipped stages fold the
-                // whole gap into the edge leaving the earlier stage.
-                let lag = s.t_ns[i].saturating_sub(s.t_ns[p]);
-                self.stage_lag[p.min(STAGE_COUNT - 2)].record(lag);
-            }
-            prev = Some(i);
+            last = Some(i);
         }
-        if let (Some(a), Some(b)) = (first, last) {
-            self.e2e.record(b.saturating_sub(a));
+        for (span, h) in S::SPANS.iter().zip(self.spans.iter()) {
+            let from = span.from.or(first).filter(|&i| stamped(i));
+            let to = span.to.or(last).filter(|&i| stamped(i));
+            if let (Some(a), Some(b)) = (from, to) {
+                h.record(s.t_ns[b].saturating_sub(s.t_ns[a]));
+            }
         }
         self.completed.inc();
     }
 
     fn finalize_lost(&self, s: &Slot) {
-        let furthest = (0..STAGE_COUNT).rev().find(|&i| s.seen & (1 << i) != 0);
-        if let Some(i) = furthest {
+        if let Some(i) = (0..Self::N).rev().find(|&i| s.seen & (1 << i) != 0) {
             self.lost[i].inc();
         }
     }
 }
 
-impl std::fmt::Debug for FrameTracer {
+/// Clock seconds as integer nanoseconds, rounded, clamped at zero.
+fn to_ns(now_s: f64) -> u64 {
+    (now_s * 1e9).round().max(0.0) as u64
+}
+
+impl<S: Stages> std::fmt::Debug for StageTracer<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameTracer")
+        f.debug_struct("StageTracer")
+            .field("prefix", &S::PREFIX)
+            .field("enabled", &self.enabled())
             .field("completed", &self.completed.get())
             .finish_non_exhaustive()
     }
@@ -331,7 +479,9 @@ impl std::fmt::Debug for FrameTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    type FrameTracer = StageTracer<Stage>;
+    type GrantTracer = StageTracer<GrantStage>;
 
     #[test]
     fn trace_id_is_deterministic_and_topic_sensitive() {
@@ -352,7 +502,7 @@ mod tests {
 
     #[test]
     fn complete_trace_records_e2e_and_stage_lags() {
-        let r = Arc::new(MetricsRegistry::new());
+        let r = MetricsRegistry::new();
         let t = FrameTracer::new(&r);
         let id = frame_trace_id("t", b"payload-header-bytes-....");
         t.stamp(id, Stage::BrokerPublish, 1.0);
@@ -378,7 +528,7 @@ mod tests {
 
     #[test]
     fn duplicate_stamp_keeps_first_timestamp() {
-        let r = Arc::new(MetricsRegistry::new());
+        let r = MetricsRegistry::new();
         let t = FrameTracer::new(&r);
         t.stamp(7, Stage::BrokerPublish, 1.0);
         t.stamp(7, Stage::BrokerPublish, 5.0);
@@ -390,7 +540,7 @@ mod tests {
 
     #[test]
     fn flush_counts_unclosed_traces_as_lost_by_furthest_stage() {
-        let r = Arc::new(MetricsRegistry::new());
+        let r = MetricsRegistry::new();
         let t = FrameTracer::new(&r);
         t.stamp(1, Stage::BrokerPublish, 0.0);
         t.stamp(2, Stage::BrokerPublish, 0.0);
@@ -422,11 +572,12 @@ mod tests {
 
     #[test]
     fn table_eviction_finalizes_displaced_trace_as_lost() {
-        let r = Arc::new(MetricsRegistry::new());
+        let r = MetricsRegistry::new();
         let t = FrameTracer::new(&r);
+        let capacity = Stage::CAPACITY as u64;
         // Far more traces than capacity: evictions must not panic and
         // must account every displaced trace as lost.
-        for id in 0..(2 * CAPACITY as u64) {
+        for id in 0..2 * capacity {
             t.stamp(id, Stage::BrokerPublish, id as f64 * 1e-3);
         }
         t.flush();
@@ -434,6 +585,94 @@ mod tests {
             .find_counter("obs_trace_lost_total{last=\"broker_publish\"}")
             .unwrap()
             .get();
-        assert_eq!(lost, 2 * CAPACITY as u64);
+        assert_eq!(lost, 2 * capacity);
+    }
+
+    #[test]
+    fn full_span_records_apply_and_e2e_latency() {
+        let r = MetricsRegistry::new();
+        let t = GrantTracer::new(&r);
+        t.stamp(7, GrantStage::FedSplit, 100.0);
+        t.stamp(7, GrantStage::BridgeDeliver, 100.0);
+        t.stamp(7, GrantStage::RackReceive, 130.0);
+        t.stamp(7, GrantStage::CapCommand, 130.0);
+        t.stamp(7, GrantStage::PowerCrossing, 160.0);
+        t.close(7);
+        assert_eq!(
+            r.find_counter("obs_grant_completed_total").unwrap().get(),
+            1
+        );
+        let apply = r.find_histogram("obs_grant_apply_ns").unwrap().snapshot();
+        assert_eq!(apply.count, 1);
+        assert_eq!(apply.sum, 30_000_000_000);
+        let e2e = r.find_histogram("obs_grant_e2e_ns").unwrap().snapshot();
+        assert_eq!(e2e.sum, 60_000_000_000);
+    }
+
+    #[test]
+    fn first_stamp_wins_over_retained_replay() {
+        let r = MetricsRegistry::new();
+        let t = GrantTracer::new(&r);
+        t.stamp(3, GrantStage::FedSplit, 10.0);
+        t.stamp(3, GrantStage::RackReceive, 40.0);
+        // A broker restart replays the retained grant; the duplicate
+        // stamp must not move the timestamp.
+        t.stamp(3, GrantStage::RackReceive, 70.0);
+        t.stamp(3, GrantStage::PowerCrossing, 50.0);
+        t.close(3);
+        let e2e = r.find_histogram("obs_grant_e2e_ns").unwrap().snapshot();
+        assert_eq!(e2e.sum, 40_000_000_000);
+        // No cap command was stamped, so no apply latency either.
+        let apply = r.find_histogram("obs_grant_apply_ns").unwrap().snapshot();
+        assert_eq!(apply.count, 0);
+    }
+
+    #[test]
+    fn flush_accounts_unactuated_grants_as_lost() {
+        let r = MetricsRegistry::new();
+        let t = GrantTracer::new(&r);
+        t.stamp(1, GrantStage::FedSplit, 1.0);
+        t.stamp(1, GrantStage::CapCommand, 2.0);
+        t.stamp(2, GrantStage::FedSplit, 3.0);
+        t.flush();
+        assert_eq!(
+            r.find_counter("obs_grant_lost_total{last=\"cap_command\"}")
+                .unwrap()
+                .get(),
+            1
+        );
+        assert_eq!(
+            r.find_counter("obs_grant_lost_total{last=\"fed_split\"}")
+                .unwrap()
+                .get(),
+            1
+        );
+        assert_eq!(
+            r.find_counter("obs_grant_completed_total").unwrap().get(),
+            0
+        );
+    }
+
+    #[test]
+    fn disabled_tracer_stamps_nothing() {
+        let r = MetricsRegistry::new();
+        let t = GrantTracer::new(&r);
+        t.set_enabled(false);
+        t.stamp(9, GrantStage::FedSplit, 1.0);
+        t.stamp_batch(GrantStage::CapCommand, 1.5, [9, 10]);
+        t.stamp(9, GrantStage::PowerCrossing, 2.0);
+        t.close(9);
+        t.flush();
+        assert_eq!(
+            r.find_counter("obs_grant_completed_total").unwrap().get(),
+            0
+        );
+        assert_eq!(
+            r.find_counter("obs_grant_lost_total{last=\"fed_split\"}")
+                .unwrap()
+                .get(),
+            0
+        );
+        assert!(!t.enabled());
     }
 }

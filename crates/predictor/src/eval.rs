@@ -2,7 +2,7 @@
 
 use crate::Regressor;
 
-/// Mean absolute percentage error (the headline metric of [17]).
+/// Mean absolute percentage error (the headline metric of \[17\]).
 pub fn mape(pred: &[f64], truth: &[f64]) -> f64 {
     assert_eq!(pred.len(), truth.len());
     assert!(!pred.is_empty());

@@ -1,6 +1,6 @@
 //! Feature extraction from job-submission metadata.
 //!
-//! §III-A2 / [17][18]: "job power consumption can be estimated before job
+//! §III-A2 / \[17\]\[18\]: "job power consumption can be estimated before job
 //! execution, based on user's request and at job submission information".
 //! The features available at submission time are: who submits, which
 //! application, the requested geometry (nodes, GPUs, cores) and walltime,

@@ -1,6 +1,6 @@
 //! Random-forest power predictor: bagged regression trees with feature
 //! subsampling — the stronger ensemble the ML references of §III-A2
-//! ([17], [18]) end up recommending for production traces.
+//! (\[17\], \[18\]) end up recommending for production traces.
 
 use crate::tree::RegressionTree;
 use crate::Regressor;

@@ -1,6 +1,6 @@
 //! k-nearest-neighbour power prediction: "jobs like the ones this user
 //! ran before will draw similar power" — the instance-based alternative
-//! studied alongside parametric models in [17].
+//! studied alongside parametric models in \[17\].
 
 use crate::Regressor;
 

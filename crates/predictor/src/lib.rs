@@ -1,7 +1,7 @@
 //! # davide-predictor
 //!
 //! Per-job power predictors trained on historical traces (§III-A2 of the
-//! paper and its references [17][18]): the machine-learning engine the
+//! paper and its references \[17\]\[18\]): the machine-learning engine the
 //! D.A.V.I.D.E. job scheduler consults before admitting a job under a
 //! system power cap.
 //!

@@ -1,5 +1,5 @@
 //! Ridge regression on submission-time features — the workhorse job
-//! power predictor ([17] reports linear models already reach ~10 % MAPE
+//! power predictor (\[17\] reports linear models already reach ~10 % MAPE
 //! on production traces thanks to user/application regularity).
 
 use crate::linalg::{solve_spd, xty, SymMatrix};

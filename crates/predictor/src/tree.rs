@@ -1,6 +1,6 @@
 //! Regression-tree power predictor: handles the interaction effects
 //! (user × application × geometry) that a linear model misses, the way
-//! the ML models of [17]/[18] do.
+//! the ML models of \[17\]/\[18\] do.
 
 use crate::Regressor;
 

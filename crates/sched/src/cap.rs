@@ -3,7 +3,7 @@
 //! A [`CapSchedule`] is the single description of the system power cap
 //! shared by the offline simulator ([`SimConfig`](crate::SimConfig)) and
 //! the live control plane: constant caps, the MS3-style day/night pair
-//! ([15] "do less when it's too hot"), and general piecewise-constant
+//! (\[15\] "do less when it's too hot"), and general piecewise-constant
 //! profiles over a repeating period.
 
 use serde::{Deserialize, Serialize};

@@ -22,7 +22,7 @@
 //! runs, keeps scheduling, and reports the degradation as
 //! [`ControlPlaneReport::stale_node_s`].
 //!
-//! [`replay`] drives the whole loop against a synthetic plant for the
+//! [`replay()`] drives the whole loop against a synthetic plant for the
 //! E22 experiment: open-loop (predict only), reactive-only, and the full
 //! closed loop over the same trace and cap schedule.
 
@@ -132,7 +132,7 @@ pub struct Placement {
 
 /// End-of-run summary of one control-plane session. The energy-truth
 /// fields (`total_energy_j`, `overcap_energy_j`, `overcap_s`) are filled
-/// by the [`replay`] plant, which knows the ground-truth draw; the rest
+/// by the [`replay()`] plant, which knows the ground-truth draw; the rest
 /// comes from the loop itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPlaneReport {
@@ -507,7 +507,7 @@ impl ControlPlane {
     }
 
     /// Build the report for everything observed so far. Energy-truth
-    /// fields are zero until a plant (the [`replay`] harness) fills
+    /// fields are zero until a plant (the [`replay()`] harness) fills
     /// them.
     pub fn report(&self) -> ControlPlaneReport {
         let makespan = if self.first_submit_s.is_finite() {
@@ -967,7 +967,7 @@ pub mod replay {
         replay_instrumented(cfg, None)
     }
 
-    /// [`replay`] with the self-instrumentation stack armed: broker and
+    /// [`replay()`] with the self-instrumentation stack armed: broker and
     /// control-plane instruments register in `obs.hub`, every stamp
     /// reads the plant's virtual clock (so same seed ⇒ bit-identical
     /// metrics), and the registry is periodically republished over the

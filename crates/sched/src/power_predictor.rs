@@ -4,7 +4,7 @@
 //!
 //! The model family is chosen at runtime: [`PowerPredictor`] owns an
 //! object-safe [`Regressor`] built from a
-//! [`ModelKind`](davide_predictor::ModelKind), and
+//! [`ModelKind`], and
 //! [`OnlinePowerPredictor`] layers a streaming RLS residual corrector on
 //! top for the closed control loop.
 

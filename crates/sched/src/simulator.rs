@@ -1,6 +1,6 @@
 //! Event-driven scheduling simulator.
 //!
-//! Drives a job trace through a dispatch [`Policy`](crate::policy::Policy)
+//! Drives a job trace through a dispatch [`Policy`]
 //! on a homogeneous cluster, with optional *reactive* capping: when the
 //! actual system power exceeds the cap (prediction error, no prediction,
 //! or no proactive policy), every running node is DVFS-throttled to a

@@ -2,7 +2,7 @@
 //!
 //! Substitutes for the production job traces the paper's predictors train
 //! on: each user has a characteristic application mix and job geometry
-//! (the regularity [17] exploits), interarrivals are Weibull (bursty),
+//! (the regularity \[17\] exploits), interarrivals are Weibull (bursty),
 //! runtimes log-normal around a fraction of the requested walltime, and
 //! per-node power comes from the application model on the D.A.V.I.D.E.
 //! node plus user/input variation.
@@ -31,7 +31,7 @@ pub struct WorkloadConfig {
     /// and user effects).
     pub power_spread: f64,
     /// Relative error of the submission-time power prediction
-    /// (0 = oracle; ~0.10 matches [17]'s MAPE).
+    /// (0 = oracle; ~0.10 matches \[17\]'s MAPE).
     pub prediction_error: f64,
 }
 

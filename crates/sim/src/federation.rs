@@ -2,7 +2,7 @@
 //!
 //! Each rack is a complete single-rack stack — its own broker, gateway
 //! fleet, control plane, fault script and invariant checker (a
-//! [`RackSim`]) — and a *federator* stitches them into one site:
+//! `RackSim`) — and a *federator* stitches them into one site:
 //!
 //! * per-rack **uplink** bridges ([`davide_mqtt::Bridge`]) forward
 //!   `davide/+/power/node` frames onto the site broker under a
@@ -35,7 +35,7 @@ use davide_core::rng::Rng;
 use davide_core::time::{SimDuration, SimTime};
 use davide_core::Watts;
 use davide_mqtt::{Bridge, Broker, Client, QoS};
-use davide_obs::{flight, GrantStage};
+use davide_obs::{flight, Fnv1a, GrantStage};
 use davide_sched::{CapSchedule, ControlPlaneConfig};
 use davide_telemetry::gateway::SampleFrame;
 use davide_telemetry::TsDbConfig;
@@ -176,21 +176,16 @@ impl FedOutcome {
     /// digest. Same seed → same digest, across the racks *and* the
     /// federator's decisions.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
+        let mut h = Fnv1a::new();
         let digests = self
             .racks
             .iter()
             .map(|r| r.log.digest())
             .chain(std::iter::once(self.fed_log.digest()));
         for d in digests {
-            for b in d.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
+            h.write(&d.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Every violation in the run: federation-level ones first, then

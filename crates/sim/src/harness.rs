@@ -33,7 +33,7 @@
 //!   `any()` per tick, skew offsets accumulate once per tick). Frame
 //!   delays, arrivals and the control period itself are genuine events.
 //!
-//! A rack is one [`RackSim`]; multi-rack federation (N racks bridged
+//! A rack is one `RackSim`; multi-rack federation (N racks bridged
 //! into a site broker with a global power budget) lives in
 //! [`crate::federation`] and drives the same per-rack state machine
 //! through the same kernel.

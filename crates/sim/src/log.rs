@@ -10,6 +10,8 @@
 //!
 //! [`digest`]: EventLog::digest
 
+use davide_obs::Fnv1a;
+
 /// What happened to one published (or suppressed) gateway frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFate {
@@ -183,16 +185,11 @@ impl EventLog {
     /// runs of the same scenario must produce equal digests; this is
     /// the one number CI compares.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
+        let mut h = Fnv1a::new();
         for e in &self.events {
-            for b in format!("{e:?}\n").bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
+            h.write(format!("{e:?}\n").as_bytes());
         }
-        h
+        h.finish()
     }
 }
 

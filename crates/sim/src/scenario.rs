@@ -185,23 +185,6 @@ impl Scenario {
             broker_shards: None,
         }
     }
-
-    /// Largest fault-window end in the script, seconds (0 when clean).
-    pub fn last_fault_end_s(&self) -> f64 {
-        self.faults
-            .iter()
-            .map(|f| match *f {
-                Fault::FrameLoss { until_s, .. }
-                | Fault::Dropout { until_s, .. }
-                | Fault::Duplicate { until_s, .. }
-                | Fault::Reorder { until_s, .. }
-                | Fault::ClockSkew { until_s, .. }
-                | Fault::BrokerRestart { until_s, .. } => until_s,
-                Fault::ClockStep { at_s, .. } => at_s,
-                Fault::NodeDeath { revive_s, .. } => revive_s,
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The canned scenario set: one script per fault family, all expected

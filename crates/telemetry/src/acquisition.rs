@@ -8,7 +8,7 @@
 //! samples per second** flowing acquisition → decimation → MQTT →
 //! ingest. This module drives that path end to end:
 //!
-//! * each gateway is a [`GatewayShard`]: per-gateway deterministic RNG
+//! * each gateway is a `GatewayShard`: per-gateway deterministic RNG
 //!   stream (forked from the config seed in node order), a per-channel
 //!   periodic waveform template, a µs-scale PTP-residual clock offset,
 //!   and reusable scratch buffers so the steady state performs **zero
@@ -43,7 +43,7 @@ use davide_core::power::PowerTrace;
 use davide_core::rng::Rng;
 use davide_core::time::SimTime;
 use davide_mqtt::{Broker, Client, QoS};
-use davide_obs::{Counter, Histogram, ObsHub};
+use davide_obs::{Counter, Fnv1a, Histogram, ObsHub};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -493,24 +493,18 @@ impl AcquisitionRig {
     /// mean. Bit-identical digests across reruns (and across rayon
     /// thread counts) are the rig's determinism contract.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for key in self.db.keys() {
-            mix(key.as_bytes());
-            mix(&self.db.series_watermark(&key).to_le_bytes());
+            h.write(key.as_bytes());
+            h.write(&self.db.series_watermark(&key).to_le_bytes());
             let mean = self
                 .db
                 .series_mean(&key, crate::tsdb::Resolution::Raw, 0.0, 1e18)
                 .0
                 .unwrap_or(f64::NAN);
-            mix(&mean.to_bits().to_le_bytes());
+            h.write(&mean.to_bits().to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 

@@ -4,7 +4,7 @@
 //! §III-A1: the BBB "integrates hardware-support for device
 //! synchronization via the Precision Time Protocol", which is what lets
 //! D.A.V.I.D.E. correlate power measurements *across* nodes and with
-//! application phases. The companion study [13] compared synchronisation
+//! application phases. The companion study \[13\] compared synchronisation
 //! protocols for exactly this use; E5 reproduces its conclusion: NTP
 //! leaves millisecond-scale residuals, hardware-timestamped PTP leaves
 //! sub-microsecond ones.
@@ -98,7 +98,7 @@ impl SyncProtocol {
     }
 
     /// PTP with software timestamps (the degraded fallback measured in
-    /// [13]): protocol cadence of PTP, jitter closer to NTP.
+    /// \[13\]): protocol cadence of PTP, jitter closer to NTP.
     pub fn ptp_sw() -> Self {
         SyncProtocol {
             interval_s: 1.0,

@@ -160,7 +160,6 @@ pub struct EnergyGateway {
     pub chain: MonitorChain,
     /// Local oscillator, PTP-disciplined.
     pub clock: Oscillator,
-    servo: ClockServo,
     client: Client,
     /// Samples per published frame.
     pub frame_len: usize,
@@ -185,7 +184,6 @@ impl EnergyGateway {
             node_id,
             chain,
             clock,
-            servo,
             client,
             frame_len: 500, // 10 ms of 50 kS/s data per frame
             frames_published: 0,
@@ -196,13 +194,6 @@ impl EnergyGateway {
     /// Frames published so far.
     pub fn frames_published(&self) -> u64 {
         self.frames_published
-    }
-
-    /// Run one PTP exchange and advance the local clock by `dt` true
-    /// seconds (call once per second of simulated time).
-    pub fn tick_clock(&mut self, dt: f64) {
-        self.servo.discipline(&mut self.clock, &mut self.rng);
-        self.clock.advance(dt, &mut self.rng);
     }
 
     /// Acquire a ground-truth trace on `channel` through the chain and

@@ -19,7 +19,7 @@ use crate::gateway::SampleFrame;
 use crate::storage::{RangeQuery, TierStats};
 use crate::tsdb::{Point, Resolution, TsDb, TsDbConfig};
 use davide_mqtt::{Broker, BrokerError, Client, Message, QoS};
-use davide_obs::{frame_trace_id, Counter, Histogram, ObsHub, Stage};
+use davide_obs::{fnv1a, frame_trace_id, Counter, Histogram, ObsHub, Stage};
 use rayon::prelude::*;
 
 /// Running totals for an ingest pipeline.
@@ -317,12 +317,7 @@ impl FrameIngestor {
 /// `n`. A free function (not a method) so parallel shard workers can
 /// evaluate it while the shard array is mutably split.
 fn shard_index(key: &str, n: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % n as u64) as usize
+    (fnv1a(key.as_bytes()) % n as u64) as usize
 }
 
 /// A [`TsDb`] partitioned into independent shards by topic hash, for

@@ -22,8 +22,6 @@
 //!   ArduPower, IPMI — used by experiment E3;
 //! * [`gateway`] — the EG proper: acquisition + PTP timestamps + MQTT
 //!   frame publishing; [`energy`] — stream-side energy integration;
-//! * [`events`] — out-of-band architectural-event telemetry and the
-//!   correlation primitive profilers use;
 //! * [`ingest`] — management-node side: MQTT frames drained into the
 //!   [`tsdb`] store with one bulk append per frame, optionally sharded
 //!   across cores;
@@ -38,13 +36,10 @@
 
 pub mod acquisition;
 pub mod adc;
-pub mod calibration;
 pub mod clock;
 pub mod decimation;
 pub mod energy;
-pub mod events;
 pub mod gateway;
-pub mod hazards;
 pub mod ingest;
 pub mod kernels;
 pub mod monitor;
@@ -58,12 +53,10 @@ pub mod tsdb;
 pub mod waveform;
 
 pub use acquisition::{AcquisitionConfig, AcquisitionReport, AcquisitionRig};
-pub use calibration::{calibrate, standard_calibration, Calibration};
 pub use clock::{run_sync_sim, SyncProtocol, SyncStats};
 pub use decimation::Decimator;
 pub use energy::EnergyIntegrator;
 pub use gateway::{EnergyGateway, SampleFrame};
-pub use hazards::{fleet_outliers, scan_trace, Hazard, HazardConfig};
 pub use ingest::{FrameIngestor, IngestObs, IngestStats, ShardedTsDb};
 pub use monitor::MonitorChain;
 pub use profiler::{detect_phases, PhaseSegment, ProfilerConfig};

@@ -57,7 +57,7 @@ impl MonitorChain {
         }
     }
 
-    /// HDEEM [25][26]: Hall sensors per power line, FPGA acquisition at
+    /// HDEEM \[25\]\[26\]: Hall sensors per power line, FPGA acquisition at
     /// 8 kS/s (alias-free), accurate timestamps, but readout through the
     /// closed BMC.
     pub fn hdeem(rng: &mut Rng) -> Self {
@@ -77,7 +77,7 @@ impl MonitorChain {
         }
     }
 
-    /// PowerInsight [28]: BeagleBone + *external* ADCs at 1 kS/s,
+    /// PowerInsight \[28\]: BeagleBone + *external* ADCs at 1 kS/s,
     /// instantaneous samples, custom interface.
     pub fn powerinsight(rng: &mut Rng) -> Self {
         MonitorChain {
@@ -96,7 +96,7 @@ impl MonitorChain {
         }
     }
 
-    /// ArduPower [27]: Arduino Mega wattmeter, ~1 kS/s aggregate,
+    /// ArduPower \[27\]: Arduino Mega wattmeter, ~1 kS/s aggregate,
     /// instantaneous, 10-bit ADC.
     pub fn ardupower(rng: &mut Rng) -> Self {
         MonitorChain {

@@ -4,7 +4,7 @@
 //! the MQTT adapter. [`MqttMetricSink`] encodes each registry sample as
 //! a one-element [`SampleFrame`] and publishes it on the reserved
 //! `davide/obs/self/<metric>` topic, so the ordinary
-//! [`FrameIngestor`](crate::ingest::FrameIngestor) → [`TsDb`] chain
+//! [`FrameIngestor`](crate::ingest::FrameIngestor) → [`TsDb`](crate::tsdb::TsDb) chain
 //! records the stack's own metrics exactly like node power — the
 //! EG → MQTT → aggregator loop of the paper, pointed at itself.
 

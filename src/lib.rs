@@ -9,7 +9,7 @@
 //!
 //! * [`core`] — hardware models (POWER8+, P100, NVLink/EDR, OpenRack
 //!   PSUs, hybrid liquid cooling), the 45-node pilot cluster, DVFS power
-//!   capping, and the simulation substrate (units, RNG, events, traces);
+//!   capping, and the simulation substrate (units, time, RNG, power traces);
 //! * [`mqtt`] — the in-process MQTT 3.1.1-style broker used as the
 //!   energy gateway's M2M transport;
 //! * [`telemetry`] — the energy & power gateway: sensors, the BBB's

@@ -6,7 +6,6 @@ use davide::apps::fft::fft_inplace;
 use davide::apps::gemm::Matrix;
 use davide::apps::lu::{hpl_residual, lu_factor};
 use davide::apps::C64;
-use davide::core::event::EventQueue;
 use davide::core::power::PowerTrace;
 use davide::core::time::SimTime;
 use davide::mqtt::topic::{filter_matches, validate_filter, validate_topic};
@@ -78,21 +77,6 @@ proptest! {
         for (z, &v) in data.iter().zip(&values) {
             prop_assert!((z.re - v).abs() < 1e-9);
             prop_assert!(z.im.abs() < 1e-9);
-        }
-    }
-
-    /// The event queue pops in nondecreasing time order regardless of
-    /// insertion order.
-    #[test]
-    fn event_queue_ordering(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
         }
     }
 
@@ -413,31 +397,6 @@ proptest! {
         let mut buf = BytesMut::from(&wire[..cut]);
         prop_assert!(decode(&mut buf).expect("prefix is never malformed").is_none());
         prop_assert_eq!(buf.len(), cut, "incomplete input is left untouched");
-    }
-
-    /// MQTT session packet ids are unique among in-flight publishes for
-    /// arbitrary publish/ack interleavings.
-    #[test]
-    fn session_packet_ids_unique(acks in proptest::collection::vec(any::<bool>(), 1..100)) {
-        use bytes::Bytes;
-        use davide::mqtt::{Packet, QoS, Session};
-        let mut s = Session::new("c", 60.0);
-        let _ = s.connect_packet(0.0, true);
-        s.handle(0.0, Packet::ConnAck { session_present: false, code: 0 });
-        let mut in_flight: Vec<u16> = Vec::new();
-        for (i, &ack) in acks.iter().enumerate() {
-            if ack && !in_flight.is_empty() {
-                let id = in_flight.remove(0);
-                s.handle(i as f64, Packet::PubAck { packet_id: id });
-            } else if let Packet::Publish { packet_id: Some(id), .. } =
-                s.publish_packet(i as f64, "t", Bytes::new(), QoS::AtLeastOnce, false)
-            {
-                prop_assert!(!in_flight.contains(&id), "id {} reused", id);
-                prop_assert!(id != 0);
-                in_flight.push(id);
-            }
-        }
-        prop_assert_eq!(s.in_flight_count(), in_flight.len());
     }
 }
 
