@@ -25,16 +25,21 @@ fn main() {
     }
 
     let selected: Vec<&str> = args.iter().map(String::as_str).collect();
+    let unknown: Vec<&str> = selected
+        .iter()
+        .copied()
+        .filter(|id| !experiments.iter().any(|e| e.id == *id))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s) {unknown:?}; try --list");
+        std::process::exit(1);
+    }
     let mut ran = 0;
     for e in &experiments {
         if selected.is_empty() || selected.contains(&e.id) {
             (e.run)();
             ran += 1;
         }
-    }
-    if ran == 0 {
-        eprintln!("no experiment matched {selected:?}; try --list");
-        std::process::exit(1);
     }
     println!("\n{ran} experiment(s) completed.");
 }

@@ -1,6 +1,8 @@
-//! CI observability smoke: run a short instrumented closed-loop replay,
-//! render the metrics exposition, and fail if the obs stack produced an
-//! empty registry, a non-finite sample, or a dead latency histogram.
+//! CI observability smoke: run a short closed loop on the sim plant
+//! (whose obs stack is always armed), render the metrics exposition,
+//! and fail if the obs stack produced an empty registry, a non-finite
+//! sample, a dead latency histogram, or a registry that does not
+//! round-trip through the self-telemetry path.
 //! Then run one small federated scenario twice — tracing disarmed and
 //! armed — and fail unless the digests are bit-identical, grant spans
 //! completed on every rack, and the tracing overhead stays inside the
@@ -8,20 +10,26 @@
 //!
 //! Exit code 0 only when every check holds.
 
-use davide_sched::controlplane::{replay_instrumented, ControlMode, ReplayConfig, ReplayObs};
-use davide_sched::CapSchedule;
+use davide_bench::experiments::obs::self_telemetry_roundtrip;
+use davide_sched::controlplane::ControlMode;
 use davide_sim::federation::{run_federated_traced, FedScenario};
+use davide_sim::{harness, scenario, Fault};
 use davide_telemetry::TsDbConfig;
 
 fn main() {
-    let mut cfg = ReplayConfig::e22(ControlMode::ClosedLoop, 8, CapSchedule::constant(11_000.0));
-    cfg.n_jobs = 25;
-    cfg.n_history = 400;
-    cfg.p_frame_drop = 0.02;
+    let mut sc = scenario::e22(ControlMode::ClosedLoop, 8, 11_000.0);
+    sc.n_jobs = 25;
+    sc.n_history = 400;
+    sc.faults.push(Fault::FrameLoss {
+        node: None,
+        p: 0.02,
+        from_s: 0.0,
+        until_s: f64::INFINITY,
+    });
 
-    let mut obs = ReplayObs::new();
-    let report = replay_instrumented(&cfg, Some(&mut obs));
-    let reg = &obs.hub.registry;
+    let out = harness::run(&sc);
+    let report = &out.report;
+    let reg = &out.obs.registry;
     let mut failed = false;
 
     // Every exported sample must be finite: a NaN gauge or histogram
@@ -64,7 +72,8 @@ fn main() {
             failed = true;
         }
     }
-    if obs.self_samples == 0 {
+    let (_, self_samples) = self_telemetry_roundtrip(reg, out.truth.makespan_s);
+    if self_samples == 0 {
         println!("self-telemetry loop published nothing");
         failed = true;
     }
@@ -80,7 +89,7 @@ fn main() {
         report.jobs_completed,
         samples,
         text.len(),
-        obs.self_samples
+        self_samples
     );
     if let Some(s) = age {
         println!(

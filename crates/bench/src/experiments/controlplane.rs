@@ -1,11 +1,11 @@
 //! E22 — the closed power-control loop of Fig. 4, end to end: gateway
 //! frames over MQTT, online prediction, proactive admission, reactive
-//! per-node DVFS. One job trace replayed through three loop
-//! configurations under the same cap schedule.
+//! per-node DVFS. One job trace runs through three loop configurations
+//! under the same cap, on the `davide-sim` plant.
 
 use crate::header;
-use davide_sched::controlplane::{replay, ControlMode, ControlPlaneReport, ReplayConfig};
-use davide_sched::CapSchedule;
+use davide_sched::controlplane::ControlMode;
+use davide_sim::{harness, scenario, RunOutcome};
 
 /// `--smoke` (or the env var it sets) shrinks e22 for CI.
 pub const SMOKE_ENV: &str = "DAVIDE_EXPERIMENTS_SMOKE";
@@ -14,13 +14,13 @@ fn smoke() -> bool {
     std::env::var_os(SMOKE_ENV).is_some()
 }
 
-fn run_mode(mode: ControlMode, n_nodes: u32, cap: CapSchedule) -> ControlPlaneReport {
-    let mut cfg = ReplayConfig::e22(mode, n_nodes, cap);
+fn run_mode(mode: ControlMode, n_nodes: u32, cap_w: f64) -> RunOutcome {
+    let mut sc = scenario::e22(mode, n_nodes, cap_w);
     if smoke() {
-        cfg.n_jobs = 50;
-        cfg.n_history = 400;
+        sc.n_jobs = 50;
+        sc.n_history = 400;
     }
-    replay(&cfg)
+    harness::run(&sc)
 }
 
 /// E22 — open-loop vs reactive-only vs closed-loop on one trace.
@@ -30,26 +30,26 @@ pub fn e22() {
     // Envelope ≈ 70 % of the all-nodes-hot draw: tight enough that the
     // admission decision matters, loose enough that the machine is
     // normally node-limited.
-    let cap = CapSchedule::constant(22_000.0);
+    let cap_w = 22_000.0;
     println!(
         "nodes {n_nodes}, cap 22 kW, per-app plant drift ±12 % vs training history{}",
         if smoke() { "  [smoke]" } else { "" }
     );
 
-    let reports: Vec<ControlPlaneReport> = [
+    let runs: Vec<RunOutcome> = [
         ControlMode::OpenLoop,
         ControlMode::ReactiveOnly,
         ControlMode::ClosedLoop,
     ]
     .into_iter()
-    .map(|m| run_mode(m, n_nodes, cap.clone()))
+    .map(|m| run_mode(m, n_nodes, cap_w))
     .collect();
 
     println!(
         "\n{:<14} {:>6} {:>10} {:>10} {:>11} {:>9} {:>7} {:>7} {:>9}",
         "mode", "jobs", "makespan", "ovrcap s", "ovrcap kWh", "MAPE %", "down", "up", "jobs/h"
     );
-    for r in &reports {
+    for r in runs.iter().map(|o| &o.report) {
         println!(
             "{:<14} {:>6} {:>9.1}h {:>10.0} {:>11.2} {:>9.2} {:>7} {:>7} {:>9.2}",
             r.mode.name(),
@@ -64,8 +64,13 @@ pub fn e22() {
         );
     }
 
-    let open = &reports[0];
-    let closed = &reports[2];
+    let open = &runs[0].report;
+    let closed = &runs[2].report;
+    assert!(
+        runs[2].violations.is_empty(),
+        "the closed loop must hold every invariant: {:?}",
+        runs[2].violations
+    );
     assert!(
         closed.overcap_energy_j < open.overcap_energy_j,
         "closed loop must cut overcap energy: {:.0} J vs {:.0} J",

@@ -1,20 +1,24 @@
 //! E24 — the monitoring plane measured by itself: the E22 closed-loop
-//! workload replayed with the `davide-obs` stack armed. Every pipeline
-//! stage (broker publish → session deliver → ingest append → predictor
-//! update → scheduler tick → DVFS publish) stamps the causal tracer,
-//! the control loop's instruments land in the shared registry, and the
-//! registry itself is republished over the replay broker on the
-//! reserved `davide/obs/#` namespace and re-ingested like node power.
+//! workload on the `davide-sim` plant, whose observability stack is
+//! always armed. Every pipeline stage (broker publish → session
+//! deliver → ingest append → predictor update → scheduler tick → DVFS
+//! publish) stamps the causal tracer and the control loop's
+//! instruments land in the shared registry. After the run the registry
+//! is published once on the reserved `davide/obs/#` namespace and
+//! re-ingested like node power.
 //!
-//! The report is the observability story of the PR: the control-loop
-//! latency distribution (frame age at actuation and end-to-end trace
-//! latency), per-stage frame-loss accounting under injected broker
-//! loss, and the self-telemetry round trip.
+//! The report is the observability story: the control-loop latency
+//! distribution (frame age at actuation and end-to-end trace latency),
+//! per-stage frame-loss accounting under injected broker loss, and the
+//! self-telemetry round trip.
 
 use crate::header;
+use davide_mqtt::Broker;
 use davide_obs::trace::STAGE_NAMES;
-use davide_sched::controlplane::{replay_instrumented, ControlMode, ReplayConfig, ReplayObs};
-use davide_sched::CapSchedule;
+use davide_obs::{MetricsRegistry, OBS_FILTER};
+use davide_sched::controlplane::ControlMode;
+use davide_sim::{harness, scenario, Fault};
+use davide_telemetry::{FrameIngestor, SelfMonitor, TsDb};
 
 use super::controlplane::SMOKE_ENV;
 
@@ -22,27 +26,47 @@ fn smoke() -> bool {
     std::env::var_os(SMOKE_ENV).is_some()
 }
 
-/// E24 — instrumented E22 replay: latency distributions, per-stage
-/// loss, self-telemetry round trip.
+/// Publish one snapshot of `registry`, stamped `t_s` (> 0), through
+/// the self-telemetry path — `SelfMonitor` → MQTT → `FrameIngestor` →
+/// `TsDb` — on a fresh broker. Returns the store and the number of
+/// samples it ingested.
+pub fn self_telemetry_roundtrip(registry: &MetricsRegistry, t_s: f64) -> (TsDb, u64) {
+    let broker = Broker::default();
+    let mut ingest =
+        FrameIngestor::subscribe(&broker, "obs-ingest", &[OBS_FILTER]).expect("subscribe obs");
+    let mut monitor = SelfMonitor::connect(&broker, "obs-selfmon", t_s).expect("selfmon connect");
+    monitor.pump(t_s, registry);
+    let mut db = TsDb::new();
+    let samples = ingest.drain_into(&mut db) as u64;
+    (db, samples)
+}
+
+/// E24 — the instrumented E22 closed loop: latency distributions,
+/// per-stage loss, self-telemetry round trip.
 pub fn e24() {
     header("e24", "Self-instrumented control loop (obs stack)");
-    let mut cfg = ReplayConfig::e22(ControlMode::ClosedLoop, 16, CapSchedule::constant(22_000.0));
+    let mut sc = scenario::e22(ControlMode::ClosedLoop, 16, 22_000.0);
     if smoke() {
-        cfg.n_jobs = 50;
-        cfg.n_history = 400;
+        sc.n_jobs = 50;
+        sc.n_history = 400;
     }
     // 5 % in-transit loss on the gateway → broker hop: these frames are
     // stamped at publish and then vanish, so they must surface in the
     // tracer's per-stage loss counters rather than disappear silently.
-    cfg.p_frame_drop = 0.05;
+    sc.faults.push(Fault::FrameLoss {
+        node: None,
+        p: 0.05,
+        from_s: 0.0,
+        until_s: f64::INFINITY,
+    });
     println!(
         "closed loop, 16 nodes, cap 22 kW, 5 % injected broker loss{}",
         if smoke() { "  [smoke]" } else { "" }
     );
 
-    let mut obs = ReplayObs::new();
-    let report = replay_instrumented(&cfg, Some(&mut obs));
-    let reg = &obs.hub.registry;
+    let out = harness::run(&sc);
+    let report = &out.report;
+    let reg = &out.obs.registry;
     let counter = |n: &str| reg.find_counter(n).map(|c| c.get()).unwrap_or(0);
     let hist = |n: &str| reg.find_histogram(n).map(|h| h.snapshot());
 
@@ -102,10 +126,11 @@ pub fn e24() {
     );
 
     // ── Self-telemetry round trip. ──
+    let (self_db, self_samples) = self_telemetry_roundtrip(reg, out.truth.makespan_s);
     println!(
         "\nself-telemetry: {} obs samples round-tripped over MQTT into {} series",
-        obs.self_samples,
-        davide_telemetry::SeriesRead::series_names(&obs.self_db).len(),
+        self_samples,
+        davide_telemetry::SeriesRead::series_names(&self_db).len(),
     );
 
     assert!(age.count > 0, "latency distribution must be measured");
@@ -115,7 +140,7 @@ pub fn e24() {
         "injected broker loss must surface in per-stage counters"
     );
     assert!(
-        obs.self_samples > 0,
+        self_samples > 0,
         "the registry must round-trip through the telemetry pipeline"
     );
     println!("\nthe loop watches itself with its own plumbing: latency is a measured");

@@ -15,7 +15,8 @@
 //! * [`power_predictor`] — the trained "EP" models feeding the dispatcher;
 //! * [`cap`] — time-varying facility power envelopes ([`CapSchedule`]);
 //! * [`controlplane`] — the live closed loop: telemetry → predictor →
-//!   dispatcher → per-node capping (Fig. 4 of the paper);
+//!   dispatcher → per-node capping (Fig. 4 of the paper). It owns no
+//!   plant: the `davide-sim` harness supplies one;
 //! * [`accounting`] — per-job/per-user energy ledger ("EA");
 //! * [`metrics`] — report rows for the E11/E12 experiment tables.
 

@@ -37,7 +37,7 @@ use davide_core::Watts;
 use davide_mqtt::{Bridge, Broker, Client, QoS};
 use davide_obs::{flight, Fnv1a, GrantStage};
 use davide_sched::{CapSchedule, ControlPlaneConfig};
-use davide_telemetry::gateway::SampleFrame;
+use davide_telemetry::gateway::{parse_node_topic, SampleFrame};
 use davide_telemetry::TsDbConfig;
 
 use crate::harness::{RackSim, RunOutcome, SimEvent, World};
@@ -526,16 +526,12 @@ impl Federator {
 /// Rack and node ids from a bridged power topic
 /// (`rackNN/davide/nodeMM/power/node`).
 fn parse_bridged_power(topic: &str) -> Option<(usize, usize)> {
-    let mut parts = topic.split('/');
-    let rack = parts.next()?.strip_prefix("rack")?.parse().ok()?;
-    if parts.next() != Some("davide") {
-        return None;
+    let (rack, rest) = topic.split_once('/')?;
+    let rack = rack.strip_prefix("rack")?.parse().ok()?;
+    match parse_node_topic(rest)? {
+        (node, "power/node") => Some((rack, node as usize)),
+        _ => None,
     }
-    let node = parts.next()?.strip_prefix("node")?.parse().ok()?;
-    if parts.next() != Some("power") || parts.next() != Some("node") || parts.next().is_some() {
-        return None;
-    }
-    Some((rack, node))
 }
 
 /// Execute a federated scenario to completion. Pure in the seed, like

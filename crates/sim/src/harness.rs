@@ -50,7 +50,7 @@ use davide_sched::{
     CapSchedule, ControlPlane, ControlPlaneConfig, ControlPlaneObs, ControlPlaneReport, JobId,
     OnlinePowerPredictor, PowerPredictor, WorkloadConfig, WorkloadGenerator,
 };
-use davide_telemetry::gateway::{power_topic, SampleFrame, FRAME_MAGIC};
+use davide_telemetry::gateway::{parse_node_topic, power_topic, SampleFrame, FRAME_MAGIC};
 use davide_telemetry::{TsDb, TsDbConfig};
 use parking_lot::Mutex;
 
@@ -224,26 +224,11 @@ fn window_active(from_s: f64, until_s: f64, t: f64) -> bool {
     from_s <= t && t < until_s
 }
 
-/// Standard normal via Box–Muller on the plant RNG (same recipe as the
-/// E22 replay plant, so plants are comparable across harnesses).
+/// Standard normal via Box–Muller on the plant RNG.
 fn gauss(rng: &mut Rng) -> f64 {
     let u1 = rng.uniform().max(1e-12);
     let u2 = rng.uniform();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Node id from `davide/node{NN}/power/{channel}` topics; `None`
-/// otherwise (the hook must leave control traffic alone).
-fn parse_power_node(topic: &str) -> Option<u32> {
-    let mut parts = topic.split('/');
-    if parts.next() != Some("davide") {
-        return None;
-    }
-    let node = parts.next()?.strip_prefix("node")?;
-    if parts.next() != Some("power") {
-        return None;
-    }
-    node.parse().ok()
 }
 
 /// One rack's complete simulation state: the real stack under test
@@ -337,9 +322,9 @@ impl RackSim {
         let n = sc.n_nodes as usize;
         let tick = sc.tick_s;
 
-        // ── Trace and predictor, exactly as the E22 replay builds them. ──
+        // ── Trace and predictor. ──
         let workload = WorkloadConfig {
-            users: 12,
+            users: sc.users,
             mean_interarrival_s: sc.mean_interarrival_s,
             max_nodes: sc.max_job_nodes.min(sc.n_nodes),
             mean_walltime_s: sc.mean_walltime_s,
@@ -430,8 +415,11 @@ impl RackSim {
             let state = Arc::clone(&hook_state);
             broker.set_fault_hook(Some(Box::new(move |topic: &str| {
                 let mut st = state.lock();
-                let Some(node) = parse_power_node(topic) else {
-                    return PublishFate::Deliver;
+                // Only power frames are subject to the script; control
+                // traffic always goes through.
+                let node = match parse_node_topic(topic) {
+                    Some((node, rest)) if rest.starts_with("power/") => node,
+                    _ => return PublishFate::Deliver,
                 };
                 let t = st.t_s;
                 let mut fate = PublishFate::Deliver;
@@ -1044,16 +1032,8 @@ impl RackSim {
         // ── Apply DVFS commands (live, or retained replay on
         //    reconnect). ──
         for msg in self.ctl_watch.drain() {
-            let node = {
-                let mut parts = msg.topic.split('/');
-                parts.next();
-                parts
-                    .next()
-                    .and_then(|s| s.strip_prefix("node"))
-                    .and_then(|s| s.parse::<u32>().ok())
-            };
-            if let (Some(node), Ok(speed)) = (
-                node,
+            if let (Some((node, "ctl/speed")), Ok(speed)) = (
+                parse_node_topic(&msg.topic),
                 std::str::from_utf8(&msg.payload)
                     .unwrap_or("")
                     .parse::<f64>(),
@@ -1382,6 +1362,17 @@ mod tests {
         // The causal chains complete, and the injected frame loss is
         // visible as traces that never progressed past broker publish.
         let counter = |n: &str| a.obs.registry.find_counter(n).unwrap().get();
+        assert!(counter("ctl_ticks_total") > 0);
+        assert!(
+            a.obs
+                .registry
+                .find_histogram("ctl_predictor_abs_err_w")
+                .unwrap()
+                .snapshot()
+                .count
+                > 0,
+            "completions feed the predictor-error distribution"
+        );
         assert!(counter("obs_trace_completed_total") > 0);
         assert!(
             counter("obs_trace_lost_total{last=\"broker_publish\"}") > 0,

@@ -23,9 +23,8 @@
 //!   and at end of run the broker's retained command mirrors the
 //!   controller's final state bit-for-rendered-bit.
 
-use davide_sched::controlplane::speed_topic;
 use davide_sched::{ControlPlane, ControlPlaneReport};
-use davide_telemetry::gateway::power_topic;
+use davide_telemetry::gateway::{power_topic, speed_topic};
 use davide_telemetry::tsdb::Resolution;
 
 /// One invariant breach, with the virtual time it was detected at.
@@ -423,11 +422,13 @@ impl InvariantChecker {
                     ),
                 );
             }
-            // Mean compare only below ring capacity, where no raw
-            // samples can have been evicted.
-            if model.count(i) > 0 && model.count(i) < 90_000 {
-                let db_mean = cp.db().mean_id(id, Resolution::Raw, -1e18, 1e18);
-                let want = model.mean(i).expect("count > 0");
+            // Mean compare only while the store still holds the whole
+            // history: once retention has dropped points it can no
+            // longer vouch for the full-history mean either way.
+            let (db_mean, coverage) =
+                cp.db()
+                    .mean_id_with_coverage(id, Resolution::Raw, -1e18, 1e18);
+            if let Some(want) = model.mean(i).filter(|_| coverage.is_complete()) {
                 match db_mean {
                     Some(m) if (m - want).abs() <= 1e-9 * want.abs().max(1.0) => {}
                     other => self.flag(
@@ -440,7 +441,9 @@ impl InvariantChecker {
         }
 
         // INV-ENERGY (c): fault-free completed jobs — telemetry energy
-        // matches plant truth within measurement noise.
+        // matches plant truth within measurement noise. A job whose
+        // window retention has already dropped is skipped: the store
+        // can no longer vouch for it either way.
         for j in truth.jobs.iter().filter(|j| j.clean && !j.aborted) {
             let dur = j.end_s - j.start_s;
             if dur <= 0.0 {
@@ -448,15 +451,28 @@ impl InvariantChecker {
             }
             let mut measured = 0.0;
             let mut missing = false;
+            let mut complete = true;
             for &n in &j.nodes {
-                let mean = cp.db().lookup(&power_topic(n, "node")).and_then(|id| {
-                    cp.db()
-                        .mean_id(id, Resolution::Raw, j.start_s - 0.5, j.end_s - 0.5)
-                });
+                let (mean, coverage) = cp
+                    .db()
+                    .lookup(&power_topic(n, "node"))
+                    .map(|id| {
+                        cp.db().mean_id_with_coverage(
+                            id,
+                            Resolution::Raw,
+                            j.start_s - 0.5,
+                            j.end_s - 0.5,
+                        )
+                    })
+                    .unwrap_or_default();
+                complete &= coverage.is_complete();
                 match mean {
                     Some(m) => measured += m * dur,
                     None => missing = true,
                 }
+            }
+            if !complete {
+                continue;
             }
             if missing {
                 self.flag(

@@ -14,14 +14,16 @@
 //! * [`scenario`] — the fault-script DSL: per-gateway sample loss and
 //!   dropout windows, duplicated/reordered frames, PTP clock skew and
 //!   step, broker restart with retained-message replay, node death
-//!   mid-job; plus the canned scenario set CI smokes.
+//!   mid-job; plus the canned scenario set CI smokes and the E22
+//!   control-plane workload.
 //! * [`log`] — the structured event log and its FNV-64 digest, the
 //!   artifact two runs of one seed must reproduce bit for bit.
 //! * [`invariants`] — the checker layer: envelope compliance within the
 //!   controller's overshoot budget, per-job energy conservation, the
 //!   stale-telemetry fallback, and retained DVFS command convergence.
 //! * [`harness`] — the plant + fault injector that wires it together
-//!   and returns a [`harness::RunOutcome`].
+//!   and returns a [`harness::RunOutcome`]. It is the only synthetic
+//!   plant the control loop runs on, E22 and E24 included.
 //! * [`federation`] — multi-rack runs: N complete racks bridged into a
 //!   site broker, a federator splitting one global power budget into
 //!   per-rack cap grants, and global invariants on top of the per-rack

@@ -137,6 +137,9 @@ pub struct Scenario {
     pub mean_interarrival_s: f64,
     /// Largest node count a job may request.
     pub max_job_nodes: u32,
+    /// Distinct users in the trace (and in the predictor's user
+    /// feature).
+    pub users: u32,
     /// Per-app plant drift the batch predictor has not seen.
     pub app_drift: [f64; 4],
     /// The fault script.
@@ -177,6 +180,7 @@ impl Scenario {
             mean_walltime_s: 1_500.0,
             mean_interarrival_s: 120.0,
             max_job_nodes: 2,
+            users: 12,
             app_drift: [1.05, 0.95, 1.08, 0.92],
             faults: Vec::new(),
             deadline_s: 30.0,
@@ -185,6 +189,26 @@ impl Scenario {
             broker_shards: None,
         }
     }
+}
+
+/// The E22 control-plane workload: `n_nodes` nodes in `mode` under a
+/// constant `cap_w`, a 160-job trace of 3 h jobs on up to 8 nodes
+/// arriving every 90 s on average, from 24 users, and a ±12 % per-app
+/// drift between the predictor's 1 200-job history and the plant. No
+/// faults.
+pub fn e22(mode: ControlMode, n_nodes: u32, cap_w: f64) -> Scenario {
+    let mut s = Scenario::base("e22", 2022);
+    s.mode = mode;
+    s.n_nodes = n_nodes;
+    s.cap_w = cap_w;
+    s.n_jobs = 160;
+    s.n_history = 1200;
+    s.mean_walltime_s = 3.0 * 3600.0;
+    s.mean_interarrival_s = 90.0;
+    s.max_job_nodes = 8;
+    s.users = 24;
+    s.app_drift = [1.12, 0.88, 1.10, 0.90];
+    s
 }
 
 /// The canned scenario set: one script per fault family, all expected

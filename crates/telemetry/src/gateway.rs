@@ -142,6 +142,19 @@ pub fn power_topic(node_id: u32, channel: &str) -> String {
     format!("davide/node{node_id:02}/power/{channel}")
 }
 
+/// Topic a node's DVFS speed command goes out on:
+/// `davide/node{NN}/ctl/speed`.
+pub fn speed_topic(node_id: u32) -> String {
+    format!("davide/node{node_id:02}/ctl/speed")
+}
+
+/// Split a `davide/node{NN}/{rest}` topic into the node id and the rest
+/// (`power/node`, `ctl/speed`, …); `None` for any other layout.
+pub fn parse_node_topic(topic: &str) -> Option<(u32, &str)> {
+    let (node, rest) = topic.strip_prefix("davide/")?.split_once('/')?;
+    Some((node.strip_prefix("node")?.parse().ok()?, rest))
+}
+
 /// Filter matching every power channel of one node.
 pub fn node_filter(node_id: u32) -> String {
     format!("davide/node{node_id:02}/power/#")
@@ -270,6 +283,25 @@ mod tests {
         assert_eq!(decoded, f);
         assert!((f.mean_w() - 1701.9166).abs() < 1e-3);
         assert!((f.energy_j() - (1700.0 + 1710.5 + 1695.25) * 2e-5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn topic_parsers() {
+        assert_eq!(power_topic(7, "node"), "davide/node07/power/node");
+        assert_eq!(speed_topic(3), "davide/node03/ctl/speed");
+        assert_eq!(
+            parse_node_topic("davide/node07/power/node"),
+            Some((7, "power/node"))
+        );
+        assert_eq!(
+            parse_node_topic("davide/node12/power/gpu0"),
+            Some((12, "power/gpu0"))
+        );
+        assert_eq!(parse_node_topic(&speed_topic(3)), Some((3, "ctl/speed")));
+        assert_eq!(parse_node_topic("davide/rack1/power/node"), None);
+        assert_eq!(parse_node_topic("other/node01/power/node"), None);
+        assert_eq!(parse_node_topic("davide/node01"), None);
+        assert_eq!(parse_node_topic("davide/obs/self/ctl_ticks_total"), None);
     }
 
     #[test]

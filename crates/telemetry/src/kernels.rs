@@ -27,9 +27,8 @@
 //! window sums and polyphase dot products keep each
 //! output's accumulation order exactly as the scalar loop performs it —
 //! the blocked variants only interleave *independent* outputs, which
-//! IEEE-754 evaluates identically regardless of lane count. That is
-//! also why the `wide-kernels` feature (32-lane blocks instead of 8)
-//! cannot change a single bit of output. The property tests at the
+//! IEEE-754 evaluates identically regardless of lane count, so
+//! [`LANES`] affects speed only. The property tests at the
 //! bottom of this file pin the equivalence for arbitrary lengths,
 //! factors and tail remainders, and for every `f32` bit pattern the
 //! ADC can be fed.
@@ -42,15 +41,10 @@
 
 use crate::adc::SarAdc;
 
-/// Outputs processed per blocked-kernel iteration. 8 matches one AVX2
-/// `f32` vector; the `wide-kernels` feature widens to 32 (four
-/// vectors' worth of independent accumulator chains) for wider cores.
-/// Lane count never affects results — see the module docs.
-pub const LANES: usize = if cfg!(feature = "wide-kernels") {
-    32
-} else {
-    8
-};
+/// Outputs processed per blocked-kernel iteration: 8 matches one AVX2
+/// `f32` vector. Lane count never affects results — see the module
+/// docs.
+pub const LANES: usize = 8;
 
 /// 2^23 — smallest positive `f32` magnitude with ulp = 1.
 const ROUND_MAGIC: f32 = 8_388_608.0;
