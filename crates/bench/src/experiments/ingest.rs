@@ -5,7 +5,7 @@
 
 use crate::header;
 use davide_telemetry::gateway::{power_topic, SampleFrame, CHANNELS};
-use davide_telemetry::ingest::{DecodedFrame, ShardedTsDb};
+use davide_telemetry::ingest::ShardedTsDb;
 use davide_telemetry::tsdb::{Resolution, TsDb};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -86,8 +86,9 @@ const ROUNDS: usize = 40;
 const RAW_CAP: usize = 8_192;
 const ROLL_CAP: usize = 512;
 
-/// Synthesise the replay batch: `ROUNDS` frames per node × channel.
-fn make_batch() -> Vec<DecodedFrame> {
+/// Synthesise the replay batch: `ROUNDS` `(topic, frame)` pairs per
+/// node × channel.
+fn make_batch() -> Vec<(String, SampleFrame)> {
     let mut batch = Vec::new();
     for round in 0..ROUNDS {
         let t0 = round as f64 * 0.01;
@@ -95,18 +96,12 @@ fn make_batch() -> Vec<DecodedFrame> {
             for (ci, ch) in CHANNELS.iter().enumerate() {
                 let base = 200.0 + 50.0 * ci as f32 + node as f32;
                 let watts: Vec<f32> = (0..FRAME_LEN).map(|i| base + (i % 17) as f32).collect();
-                let topic = power_topic(node, ch);
                 let frame = SampleFrame {
                     t0_s: t0,
                     dt_s: 2e-5,
                     watts,
                 };
-                let trace_id = davide_obs::frame_trace_id(&topic, &frame.encode());
-                batch.push(DecodedFrame {
-                    topic,
-                    frame,
-                    trace_id,
-                });
+                batch.push((power_topic(node, ch), frame));
             }
         }
     }
@@ -117,7 +112,7 @@ fn make_batch() -> Vec<DecodedFrame> {
 pub fn e21() {
     header("e21", "Telemetry ingest throughput (EG → MQTT → TsDb)");
     let batch = make_batch();
-    let total_samples: u64 = batch.iter().map(|f| f.frame.watts.len() as u64).sum();
+    let total_samples: u64 = batch.iter().map(|(_, f)| f.watts.len() as u64).sum();
     println!(
         "replay: {} nodes × {} channels × {} frames of {} samples = {} frames, {:.2} M samples\n",
         NODES,
@@ -140,9 +135,9 @@ pub fn e21() {
     {
         let t = Instant::now();
         let mut seed = SeedTsDb::new(RAW_CAP);
-        for f in &batch {
-            for (i, &w) in f.frame.watts.iter().enumerate() {
-                seed.append(&f.topic, f.frame.t0_s + i as f64 * f.frame.dt_s, w as f64);
+        for (topic, f) in &batch {
+            for (i, &w) in f.watts.iter().enumerate() {
+                seed.append(topic, f.t0_s + i as f64 * f.dt_s, w as f64);
             }
         }
         let dt = t.elapsed().as_secs_f64();
@@ -154,10 +149,10 @@ pub fn e21() {
     {
         let t = Instant::now();
         let mut db = TsDb::with_capacity(RAW_CAP, ROLL_CAP);
-        for f in &batch {
-            let id = db.resolve(&f.topic);
-            for (i, &w) in f.frame.watts.iter().enumerate() {
-                db.append_id(id, f.frame.t0_s + i as f64 * f.frame.dt_s, w as f64);
+        for (topic, f) in &batch {
+            let id = db.resolve(topic);
+            for (i, &w) in f.watts.iter().enumerate() {
+                db.append_id(id, f.t0_s + i as f64 * f.dt_s, w as f64);
             }
         }
         let dt = t.elapsed().as_secs_f64();
@@ -170,9 +165,9 @@ pub fn e21() {
     {
         let t = Instant::now();
         let mut db = TsDb::with_capacity(RAW_CAP, ROLL_CAP);
-        for f in &batch {
-            let id = db.resolve(&f.topic);
-            db.append_frame_id(id, f.frame.t0_s, f.frame.dt_s, &f.frame.watts);
+        for (topic, f) in &batch {
+            let id = db.resolve(topic);
+            db.append_frame_id(id, f.t0_s, f.dt_s, &f.watts);
         }
         let dt = t.elapsed().as_secs_f64();
         results.push(("frame-bulk append_frame_id", dt));
@@ -183,14 +178,18 @@ pub fn e21() {
         spot_mean = db.mean_id(gpu, Resolution::Raw, 0.0, 1e9).unwrap();
     }
 
-    // Frame-bulk into the sharded store (rayon fan-out shape).
+    // Frame-bulk into the sharded store, each frame routed to its
+    // shard by topic hash: the append `drain_into_sharded` runs.
     {
         let t = Instant::now();
         let mut sharded = ShardedTsDb::new(4, RAW_CAP, ROLL_CAP);
-        let n = sharded.ingest_batch(&batch);
+        let mut n = 0;
+        for (topic, f) in &batch {
+            n += sharded.append_frame(topic, f.t0_s, f.dt_s, &f.watts) as u64;
+        }
         let dt = t.elapsed().as_secs_f64();
         assert_eq!(n, total_samples);
-        results.push(("frame-bulk, 4-shard fan-out", dt));
+        results.push(("frame-bulk, 4 shards, routed append_frame", dt));
     }
 
     // End to end: frames encoded, published through the in-process
@@ -206,18 +205,18 @@ pub fn e21() {
         // Untimed warm-up round: faults in the broker's subscriber
         // queues and codec buffers so the timed passes measure the
         // steady state, not first-touch page faults.
-        for f in &batch[..per_round] {
+        for (topic, f) in &batch[..per_round] {
             eg_side
-                .publish(&f.topic, f.frame.encode(), QoS::AtMostOnce, false)
+                .publish(topic, f.encode(), QoS::AtMostOnce, false)
                 .expect("publish");
         }
-        let _ = ing.drain_frames(); // discard; sample counters untouched
+        ing.drain_with(|_| None); // discard; sample counters untouched
         let t = Instant::now();
         let mut db = TsDb::with_capacity(RAW_CAP, ROLL_CAP);
         for round in batch.chunks(per_round) {
-            for f in round {
+            for (topic, f) in round {
                 eg_side
-                    .publish(&f.topic, f.frame.encode(), QoS::AtMostOnce, false)
+                    .publish(topic, f.encode(), QoS::AtMostOnce, false)
                     .expect("publish");
             }
             ing.drain_into(&mut db);

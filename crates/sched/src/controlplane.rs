@@ -37,7 +37,7 @@ use davide_core::units::{Seconds, Watts};
 use davide_mqtt::{Broker, BrokerError, Client, QoS};
 use davide_obs::{Counter, Gauge, Histogram, ObsHub, Stage};
 use davide_telemetry::gateway::{parse_node_topic, speed_topic};
-use davide_telemetry::ingest::{DecodedFrame, FrameIngestor};
+use davide_telemetry::ingest::{FrameIngestor, FrameView};
 use davide_telemetry::tsdb::{Resolution, SeriesId, TsDb};
 
 /// Which halves of the loop are armed.
@@ -237,15 +237,14 @@ impl ControlPlaneObs {
     /// One telemetry frame reached the store (`stored` of its samples
     /// accepted): stamp the ingest stage and record its age — the lag
     /// between the first sample's timestamp and the loop seeing it.
-    fn on_frame(&mut self, f: &DecodedFrame, stored: usize) {
+    fn on_frame(&mut self, f: &FrameView<'_>, stored: usize) {
         let now = self.hub.clock.now_s();
         self.hub.tracer.stamp(f.trace_id, Stage::IngestAppend, now);
         self.pending.push(f.trace_id);
         self.frames.inc();
         self.samples_stored.add(stored as u64);
-        self.samples_stale
-            .add((f.frame.watts.len() - stored) as u64);
-        let age = now - f.frame.t0_s;
+        self.samples_stale.add((f.watts.len() - stored) as u64);
+        let age = now - f.t0_s;
         if age >= 0.0 {
             self.frame_age_ns.record((age * 1e9).round() as u64);
         }
@@ -317,8 +316,6 @@ pub struct ControlPlane {
     steps_down: u64,
     steps_up: u64,
     stale_node_s: f64,
-    samples_stored: u64,
-    samples_stale_dropped: u64,
     truncated_mean_windows: u64,
     obs: Option<ControlPlaneObs>,
 }
@@ -379,8 +376,6 @@ impl ControlPlane {
             steps_down: 0,
             steps_up: 0,
             stale_node_s: 0.0,
-            samples_stored: 0,
-            samples_stale_dropped: 0,
             truncated_mean_windows: 0,
             obs: None,
         })
@@ -531,43 +526,35 @@ impl ControlPlane {
             steps_up: self.steps_up,
             online_mape_pct: self.predictor.online_mape(),
             stale_node_s: self.stale_node_s,
-            samples_stored: self.samples_stored,
-            samples_stale_dropped: self.samples_stale_dropped,
+            samples_stored: self.ingest.stats().samples,
+            samples_stale_dropped: self.ingest.stats().stale_dropped,
             truncated_mean_windows: self.truncated_mean_windows,
         }
     }
 
     /// Drain the MQTT subscription into the store and the per-node live
-    /// view.
+    /// view. Frames on any topic but a known node's
+    /// `davide/node{NN}/power/node` are not routed and count nowhere.
     fn ingest_telemetry(&mut self) {
-        for f in self.ingest.drain_frames() {
-            let Some((node_id, "power/node")) = parse_node_topic(&f.topic) else {
-                continue;
+        self.ingest.drain_with(|f| {
+            let Some((node_id, "power/node")) = parse_node_topic(f.topic) else {
+                return None;
             };
-            if node_id >= self.cfg.n_nodes {
-                continue;
-            }
-            let id = self.db.resolve(&f.topic);
-            let stored = self
-                .db
-                .append_frame_id(id, f.frame.t0_s, f.frame.dt_s, &f.frame.watts);
-            self.samples_stored += stored as u64;
-            self.samples_stale_dropped += (f.frame.watts.len() - stored) as u64;
+            let node = self.nodes.get_mut(node_id as usize)?;
+            let id = self.db.resolve(f.topic);
+            let stored = self.db.append_frame_id(id, f.t0_s, f.dt_s, f.watts);
             if let Some(obs) = &mut self.obs {
                 obs.on_frame(&f, stored);
             }
-            if stored == 0 {
-                // Entirely stale (a duplicate or badly delayed frame):
-                // the live view must not move backwards on it.
-                continue;
+            // An entirely stale frame (a duplicate or a badly delayed
+            // one) must not move the live view backwards.
+            if stored > 0 {
+                node.series = Some(id);
+                node.last_seen_s = node.last_seen_s.max(f.t0_s + f.dt_s * f.watts.len() as f64);
+                node.measured_w = f.mean_w();
             }
-            let node = &mut self.nodes[node_id as usize];
-            node.series = Some(id);
-            node.last_seen_s = node
-                .last_seen_s
-                .max(f.frame.t0_s + f.frame.dt_s * f.frame.watts.len() as f64);
-            node.measured_w = f.frame.mean_w();
-        }
+            Some(stored)
+        });
         // Seal/demote outside the append path; a no-op for untiered
         // stores.
         self.db.compact();
@@ -662,20 +649,13 @@ impl ControlPlane {
         let budget = ((cap_w - free as f64 * self.cfg.idle_node_power_w) / busy as f64)
             .max(self.cfg.idle_node_power_w);
         let mut commands = Vec::new();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if node.job.is_none() {
+        for i in 0..self.nodes.len() {
+            if self.nodes[i].job.is_none() {
                 continue;
             }
-            let node_w = if now - node.last_seen_s <= self.cfg.telemetry_deadline_s {
-                node.measured_w
-            } else {
-                // Stale fallback: steer on the prediction rather than a
-                // frozen sample.
-                match node.job.and_then(|id| self.running.get(&id)) {
-                    Some(rj) => self.predictor.predict(&rj.job),
-                    None => self.cfg.idle_node_power_w,
-                }
-            };
+            // A stale node steers on its prediction, not a frozen sample.
+            let node_w = self.node_power_estimate(&self.nodes[i], now);
+            let node = &mut self.nodes[i];
             // Retarget only on material change so sustain timers keep
             // their state across ticks.
             if (node.controller.cap.0 - budget).abs() > 1.0 {
@@ -849,6 +829,47 @@ mod tests {
         assert_eq!(cp.db().count_id(id), 5);
         // Other nodes untouched.
         assert!(cp.nodes[0].series.is_none());
+    }
+
+    #[test]
+    fn hostile_frames_leave_the_live_view_and_counters_alone() {
+        let broker = Broker::new(4096);
+        let cfg =
+            ControlPlaneConfig::davide(ControlMode::ClosedLoop, 4, CapSchedule::constant(10_000.0));
+        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let gw = broker.connect("gw");
+        gw.publish(
+            &power_topic(1, "node"),
+            frame(1500.0, 0.0, 5).encode(),
+            QoS::AtMostOnce,
+            false,
+        )
+        .unwrap();
+        cp.tick(5.0, &[]);
+        let (view, before) = (cp.snapshot(), cp.report());
+        assert_eq!(before.samples_stored, 5);
+
+        let hostile = [
+            (power_topic(2, "node"), b"not a frame".to_vec().into()),
+            (
+                "davide/nodeX/power/node".to_string(),
+                frame(1800.0, 5.0, 5).encode(),
+            ),
+            (power_topic(4, "node"), frame(1800.0, 5.0, 5).encode()),
+            (power_topic(1, "node"), frame(1800.0, 5.0, 0).encode()),
+        ];
+        for (topic, payload) in hostile {
+            gw.publish(&topic, payload, QoS::AtMostOnce, false).unwrap();
+        }
+        cp.tick(6.0, &[]);
+        assert_eq!(cp.snapshot(), view);
+        let after = cp.report();
+        assert_eq!(
+            (after.samples_stored, after.samples_stale_dropped),
+            (before.samples_stored, before.samples_stale_dropped)
+        );
+        assert_eq!(cp.ingest.stats().malformed, 1);
+        assert_eq!(cp.db().keys(), vec![power_topic(1, "node")]);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use davide_core::Watts;
 use davide_mqtt::{Bridge, Broker, Client, QoS};
 use davide_obs::{flight, Fnv1a, GrantStage};
 use davide_sched::{CapSchedule, ControlPlaneConfig};
-use davide_telemetry::gateway::{parse_node_topic, SampleFrame};
-use davide_telemetry::TsDbConfig;
+use davide_telemetry::gateway::parse_node_topic;
+use davide_telemetry::{FrameIngestor, TsDbConfig};
 
 use crate::harness::{RackSim, RunOutcome, SimEvent, World};
 use crate::invariants::Violation;
@@ -215,7 +215,7 @@ pub(crate) struct Federator {
     uplinks: Vec<Bridge>,
     downlinks: Vec<Bridge>,
     /// Site-side subscriber to every rack's bridged power frames.
-    watch: Client,
+    watch: FrameIngestor,
     /// Site-side publisher of retained cap grants.
     grant: Client,
     /// Last delivered mean draw per node per rack, watts (idle draw
@@ -295,12 +295,7 @@ impl Federator {
             let flight_rec = rack.hub.flight.clone();
             let clock = rack.hub.clock.clone();
             downlink.set_forward_hook(Some(Box::new(move |_topic, payload, _retain| {
-                let text = std::str::from_utf8(payload).unwrap_or("");
-                let mut tokens = text.split_whitespace();
-                let Some(w) = tokens.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return;
-                };
-                let Some(seq) = tokens.next().and_then(|v| v.parse::<u64>().ok()) else {
+                let Some((w, seq)) = parse_grant(payload) else {
                     return;
                 };
                 let t_s = clock.now_s();
@@ -315,9 +310,7 @@ impl Federator {
             })));
             downlinks.push(downlink);
         }
-        let mut watch = site.connect("federator-demand");
-        watch
-            .subscribe("+/davide/+/power/node", QoS::AtMostOnce)
+        let watch = FrameIngestor::subscribe(site, "federator-demand", &["+/davide/+/power/node"])
             .expect("subscribe bridged power");
         let grant = site.connect("federator-grants");
         Federator {
@@ -373,21 +366,14 @@ impl Federator {
         }
 
         // Demand ledger: last delivered mean per node.
-        for m in self.watch.drain() {
-            let Some((rack, node)) = parse_bridged_power(&m.topic) else {
-                continue;
-            };
-            if rack >= self.node_demand_w.len() || node >= self.node_demand_w[rack].len() {
-                continue;
+        self.watch.drain_with(|f| {
+            let (rack, node) = parse_bridged_power(f.topic)?;
+            let demand = self.node_demand_w.get_mut(rack)?.get_mut(node)?;
+            if !f.watts.is_empty() {
+                *demand = f.mean_w();
             }
-            if let Some(frame) = SampleFrame::decode(m.payload) {
-                if !frame.watts.is_empty() {
-                    let mean = frame.watts.iter().map(|&w| w as f64).sum::<f64>()
-                        / frame.watts.len() as f64;
-                    self.node_demand_w[rack][node] = mean;
-                }
-            }
-        }
+            Some(f.watts.len())
+        });
 
         if t.0.is_multiple_of(self.rebalance_ns) {
             self.rebalances += 1;
@@ -420,15 +406,10 @@ impl Federator {
                 self.caps_w[i] = g.0;
                 let seq = self.grant_seq[i];
                 self.grant_seq[i] += 1;
-                // Payload is `"{grant} {seq}"`: `{}` on f64 is the
-                // shortest round-trippable rendering, so the rack
-                // parses back the exact grant bits; the trailing seq
-                // token stitches the causal span and never enters any
-                // digested event.
                 self.grant
                     .publish(
                         &format!("fed/rack{i:02}/cap"),
-                        Bytes::from(format!("{} {seq}", g.0).into_bytes()),
+                        grant_payload(g.0, seq),
                         QoS::AtLeastOnce,
                         true,
                     )
@@ -523,6 +504,21 @@ impl Federator {
     }
 }
 
+/// A cap grant's wire payload, `"{watts} {seq}"`. `{}` on f64 is the
+/// shortest round-trippable rendering, so [`parse_grant`] gives back
+/// the exact grant bits; the seq token stitches the grant's causal span
+/// and never enters any digested event.
+pub(crate) fn grant_payload(w: f64, seq: u64) -> Bytes {
+    Bytes::from(format!("{w} {seq}"))
+}
+
+/// Parse a [`grant_payload`] back into `(watts, seq)`; `None` unless
+/// both tokens parse.
+pub(crate) fn parse_grant(payload: &[u8]) -> Option<(f64, u64)> {
+    let mut tokens = std::str::from_utf8(payload).ok()?.split_whitespace();
+    Some((tokens.next()?.parse().ok()?, tokens.next()?.parse().ok()?))
+}
+
 /// Rack and node ids from a bridged power topic
 /// (`rackNN/davide/nodeMM/power/node`).
 fn parse_bridged_power(topic: &str) -> Option<(usize, usize)> {
@@ -598,6 +594,37 @@ pub fn run_federated_traced(fs: &FedScenario, db_cfg: TsDbConfig, tracing: bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A grant survives its payload bit-exactly: for any finite
+        /// watts value and any seq, parsing returns the same bits and
+        /// the same seq.
+        #[test]
+        fn grant_payload_roundtrips(bits in any::<u64>(), seq in any::<u64>()) {
+            // Clearing the exponent's top bit maps NaN and ±inf onto
+            // finite values, so every draw exercises the codec.
+            let w = match f64::from_bits(bits) {
+                w if w.is_finite() => w,
+                _ => f64::from_bits(bits & !(1 << 62)),
+            };
+            let (back, back_seq) = parse_grant(&grant_payload(w, seq)).expect("well-formed grant");
+            prop_assert_eq!(back.to_bits(), w.to_bits());
+            prop_assert_eq!(back_seq, seq);
+        }
+    }
+
+    #[test]
+    fn grant_codec_edges() {
+        for w in [0.0, -0.0, 5e-324, f64::MIN_POSITIVE, f64::MAX, 12_345.678] {
+            let (back, seq) = parse_grant(&grant_payload(w, u64::MAX)).unwrap();
+            assert_eq!((back.to_bits(), seq), (w.to_bits(), u64::MAX));
+        }
+        assert_eq!(parse_grant(b"1500"), None, "a grant without its seq");
+        assert_eq!(parse_grant(b"watts 3"), None);
+        assert_eq!(parse_grant(b"1500 -1"), None);
+        assert_eq!(parse_grant(&[0xff, b' ', b'1']), None, "not UTF-8");
+    }
 
     #[test]
     fn two_rack_federation_is_clean_and_deterministic() {

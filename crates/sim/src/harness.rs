@@ -54,6 +54,7 @@ use davide_telemetry::gateway::{parse_node_topic, power_topic, SampleFrame, FRAM
 use davide_telemetry::{TsDb, TsDbConfig};
 use parking_lot::Mutex;
 
+use crate::federation::parse_grant;
 use crate::invariants::{
     CheckerConfig, FinalTruth, InvariantChecker, JobTruth, StoreModel, TickTruth, Violation,
 };
@@ -783,45 +784,22 @@ impl RackSim {
                     dt_s: self.sc.sample_dt_s,
                     watts,
                 };
-                let delayed = self.sc.faults.iter().any(|f| {
-                    matches!(*f, Fault::Reorder { node: rn, from_s, until_s, .. }
-                        if rn == node && window_active(from_s, until_s, t_s))
-                }) && {
-                    let p = self
-                        .sc
-                        .faults
-                        .iter()
-                        .find_map(|f| match *f {
-                            Fault::Reorder {
-                                node: rn,
-                                p,
-                                from_s,
-                                until_s,
-                                ..
-                            } if rn == node && window_active(from_s, until_s, t_s) => Some(p),
-                            _ => None,
-                        })
-                        .unwrap_or(0.0);
-                    self.inject_rng.chance(p)
-                };
-                if delayed {
-                    let delay_ticks = self
-                        .sc
-                        .faults
-                        .iter()
-                        .find_map(|f| match *f {
-                            Fault::Reorder {
-                                node: rn,
-                                delay_ticks,
-                                from_s,
-                                until_s,
-                                ..
-                            } if rn == node && window_active(from_s, until_s, t_s) => {
-                                Some(delay_ticks)
-                            }
-                            _ => None,
-                        })
-                        .unwrap_or(1);
+                // The first active `Reorder` fault for this node, if
+                // any, draws whether the frame is held back.
+                let reorder = self.sc.faults.iter().find_map(|f| match *f {
+                    Fault::Reorder {
+                        node: rn,
+                        p,
+                        delay_ticks,
+                        from_s,
+                        until_s,
+                    } if rn == node && window_active(from_s, until_s, t_s) => {
+                        Some((p, delay_ticks))
+                    }
+                    _ => None,
+                });
+                if let Some((_, delay_ticks)) = reorder.filter(|&(p, _)| self.inject_rng.chance(p))
+                {
                     self.log.push(Event::Frame {
                         t_ns,
                         node,
@@ -933,37 +911,30 @@ impl RackSim {
 
         // ── Federated cap grants land first: the control period runs
         //    under the budget that was in force when it started. The
-        //    payload is `"<watts> <seq>"`; the first token carries the
-        //    exact bits the federator formatted (so `CapApplied` and
-        //    every digest are unchanged by the seq suffix), the second
-        //    stitches the grant's causal span across racks. ──
+        //    grant's watts carry the exact bits the federator formatted
+        //    (so `CapApplied` and every digest are unchanged by the
+        //    seq), the seq stitches the grant's causal span across
+        //    racks. ──
         if self.cap_watch.is_some() {
             let msgs = self.cap_watch.as_mut().expect("federated").drain();
             for m in msgs {
-                let text = std::str::from_utf8(&m.payload).unwrap_or("");
-                let mut tokens = text.split_whitespace();
-                let Some(w) = tokens.next().and_then(|v| v.parse::<f64>().ok()) else {
+                let Some((w, seq)) = parse_grant(&m.payload) else {
                     continue;
                 };
-                let seq = tokens.next().and_then(|v| v.parse::<u64>().ok());
-                if let Some(seq) = seq {
-                    self.hub.span.stamp(seq, GrantStage::RackReceive, t_s);
+                self.hub.span.stamp(seq, GrantStage::RackReceive, t_s);
+                self.hub
+                    .flight
+                    .push(t_ns, flight::kind::RACK_RECEIVE, "", seq, w.to_bits());
+                if self.apply_cap(t_ns, w) {
+                    self.hub.span.stamp(seq, GrantStage::CapCommand, t_s);
                     self.hub
                         .flight
-                        .push(t_ns, flight::kind::RACK_RECEIVE, "", seq, w.to_bits());
-                }
-                if self.apply_cap(t_ns, w) {
-                    if let Some(seq) = seq {
-                        self.hub.span.stamp(seq, GrantStage::CapCommand, t_s);
-                        self.hub
-                            .flight
-                            .push(t_ns, flight::kind::CAP_COMMAND, "", seq, w.to_bits());
-                        // A newly-commanded grant supersedes anything
-                        // still waiting to actuate: the old spans stay
-                        // resident and flush as lost-at-cap-command.
-                        self.pending_grants.clear();
-                        self.pending_grants.push((seq, w));
-                    }
+                        .push(t_ns, flight::kind::CAP_COMMAND, "", seq, w.to_bits());
+                    // A newly-commanded grant supersedes anything still
+                    // waiting to actuate: the old spans stay resident
+                    // and flush as lost-at-cap-command.
+                    self.pending_grants.clear();
+                    self.pending_grants.push((seq, w));
                 }
             }
         }

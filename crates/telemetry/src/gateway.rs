@@ -83,9 +83,9 @@ impl SampleFrame {
         buf.freeze()
     }
 
-    /// Parse a wire payload; `None` on malformed input (bad magic,
-    /// truncated header or body, or a declared length whose byte size
-    /// overflows).
+    /// Parse a wire payload; `None` on malformed input (bad magic, a
+    /// non-finite timestamp or spacing, truncated header or body, or a
+    /// declared length whose byte size overflows).
     pub fn decode(payload: Bytes) -> Option<SampleFrame> {
         let mut watts = Vec::new();
         let (t0_s, dt_s) = Self::decode_into(&payload, &mut watts)?;
@@ -107,6 +107,9 @@ impl SampleFrame {
         }
         let t0_s = f64::from_le_bytes(payload[4..12].try_into().expect("checked length"));
         let dt_s = f64::from_le_bytes(payload[12..20].try_into().expect("checked length"));
+        if !(t0_s.is_finite() && dt_s.is_finite()) {
+            return None;
+        }
         let n = u32::from_le_bytes(payload[20..24].try_into().expect("checked length")) as usize;
         let need = n.checked_mul(4)?;
         let body = &payload[24..];
@@ -120,14 +123,6 @@ impl SampleFrame {
     /// Energy of this frame (left-rectangle).
     pub fn energy_j(&self) -> f64 {
         self.watts.iter().map(|&w| w as f64).sum::<f64>() * self.dt_s
-    }
-
-    /// Mean power of this frame.
-    pub fn mean_w(&self) -> f64 {
-        if self.watts.is_empty() {
-            return 0.0;
-        }
-        self.watts.iter().map(|&w| w as f64).sum::<f64>() / self.watts.len() as f64
     }
 }
 
@@ -281,7 +276,6 @@ mod tests {
         };
         let decoded = SampleFrame::decode(f.encode()).unwrap();
         assert_eq!(decoded, f);
-        assert!((f.mean_w() - 1701.9166).abs() < 1e-3);
         assert!((f.energy_j() - (1700.0 + 1710.5 + 1695.25) * 2e-5).abs() < 1e-9);
     }
 

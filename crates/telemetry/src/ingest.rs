@@ -7,65 +7,65 @@
 //! up. This module keeps *frames* intact end to end: each MQTT publish
 //! is decoded once and becomes exactly one [`TsDb::append_frame_id`]
 //! bulk append, with topic → [`SeriesId`](crate::tsdb::SeriesId)
-//! resolution cached per ingestor so the steady state never hashes a
+//! resolution cached per store so the steady state never hashes a
 //! topic string more than once per frame.
 //!
+//! Every consumer of the frame stream — the store drains here, the
+//! control plane's live view and the federator's demand ledger —
+//! decodes through one loop, [`FrameIngestor::drain_with`], which hands
+//! each frame over as a [`FrameView`] borrowed from reusable scratch.
+//!
 //! For multi-core management nodes, [`ShardedTsDb`] partitions series
-//! across independent shards by topic hash and fans a decoded batch out
-//! with rayon — each shard only touches its own series, so no locks are
-//! needed.
+//! across independent shards by topic hash, so each frame touches one
+//! shard and compaction fans out over the shards with rayon.
 
 use crate::gateway::SampleFrame;
 use crate::storage::TierStats;
 use crate::tsdb::{TsDb, TsDbConfig};
-use davide_mqtt::{Broker, BrokerError, Client, Message, QoS};
+use davide_mqtt::{Broker, BrokerError, Client, QoS};
 use davide_obs::{fnv1a, frame_trace_id, Counter, Histogram, ObsHub, Stage};
 use rayon::prelude::*;
 
 /// Running totals for an ingest pipeline.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Frames decoded and appended.
+    /// Frames decoded and taken by the consumer.
     pub frames: u64,
     /// Samples actually stored across all frames.
     pub samples: u64,
-    /// Payloads that failed [`SampleFrame::decode`] and were skipped.
+    /// Payloads that failed to decode as a [`SampleFrame`] and were
+    /// skipped.
     pub malformed: u64,
     /// Samples the store rejected as stale (duplicated or reordered
     /// delivery landing behind the series tail).
     pub stale_dropped: u64,
 }
 
-/// A decoded frame still attached to its source topic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedFrame {
-    /// MQTT topic the frame arrived on (becomes the series key).
-    pub topic: String,
-    /// The decoded sample frame.
-    pub frame: SampleFrame,
+/// One decoded frame, borrowed from the ingestor's scratch for the
+/// duration of a [`FrameIngestor::drain_with`] callback.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    /// MQTT topic the frame arrived on (the series key).
+    pub topic: &'a str,
     /// Causal trace id ([`frame_trace_id`] over topic + wire header),
     /// linking this frame to its broker-side trace stamps.
     pub trace_id: u64,
+    /// PTP timestamp of the first sample, seconds.
+    pub t0_s: f64,
+    /// Sample spacing, seconds.
+    pub dt_s: f64,
+    /// Power samples, watts.
+    pub watts: &'a [f32],
 }
 
-/// Decode a batch of MQTT messages into frames, counting malformed
-/// payloads into `stats`.
-pub fn decode_messages(msgs: Vec<Message>, stats: &mut IngestStats) -> Vec<DecodedFrame> {
-    let mut out = Vec::with_capacity(msgs.len());
-    for m in msgs {
-        // The id hashes the payload head, so take it before decode
-        // consumes the buffer.
-        let trace_id = frame_trace_id(&m.topic, &m.payload);
-        match SampleFrame::decode(m.payload) {
-            Some(frame) => out.push(DecodedFrame {
-                topic: m.topic,
-                frame,
-                trace_id,
-            }),
-            None => stats.malformed += 1,
+impl FrameView<'_> {
+    /// Mean power of the frame; 0 for an empty one.
+    pub fn mean_w(&self) -> f64 {
+        if self.watts.is_empty() {
+            return 0.0;
         }
+        self.watts.iter().map(|&w| w as f64).sum::<f64>() / self.watts.len() as f64
     }
-    out
 }
 
 /// Ingest-side observability: throughput counters mirroring
@@ -79,7 +79,7 @@ pub struct IngestObs {
     malformed: Counter,
     stale: Counter,
     frame_age: Histogram,
-    batch_frames: Histogram,
+    frames_per_drain: Histogram,
 }
 
 impl IngestObs {
@@ -93,66 +93,32 @@ impl IngestObs {
             malformed: r.counter("ingest_malformed_total"),
             stale: r.counter("ingest_stale_dropped_total"),
             frame_age: r.histogram("ingest_frame_age_ns"),
-            batch_frames: r.histogram("ingest_batch_frames"),
+            frames_per_drain: r.histogram("ingest_frames_per_drain"),
         }
     }
 
-    /// Record one drained-and-appended batch: one clock read and one
-    /// tracer lock for the whole batch (every frame shares the drain
-    /// instant), one histogram record per frame for the age
-    /// distribution, counters bumped once in aggregate. This is the
-    /// shape that keeps the instruments inside the ingest bench's 5 %
-    /// overhead budget.
-    pub fn on_frames_appended(&self, frames: &[DecodedFrame], stored: u64, offered: u64) {
-        let now = self.hub.clock.now_s();
-        self.hub
-            .tracer
-            .stamp_batch(Stage::IngestAppend, now, frames.iter().map(|f| f.trace_id));
-        for f in frames {
-            self.record_age(now, f.frame.t0_s);
-        }
-        self.count_appended(frames.len() as u64, stored, offered);
-    }
-
-    /// [`IngestObs::on_frames_appended`] for the scratch-decoded ingest
-    /// path, where frames never materialise as [`DecodedFrame`]s: the
-    /// caller hands over the parallel trace-id and `t0` arrays it
-    /// accumulated while appending. Identical instrument updates.
-    pub fn on_frames_appended_parts(
-        &self,
-        trace_ids: &[u64],
-        t0s: &[f64],
-        stored: u64,
-        offered: u64,
-    ) {
+    /// Record one drain from the parallel trace-id and `t0` arrays of
+    /// the frames it took: one clock read and one tracer lock for the
+    /// whole drain (every frame shares the drain instant), one
+    /// histogram record per frame for the age distribution, counters
+    /// bumped once in aggregate. This is the shape that keeps the
+    /// instruments inside the ingest bench's 5 % overhead budget.
+    fn on_drain(&self, trace_ids: &[u64], t0s: &[f64], malformed: u64, stored: u64, offered: u64) {
+        self.frames_per_drain.record(trace_ids.len() as u64);
+        self.malformed.add(malformed);
         let now = self.hub.clock.now_s();
         self.hub
             .tracer
             .stamp_batch(Stage::IngestAppend, now, trace_ids.iter().copied());
         for &t0 in t0s {
-            self.record_age(now, t0);
+            let age_s = now - t0;
+            if age_s >= 0.0 {
+                self.frame_age.record((age_s * 1e9).round() as u64);
+            }
         }
-        self.count_appended(trace_ids.len() as u64, stored, offered);
-    }
-
-    fn record_age(&self, now: f64, t0_s: f64) {
-        let age_s = now - t0_s;
-        if age_s >= 0.0 {
-            self.frame_age.record((age_s * 1e9).round() as u64);
-        }
-    }
-
-    fn count_appended(&self, frames: u64, stored: u64, offered: u64) {
-        self.frames.add(frames);
+        self.frames.add(trace_ids.len() as u64);
         self.samples.add(stored);
         self.stale.add(offered - stored);
-    }
-
-    /// Record a drained batch's bookkeeping (batch size + malformed
-    /// payloads skipped during decode).
-    pub fn on_batch(&self, frames: usize, malformed: u64) {
-        self.batch_frames.record(frames as u64);
-        self.malformed.add(malformed);
     }
 }
 
@@ -163,15 +129,14 @@ impl std::fmt::Debug for IngestObs {
 }
 
 /// Management-node ingest agent: an MQTT subscription drained
-/// frame-by-frame into a [`TsDb`] (or [`ShardedTsDb`]) with one bulk
-/// append per publish.
+/// frame-by-frame into a [`TsDb`], a [`ShardedTsDb`] or any other
+/// consumer ([`FrameIngestor::drain_with`]).
 pub struct FrameIngestor {
     client: Client,
     stats: IngestStats,
     obs: Option<IngestObs>,
-    // Scratch reused across [`FrameIngestor::drain_into`] calls so the
-    // single-store hot path decodes and appends without a per-frame
-    // `Vec<f32>` (or any other steady-state) allocation.
+    // Scratch reused across drains so the hot path decodes without a
+    // per-frame `Vec<f32>` (or any other steady-state) allocation.
     watts_scratch: Vec<f32>,
     ids_scratch: Vec<u64>,
     t0s_scratch: Vec<f64>,
@@ -205,125 +170,90 @@ impl FrameIngestor {
         self.stats
     }
 
-    /// Drain every queued message and decode it (malformed payloads are
-    /// counted and skipped).
-    pub fn drain_frames(&mut self) -> Vec<DecodedFrame> {
+    /// Drain every queued message through `sink` — the one decode loop
+    /// every consumer of the frame stream shares. Each payload decodes
+    /// into the ingestor's reusable scratch, so the steady state
+    /// allocates nothing per frame, and reaches `sink` as a
+    /// [`FrameView`]. The sink returns
+    /// `Some(stored)`, how many of the frame's samples it stored, or
+    /// `None` for a frame it does not route (a topic it does not
+    /// serve), which then counts nowhere.
+    ///
+    /// The loop alone keeps [`IngestStats`] and feeds [`IngestObs`]:
+    /// malformed payloads, frames taken, samples stored, and samples
+    /// the sink dropped as stale. Returns the number of frames taken.
+    pub fn drain_with(&mut self, mut sink: impl FnMut(FrameView<'_>) -> Option<usize>) -> usize {
         let msgs = self.client.drain();
         let malformed_before = self.stats.malformed;
-        let frames = decode_messages(msgs, &mut self.stats);
+        let mut stored_total = 0u64;
+        let mut offered_total = 0u64;
+        self.ids_scratch.clear();
+        self.t0s_scratch.clear();
+        for m in &msgs {
+            let Some((t0_s, dt_s)) = SampleFrame::decode_into(&m.payload, &mut self.watts_scratch)
+            else {
+                self.stats.malformed += 1;
+                continue;
+            };
+            let trace_id = frame_trace_id(&m.topic, &m.payload);
+            let Some(stored) = sink(FrameView {
+                topic: &m.topic,
+                trace_id,
+                t0_s,
+                dt_s,
+                watts: &self.watts_scratch,
+            }) else {
+                continue;
+            };
+            stored_total += stored as u64;
+            offered_total += self.watts_scratch.len() as u64;
+            self.ids_scratch.push(trace_id);
+            self.t0s_scratch.push(t0_s);
+        }
+        let frames = self.ids_scratch.len();
+        self.stats.frames += frames as u64;
+        self.stats.samples += stored_total;
+        self.stats.stale_dropped += offered_total - stored_total;
         if let Some(o) = &self.obs {
-            o.on_batch(frames.len(), self.stats.malformed - malformed_before);
+            o.on_drain(
+                &self.ids_scratch,
+                &self.t0s_scratch,
+                self.stats.malformed - malformed_before,
+                stored_total,
+                offered_total,
+            );
         }
         frames
     }
 
-    /// Drain every queued message into `db`: one bulk append per frame.
-    /// Returns the number of frames ingested.
-    ///
-    /// Frames are decoded straight into the ingestor's reusable scratch
-    /// with [`SampleFrame::decode_into`] and appended from there, so
-    /// the steady state allocates nothing per frame — the decoded
-    /// samples never materialise as an owned `Vec<f32>`.
+    /// Drain every queued message into `db`, one bulk append per frame,
+    /// then run one compaction pass. Returns the number of frames
+    /// ingested.
     pub fn drain_into(&mut self, db: &mut TsDb) -> usize {
-        let msgs = self.client.drain();
-        let malformed_before = self.stats.malformed;
-        let mut stored_total = 0u64;
-        let mut offered_total = 0u64;
-        self.ids_scratch.clear();
-        self.t0s_scratch.clear();
-        for m in &msgs {
-            let trace_id = frame_trace_id(&m.topic, &m.payload);
-            match SampleFrame::decode_into(&m.payload, &mut self.watts_scratch) {
-                Some((t0_s, dt_s)) => {
-                    let id = db.resolve(&m.topic);
-                    let stored = db.append_frame_id(id, t0_s, dt_s, &self.watts_scratch);
-                    stored_total += stored as u64;
-                    offered_total += self.watts_scratch.len() as u64;
-                    self.ids_scratch.push(trace_id);
-                    self.t0s_scratch.push(t0_s);
-                }
-                None => self.stats.malformed += 1,
-            }
-        }
-        let frames = self.ids_scratch.len();
-        self.stats.samples += stored_total;
-        self.stats.stale_dropped += offered_total - stored_total;
-        self.stats.frames += frames as u64;
+        let frames = self.drain_with(|f| {
+            let id = db.resolve(f.topic);
+            Some(db.append_frame_id(id, f.t0_s, f.dt_s, f.watts))
+        });
         if frames > 0 {
             db.compact();
-        }
-        if let Some(o) = &self.obs {
-            o.on_batch(frames, self.stats.malformed - malformed_before);
-            o.on_frames_appended_parts(
-                &self.ids_scratch,
-                &self.t0s_scratch,
-                stored_total,
-                offered_total,
-            );
         }
         frames
     }
 
-    /// Drain every queued message into a sharded store, each frame
-    /// routed to its owning shard by topic hash. Returns the number of
-    /// frames ingested.
-    ///
-    /// Like [`Self::drain_into`], frames decode straight into the
-    /// ingestor's reusable scratch and are appended from there — the
-    /// steady state allocates nothing per frame. (Callers that want
-    /// the shard-parallel batch form can still pair
-    /// [`Self::drain_frames`] with [`ShardedTsDb::ingest_batch`].)
+    /// [`Self::drain_into`] for a sharded store: each frame is routed
+    /// to its owning shard by topic hash.
     pub fn drain_into_sharded(&mut self, db: &mut ShardedTsDb) -> usize {
-        let msgs = self.client.drain();
-        let malformed_before = self.stats.malformed;
-        let mut stored_total = 0u64;
-        let mut offered_total = 0u64;
-        self.ids_scratch.clear();
-        self.t0s_scratch.clear();
-        for m in &msgs {
-            let trace_id = frame_trace_id(&m.topic, &m.payload);
-            match SampleFrame::decode_into(&m.payload, &mut self.watts_scratch) {
-                Some((t0_s, dt_s)) => {
-                    let stored = db.append_frame(&m.topic, t0_s, dt_s, &self.watts_scratch);
-                    stored_total += stored as u64;
-                    offered_total += self.watts_scratch.len() as u64;
-                    self.ids_scratch.push(trace_id);
-                    self.t0s_scratch.push(t0_s);
-                }
-                None => self.stats.malformed += 1,
-            }
-        }
-        let frames = self.ids_scratch.len();
-        self.stats.samples += stored_total;
-        self.stats.stale_dropped += offered_total - stored_total;
-        self.stats.frames += frames as u64;
+        let frames = self.drain_with(|f| Some(db.append_frame(f.topic, f.t0_s, f.dt_s, f.watts)));
         if frames > 0 {
             db.compact();
-        }
-        if let Some(o) = &self.obs {
-            o.on_batch(frames, self.stats.malformed - malformed_before);
-            o.on_frames_appended_parts(
-                &self.ids_scratch,
-                &self.t0s_scratch,
-                stored_total,
-                offered_total,
-            );
         }
         frames
     }
 }
 
-/// Shard index for a series key: FNV-1a over the bytes, reduced mod
-/// `n`. A free function (not a method) so parallel shard workers can
-/// evaluate it while the shard array is mutably split.
-fn shard_index(key: &str, n: usize) -> usize {
-    (fnv1a(key.as_bytes()) % n as u64) as usize
-}
-
-/// A [`TsDb`] partitioned into independent shards by topic hash, for
-/// rayon fan-out across cores: during [`ShardedTsDb::ingest_batch`]
-/// every shard worker scans the shared batch and appends only the
-/// frames that hash to it, so shards never contend on a series.
+/// A [`TsDb`] partitioned into independent shards by topic hash: every
+/// series lives in exactly one shard, so shards never contend on a
+/// series and compaction runs shard-parallel.
 #[derive(Debug)]
 pub struct ShardedTsDb {
     shards: Vec<TsDb>,
@@ -387,9 +317,10 @@ impl ShardedTsDb {
         self.shards.len()
     }
 
-    /// The shard a series key lives in.
+    /// The shard a series key lives in: FNV-1a over the key, reduced
+    /// mod the shard count.
     pub fn shard_of(&self, key: &str) -> usize {
-        shard_index(key, self.shards.len())
+        (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// The shard that owns a key, for read-path delegation.
@@ -398,38 +329,12 @@ impl ShardedTsDb {
     }
 
     /// Bulk-append one frame, routed to its owning shard by topic
-    /// hash. The borrowed-slice twin of [`Self::ingest_batch`] for
-    /// callers that decode into scratch and never materialise owned
-    /// frames. Returns the number of samples stored.
+    /// hash. Returns the number of samples stored.
     pub fn append_frame(&mut self, topic: &str, t0_s: f64, dt_s: f64, watts: &[f32]) -> usize {
-        let n = self.shards.len();
-        let shard = &mut self.shards[shard_index(topic, n)];
+        let i = self.shard_of(topic);
+        let shard = &mut self.shards[i];
         let id = shard.resolve(topic);
         shard.append_frame_id(id, t0_s, dt_s, watts)
-    }
-
-    /// Ingest a decoded batch: shards run in parallel, each appending
-    /// the frames that hash to it (one bulk append per frame). Returns
-    /// the number of samples actually stored (stale points rejected by
-    /// a shard are not counted).
-    pub fn ingest_batch(&mut self, batch: &[DecodedFrame]) -> u64 {
-        let n = self.shards.len();
-        self.shards
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, shard)| {
-                let mut stored = 0u64;
-                for f in batch {
-                    if shard_index(&f.topic, n) == i {
-                        let id = shard.resolve(&f.topic);
-                        stored +=
-                            shard.append_frame_id(id, f.frame.t0_s, f.frame.dt_s, &f.frame.watts)
-                                as u64;
-                    }
-                }
-                stored
-            })
-            .sum()
     }
 
     /// Flush rollup accumulators on every shard.
@@ -551,6 +456,70 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_frame_timestamps_are_malformed() {
+        // A NaN `t0` used to decode and become the series tail, after
+        // which the stale frame at t = 0 was stored in full.
+        let broker = Broker::default();
+        let mut ing = FrameIngestor::subscribe(&broker, "mgmt", &["t/#"]).unwrap();
+        let pub_client = broker.connect("p");
+        let frames = [
+            (10.0, 1.0, 5),
+            (f64::NAN, 1.0, 2),
+            (0.0, 1.0, 5),
+            (f64::INFINITY, 1.0, 2),
+            (20.0, f64::NAN, 2),
+        ];
+        for (t0_s, dt_s, n) in frames {
+            let f = SampleFrame {
+                t0_s,
+                dt_s,
+                watts: vec![100.0; n],
+            };
+            pub_client
+                .publish("t/power", f.encode(), QoS::AtMostOnce, false)
+                .unwrap();
+        }
+        let mut db = TsDb::new();
+        assert_eq!(ing.drain_into(&mut db), 2);
+        let stats = ing.stats();
+        assert_eq!(stats.malformed, 3);
+        assert_eq!((stats.samples, stats.stale_dropped), (5, 5));
+        let id = db.lookup("t/power").unwrap();
+        assert_eq!(db.count_id(id), 5);
+        assert_eq!(db.query_id(id, Resolution::Raw, 0.0, 100.0).len(), 5);
+    }
+
+    #[test]
+    fn unrouted_frames_count_nowhere() {
+        let broker = Broker::default();
+        let mut ing = FrameIngestor::subscribe(&broker, "mgmt", &["t/#"]).unwrap();
+        let pub_client = broker.connect("p");
+        let f = SampleFrame {
+            t0_s: 0.0,
+            dt_s: 1.0,
+            watts: vec![1700.0, 1710.5, 1695.25],
+        };
+        for topic in ["t/a", "t/b"] {
+            pub_client
+                .publish(topic, f.encode(), QoS::AtMostOnce, false)
+                .unwrap();
+        }
+        let mut means = Vec::new();
+        let taken = ing.drain_with(|v| {
+            means.push(v.mean_w());
+            (v.topic == "t/a").then_some(v.watts.len())
+        });
+        assert_eq!(taken, 1);
+        assert_eq!(means.len(), 2, "the sink sees every decoded frame");
+        assert!((means[0] - 1701.9166).abs() < 1e-3);
+        let stats = ing.stats();
+        assert_eq!(
+            (stats.frames, stats.samples, stats.stale_dropped),
+            (1, 3, 0)
+        );
+    }
+
+    #[test]
     fn sharded_matches_unsharded() {
         let broker = Broker::default();
         let mut ing_flat =
@@ -560,12 +529,34 @@ mod tests {
         for node in 0..6 {
             publish_job(&broker, node, 40 + node as u64);
         }
+        // A malformed payload and a duplicated frame: both drains must
+        // count them the same way.
+        let p = broker.connect("p");
+        let garbage = Bytes::from_static(b"not a frame");
+        p.publish(&power_topic(0, "node"), garbage, QoS::AtMostOnce, false)
+            .unwrap();
+        let dup = SampleFrame {
+            t0_s: 1e3,
+            dt_s: 1.0,
+            watts: vec![900.0; 4],
+        }
+        .encode();
+        for _ in 0..2 {
+            p.publish(&power_topic(1, "node"), dup.clone(), QoS::AtMostOnce, false)
+                .unwrap();
+        }
         let mut flat = TsDb::new();
         let mut sharded = ShardedTsDb::new(4, 100_000, 100_000);
         let n1 = ing_flat.drain_into(&mut flat);
         let n2 = ing_shard.drain_into_sharded(&mut sharded);
         assert_eq!(n1, n2);
-        assert_eq!(ing_flat.stats().samples, ing_shard.stats().samples);
+        assert_eq!(ing_flat.stats(), ing_shard.stats());
+        assert_eq!(ing_flat.stats().malformed, 1);
+        assert_eq!(
+            ing_flat.stats().stale_dropped,
+            3,
+            "the duplicate re-appends only its boundary sample"
+        );
         flat.flush();
         sharded.flush();
         assert_eq!(flat.keys(), sharded.keys());

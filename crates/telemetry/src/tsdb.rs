@@ -220,7 +220,9 @@ impl Rollup {
                 self.flush();
                 self.acc_bucket = b;
             }
-            let boundary = (b + 1) as f64 * self.bucket_s;
+            // In float: `b` saturates at `i64::MAX` for timestamps past
+            // ~9.2e18 s, where `b + 1` would overflow.
+            let boundary = (b as f64 + 1.0) * self.bucket_s;
             let mut end = (((boundary - t0) / dt).ceil().max(0.0) as usize).clamp(start + 1, n);
             // Float-rounding guards: converge to the exact per-sample
             // boundary (each loop runs at most a step or two).
@@ -419,14 +421,16 @@ impl TsDb {
     }
 
     /// Append one observation by interned id (timestamps must be
-    /// nondecreasing per series; out-of-order points are dropped, as in
-    /// production TSDBs). Returns whether the point was stored, so lossy
-    /// ingest paths can account for what a degraded link cost them.
-    /// Allocation-free in steady state.
+    /// finite and nondecreasing per series; out-of-order points are
+    /// dropped, as in production TSDBs, and so are NaN or infinite
+    /// timestamps, which would otherwise become a series tail every
+    /// later comparison passes). Returns whether the point was stored,
+    /// so lossy ingest paths can account for what a degraded link cost
+    /// them. Allocation-free in steady state.
     #[inline]
     pub fn append_id(&mut self, id: SeriesId, t: f64, v: f64) -> bool {
         let s = &mut self.series[id.index()];
-        if t < s.last_t {
+        if t < s.last_t || !t.is_finite() {
             return false;
         }
         s.last_t = t;
@@ -441,8 +445,9 @@ impl TsDb {
     /// Bulk-append a whole frame of uniformly-spaced samples by
     /// interned id: one monotonicity check, one eviction step, bulk
     /// column extends, and closed-form rollup accumulation. Frames that
-    /// start before the series tail (or run backwards) fall back to the
-    /// per-sample path, which drops the stale points. Returns the number
+    /// start before the series tail, run backwards, or carry a
+    /// timestamp that is not finite fall back to the per-sample path,
+    /// which drops the stale and non-finite points. Returns the number
     /// of samples actually stored (`values.len()` on the fast path), so
     /// callers can account for samples lost to reordering faults.
     pub fn append_frame_id(&mut self, id: SeriesId, t0: f64, dt: f64, values: &[f32]) -> usize {
@@ -451,14 +456,17 @@ impl TsDb {
             return 0;
         }
         let s = &mut self.series[id.index()];
-        if t0 < s.last_t || dt < 0.0 {
+        // Finite only when `t0` and `dt` both are (and the frame does
+        // not overflow), so a NaN never reaches the series tail.
+        let t_last = t0 + (n - 1) as f64 * dt;
+        if t0 < s.last_t || dt < 0.0 || !t_last.is_finite() {
             let mut stored = 0;
             for (i, &v) in values.iter().enumerate() {
                 stored += usize::from(self.append_id(id, t0 + i as f64 * dt, v as f64));
             }
             return stored;
         }
-        s.last_t = t0 + (n - 1) as f64 * dt;
+        s.last_t = t_last;
         s.count += n as u64;
         s.raw.extend_uniform(t0, dt, values);
         for r in &mut s.rollups {
@@ -735,6 +743,33 @@ mod tests {
     }
     fn energy_j(db: &TsDb, key: &str, t0: f64, t1: f64) -> f64 {
         db.lookup(key).map_or(0.0, |id| db.energy_j_id(id, t0, t1))
+    }
+
+    #[test]
+    fn non_finite_timestamps_never_reach_the_series_tail() {
+        // A NaN tail passes every later `t < last_t` check, so a stale
+        // frame after it would be stored and the count would disagree
+        // with what a range query can find.
+        let mut db = TsDb::new();
+        let id = db.resolve("node00/power/node");
+        assert_eq!(db.append_frame_id(id, 10.0, 1.0, &[100.0; 5]), 5);
+        assert_eq!(db.append_frame_id(id, f64::NAN, 1.0, &[200.0; 2]), 0);
+        assert_eq!(db.append_frame_id(id, 0.0, 1.0, &[50.0; 5]), 0, "stale");
+        assert_eq!(db.count_id(id), 5);
+        assert_eq!(db.query_id(id, Resolution::Raw, 0.0, 100.0).len(), 5);
+        // Infinite timestamps and spacings are refused the same way,
+        // and the tail still admits fresh data.
+        assert!(!db.append_id(id, f64::INFINITY, 1.0));
+        assert!(!db.append_id(id, f64::NAN, 1.0));
+        assert_eq!(db.append_frame_id(id, 20.0, f64::INFINITY, &[1.0; 3]), 0);
+        assert_eq!(db.append_frame_id(id, 20.0, 1.0, &[1.0; 3]), 3);
+        // A huge but finite frame saturates its rollup bucket without
+        // overflowing; one whose later samples overflow to +inf keeps
+        // only its finite head.
+        assert_eq!(db.append_frame_id(id, 1e19, 1.0, &[1.0; 3]), 3);
+        assert_eq!(db.append_frame_id(id, 1e308, 1e308, &[1.0; 3]), 1);
+        assert_eq!(db.count_id(id), 12);
+        assert_eq!(db.last_id(id).map(|p| p.t), Some(1e308));
     }
 
     #[test]
