@@ -30,8 +30,8 @@
 //!   tests in `tests/api_http.rs` enforce.
 //!
 //! [`types`] holds the request/response DTOs shared by both layers and
-//! [`client`] a minimal keep-alive HTTP client used by the test suite
-//! and the `loadgen` / `api_smoke` binaries.
+//! [`client`] a minimal keep-alive HTTP client used by the test suite,
+//! the `api_smoke` binary and E27's HTTP load.
 
 #![warn(missing_docs)]
 

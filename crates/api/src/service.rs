@@ -773,10 +773,8 @@ impl<S: SeriesRead> QueryService<S> {
             if m == 1 {
                 watts.extend(rq.points.iter().map(|p| p.v));
             } else {
-                let mut dec = Decimator::boxcar(m);
                 let vals: Vec<f64> = rq.points.iter().map(|p| p.v).collect();
-                dec.push(&vals, &mut watts);
-                dec.finish(&mut watts);
+                Decimator::new(m).push(&vals, &mut watts);
             }
             let dt = dt_raw * m as f64;
             let phases = if watts.len() >= 2 && dt > 0.0 {

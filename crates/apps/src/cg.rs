@@ -16,19 +16,19 @@ pub trait LinearOp: Sync {
     fn apply(&self, x: &[f64], y: &mut [f64]);
 }
 
-/// Parallel dot product.
+/// Dot product (rayon-shaped; sequential under the vendored shim).
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum()
 }
 
-/// Parallel `y ← y + alpha·x`.
+/// `y ← y + alpha·x` (rayon-shaped; sequential under the vendored shim).
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     y.par_iter_mut().zip(x.par_iter()).for_each(|(yi, xi)| {
         *yi += alpha * xi;
     });
 }
 
-/// Parallel `y ← x + beta·y`.
+/// `y ← x + beta·y` (rayon-shaped; sequential under the vendored shim).
 pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
     y.par_iter_mut().zip(x.par_iter()).for_each(|(yi, xi)| {
         *yi = xi + beta * *yi;

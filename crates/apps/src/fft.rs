@@ -3,8 +3,9 @@
 //! Fourier Transform").
 //!
 //! A cache-friendly iterative Cooley–Tukey 1-D transform plus a
-//! slab-decomposed 3-D transform parallelised with rayon, mirroring how
-//! plane-wave codes run batched FFTs per SCF iteration.
+//! slab-decomposed 3-D transform written against rayon's API (the
+//! vendored shim runs it sequentially), mirroring how plane-wave codes
+//! run batched FFTs per SCF iteration.
 
 use crate::complex::C64;
 use rayon::prelude::*;
@@ -108,8 +109,9 @@ impl Field3 {
     }
 }
 
-/// 3-D FFT by three axis passes, each parallelised over lines with
-/// rayon — the slab/pencil decomposition plane-wave codes use.
+/// 3-D FFT by three axis passes, each a rayon-shaped loop over lines
+/// (sequential under the vendored shim) — the slab/pencil decomposition
+/// plane-wave codes use.
 pub fn fft3(field: &mut Field3, inverse: bool) {
     let n = field.n;
 
@@ -134,7 +136,7 @@ pub fn fft3(field: &mut Field3, inverse: bool) {
         }
     });
 
-    // Pass 3: z-lines (stride n² across planes). Parallelise over (x,y)
+    // Pass 3: z-lines (stride n² across planes). Iterate over (x,y)
     // columns by transposing into a scratch of z-contiguous pencils.
     let data = &mut field.data;
     let mut pencils: Vec<Vec<C64>> = (0..plane)

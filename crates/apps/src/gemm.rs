@@ -1,4 +1,4 @@
-//! Blocked, parallel dense matrix multiply.
+//! Blocked dense matrix multiply.
 //!
 //! Quantum ESPRESSO leans on BLAS/LAPACK (§IV-A); the GEMM kernel is the
 //! compute-bound pole of the roofline and the "dense linear algebra"
@@ -84,7 +84,8 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Cache-blocked multiply, parallelised over row panels with rayon.
+/// Cache-blocked multiply over row panels, written against rayon's API
+/// (sequential under the vendored shim).
 pub fn matmul_blocked(a: &Matrix, b: &Matrix, block: usize) -> Matrix {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert!(block > 0);

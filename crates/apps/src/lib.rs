@@ -2,9 +2,11 @@
 //!
 //! Proxy implementations of the four applications of European interest
 //! co-designed with D.A.V.I.D.E. (§IV of the paper), as real Rust
-//! computational kernels parallelised with rayon plus workload models
-//! that carry their phase structure into the power/scheduling
-//! simulations.
+//! computational kernels plus workload models that carry their phase
+//! structure into the power/scheduling simulations. The kernels are
+//! written against rayon's data-parallel API; the vendored `rayon` shim
+//! maps every `par_*` call to a sequential iterator, so here they run
+//! on one thread.
 //!
 //! | Paper application | Dominant kernel | Proxy module |
 //! |---|---|---|
@@ -24,7 +26,6 @@ pub mod distributed;
 pub mod fft;
 pub mod gemm;
 pub mod lattice;
-pub mod lu;
 pub mod roofline;
 pub mod sem;
 pub mod stencil;
@@ -36,7 +37,6 @@ pub use distributed::DistributedRun;
 pub use fft::{fft3, fft_inplace, Field3};
 pub use gemm::{matmul_blocked, Matrix};
 pub use lattice::{EvenOddOp, Lattice4, LatticeOp};
-pub use lu::{lu_factor, run_hpl, LuFactors};
 pub use sem::SemMesh;
 pub use stencil::OceanGrid;
 pub use workload::{AppKind, AppModel, Phase};

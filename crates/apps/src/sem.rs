@@ -87,10 +87,10 @@ impl LinearOp for SemMesh {
         self.dofs()
     }
 
-    /// `y ← (K + shift·I) x` assembled element by element. Elements are
-    /// processed in parallel into per-thread partial outputs that are
-    /// reduced at the end (the lock-free equivalent of SPECFEM's
-    /// colouring strategy).
+    /// `y ← (K + shift·I) x` assembled element by element. Elements fold
+    /// into per-thread partial outputs that are reduced at the end (the
+    /// lock-free equivalent of SPECFEM's colouring strategy); under the
+    /// vendored rayon shim there is one "thread", so one partial.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         let n = self.degree + 1;
         let dofs = self.dofs();

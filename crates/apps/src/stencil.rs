@@ -73,7 +73,8 @@ impl OceanGrid {
 }
 
 /// One 5-point masked Jacobi relaxation sweep with coefficient `alpha`
-/// (`0 < alpha ≤ 1`); rows are processed in parallel latitude bands.
+/// (`0 < alpha ≤ 1`); rows are processed as latitude bands in a
+/// rayon-shaped loop (sequential under the vendored shim).
 /// Boundary rows/columns are treated as zero-flux (copied neighbours).
 pub fn jacobi_sweep(grid: &OceanGrid, alpha: f64) -> Vec<f64> {
     let (nx, ny) = (grid.nx, grid.ny);

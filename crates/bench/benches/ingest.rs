@@ -177,7 +177,6 @@ fn alloc_proof(c: &mut Criterion) {
             hot_retain: Some(4096),
             ..davide_telemetry::TieringConfig::default()
         }),
-        ..davide_telemetry::TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
     let tid = tdb.resolve("node00/power/node");

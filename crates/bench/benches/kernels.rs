@@ -6,7 +6,6 @@ use davide_apps::cg::{conjugate_gradient, LinearOp};
 use davide_apps::fft::{fft3, fft_flops, fft_inplace, Field3};
 use davide_apps::gemm::{gemm_flops, matmul_blocked, matmul_naive, Matrix};
 use davide_apps::lattice::{EvenOddOp, Lattice4, LatticeOp};
-use davide_apps::lu::{hpl_flops, lu_factor};
 use davide_apps::sem::SemMesh;
 use davide_apps::stencil::{jacobi_sweep, sweep_flops, OceanGrid};
 use davide_apps::C64;
@@ -120,33 +119,12 @@ fn bench_lattice_cg(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_lu(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e1_hpl_lu");
-    g.sample_size(10);
-    for &n in &[128usize, 256] {
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let v = ((i * 31 + j * 17) % 97) as f64 * 0.02 - 1.0;
-            if i == j {
-                v + 4.0
-            } else {
-                v
-            }
-        });
-        g.throughput(Throughput::Elements(hpl_flops(n) as u64));
-        g.bench_with_input(BenchmarkId::new("lu_nb32", n), &n, |b, _| {
-            b.iter(|| lu_factor(black_box(&a), 32).expect("nonsingular"));
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     kernels,
     bench_fft,
     bench_gemm,
     bench_stencil,
     bench_sem,
-    bench_lattice_cg,
-    bench_lu
+    bench_lattice_cg
 );
 criterion_main!(kernels);

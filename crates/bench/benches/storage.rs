@@ -100,7 +100,6 @@ fn bench_scan(c: &mut Criterion) {
             hot_retain: Some(128),
             ..TieringConfig::default()
         }),
-        ..TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
     let id = db.resolve("node00/power/node");

@@ -8,12 +8,12 @@ use davide_core::power::PowerTrace;
 use davide_core::rng::Rng;
 use davide_core::time::SimTime;
 use davide_telemetry::acquisition::{AcquisitionConfig, AcquisitionRig, DspMode};
-use davide_telemetry::adc::{AdcMux, SarAdc};
+use davide_telemetry::adc::SarAdc;
 use davide_telemetry::decimation::{
     boxcar_decimate, design_lowpass_fir, fir_decimate, pick_decimate,
 };
 use davide_telemetry::gateway::SampleFrame;
-use davide_telemetry::kernels::{boxcar_block, AdcKernel, PolyphaseFir};
+use davide_telemetry::kernels::{boxcar_block, AdcKernel};
 use davide_telemetry::monitor::MonitorChain;
 use davide_telemetry::sensors::PowerSensor;
 use davide_telemetry::{EnergyIntegrator, WorkloadWaveform};
@@ -102,39 +102,9 @@ fn bench_integration(c: &mut Criterion) {
     g.finish();
 }
 
-/// The gateway's full 8-channel mux scan: every channel gets its own
-/// ripple tone, mirroring the E25 channel profiles.
-fn bench_adc_mux(c: &mut Criterion) {
-    let mux = AdcMux::gateway_scan();
-    let signals: Vec<Box<dyn Fn(f64) -> f64>> = (0..mux.channels as usize)
-        .map(|ch| {
-            let (base, tone_hz) = match ch {
-                0 => (1700.0, 50.0),
-                1 | 2 => (300.0, 120.0),
-                3..=6 => (350.0, 90.0 + 10.0 * ch as f64),
-                _ => (100.0, 200.0),
-            };
-            Box::new(move |t: f64| {
-                base + 0.05 * base * (2.0 * std::f64::consts::PI * tone_hz * t).sin()
-            }) as Box<dyn Fn(f64) -> f64>
-        })
-        .collect();
-    let refs: Vec<&dyn Fn(f64) -> f64> = signals.iter().map(|b| b.as_ref()).collect();
-    let duration_s = 0.1;
-    let total = (mux.per_channel_rate() * duration_s).round() as u64 * mux.channels as u64;
-    let mut g = c.benchmark_group("e25_adc_mux");
-    g.throughput(Throughput::Elements(total));
-    g.bench_function("sample_all_8ch", |b| {
-        let mut rng = Rng::seed_from(7);
-        b.iter(|| mux.sample_all(black_box(&refs), duration_s, &mut rng));
-    });
-    g.finish();
-}
-
 /// The E25 DSP hot loop at frame granularity — the seed per-sample
-/// `f64` path vs the blocked `f32` kernels — and the polyphase FIR
-/// against its textbook form. Same block size the acquisition driver
-/// uses (8000 raw samples → one 500-sample frame).
+/// `f64` path vs the blocked `f32` kernels. Same block size the
+/// acquisition driver uses (8000 raw samples → one 500-sample frame).
 fn bench_acquisition_kernels(c: &mut Criterion) {
     const BLOCK: usize = 8_000;
     let adc = SarAdc::am335x_power_channel();
@@ -158,15 +128,6 @@ fn bench_acquisition_kernels(c: &mut Criterion) {
             kernel.digitise_block(black_box(&raw_f32), &mut dig);
             boxcar_block(&dig, 16, &mut dec);
             black_box(dec.last().copied())
-        });
-    });
-    let h = design_lowpass_fir(63, 0.02);
-    let pf = PolyphaseFir::new(&h, 16);
-    let mut out = Vec::with_capacity(BLOCK / 16);
-    g.bench_function("fir63_16x_polyphase_blocked", |b| {
-        b.iter(|| {
-            pf.decimate_block(black_box(&raw_f32), &mut out);
-            black_box(out.last().copied())
         });
     });
     g.finish();
@@ -205,7 +166,6 @@ criterion_group!(
     bench_decimation,
     bench_sensor_adc,
     bench_integration,
-    bench_adc_mux,
     bench_acquisition_kernels,
     bench_acquisition_pipeline
 );

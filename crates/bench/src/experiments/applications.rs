@@ -18,7 +18,7 @@ use std::time::Instant;
 /// advantage that lets FFTs stay localised in GPU pairs.
 pub fn e14() {
     header("e14", "Quantum ESPRESSO proxy: FFT + NVLink");
-    println!("3-D FFT (forward+inverse), rayon-parallel pencils:");
+    println!("3-D FFT (forward+inverse), pencil passes on one thread:");
     println!(
         "{:>8} {:>12} {:>14} {:>12}",
         "grid", "wall time", "sustained", "flops"

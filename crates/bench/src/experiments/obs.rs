@@ -18,7 +18,7 @@ use davide_obs::trace::STAGE_NAMES;
 use davide_obs::{MetricsRegistry, OBS_FILTER};
 use davide_sched::controlplane::ControlMode;
 use davide_sim::{harness, scenario, Fault};
-use davide_telemetry::{FrameIngestor, SelfMonitor, TsDb};
+use davide_telemetry::{publish_registry, FrameIngestor, TsDb};
 
 use super::controlplane::SMOKE_ENV;
 
@@ -26,16 +26,15 @@ fn smoke() -> bool {
     std::env::var_os(SMOKE_ENV).is_some()
 }
 
-/// Publish one snapshot of `registry`, stamped `t_s` (> 0), through
-/// the self-telemetry path — `SelfMonitor` → MQTT → `FrameIngestor` →
+/// Publish one snapshot of `registry`, stamped `t_s`, through the
+/// self-telemetry path — `publish_registry` → MQTT → `FrameIngestor` →
 /// `TsDb` — on a fresh broker. Returns the store and the number of
 /// samples it ingested.
 pub fn self_telemetry_roundtrip(registry: &MetricsRegistry, t_s: f64) -> (TsDb, u64) {
     let broker = Broker::default();
     let mut ingest =
         FrameIngestor::subscribe(&broker, "obs-ingest", &[OBS_FILTER]).expect("subscribe obs");
-    let mut monitor = SelfMonitor::connect(&broker, "obs-selfmon", t_s).expect("selfmon connect");
-    monitor.pump(t_s, registry);
+    publish_registry(&broker.connect("obs-selfmon"), registry, t_s);
     let mut db = TsDb::new();
     let samples = ingest.drain_into(&mut db) as u64;
     (db, samples)

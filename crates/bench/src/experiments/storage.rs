@@ -65,7 +65,6 @@ fn compression_gate() -> f64 {
             hot_retain: Some(128),
             ..TieringConfig::default()
         }),
-        ..TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
 
@@ -227,7 +226,6 @@ fn scan_gate() {
             hot_retain: Some(128),
             ..TieringConfig::default()
         }),
-        ..TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
     let id = db.resolve("node00/power/node");

@@ -8,9 +8,7 @@
 //! (idle nodes donate headroom to busy ones), both with a per-node floor
 //! so no node is starved below its idle draw.
 
-use crate::capping::PiCapController;
-use crate::node::{ComputeNode, NodeLoad};
-use crate::units::{Seconds, Watts};
+use crate::units::Watts;
 
 /// Budget-splitting strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,71 +64,6 @@ pub fn split_budget(
                 })
                 .collect()
         }
-    }
-}
-
-/// A cluster-level cap controller: measures per-node demand, splits the
-/// site budget, and drives each node's local PI controller at the
-/// granted set point.
-pub struct ClusterCapController {
-    /// Site-level budget.
-    pub site_cap: Watts,
-    /// Per-node floor (≥ idle draw).
-    pub floor: Watts,
-    /// Splitting policy.
-    pub policy: SharingPolicy,
-    node_controllers: Vec<PiCapController>,
-}
-
-impl ClusterCapController {
-    /// Controller for `n` nodes.
-    pub fn new(n: usize, site_cap: Watts, floor: Watts, policy: SharingPolicy) -> Self {
-        ClusterCapController {
-            site_cap,
-            floor,
-            policy,
-            node_controllers: (0..n).map(|_| PiCapController::new(site_cap)).collect(),
-        }
-    }
-
-    /// One control period: split the budget from current demands, then
-    /// step every node controller. Returns the per-node caps granted.
-    pub fn step(
-        &mut self,
-        nodes: &mut [ComputeNode],
-        loads: &[NodeLoad],
-        dt: Seconds,
-    ) -> Vec<Watts> {
-        assert_eq!(nodes.len(), self.node_controllers.len());
-        assert_eq!(nodes.len(), loads.len());
-        // Demand = what the node would draw unthrottled: probe at the
-        // nominal operating point.
-        let demands: Vec<Watts> = nodes
-            .iter()
-            .zip(loads)
-            .map(|(n, &l)| {
-                let mut probe = n.clone();
-                probe.set_pstate_all(probe.cpus[0].spec.dvfs.nominal_index());
-                probe.power(l)
-            })
-            .collect();
-        let caps = split_budget(self.site_cap, &demands, self.floor, self.policy);
-        for ((node, ctl), (&cap, &load)) in nodes
-            .iter_mut()
-            .zip(&mut self.node_controllers)
-            .zip(caps.iter().zip(loads))
-        {
-            if (ctl.cap.0 - cap.0).abs() > 1.0 {
-                ctl.set_cap(cap);
-            }
-            ctl.step(node, load, dt);
-        }
-        caps
-    }
-
-    /// Total measured power right now.
-    pub fn measured_total(&self, nodes: &[ComputeNode], loads: &[NodeLoad]) -> Watts {
-        nodes.iter().zip(loads).map(|(n, &l)| n.power(l)).sum()
     }
 }
 
@@ -199,65 +132,6 @@ mod tests {
         assert!(caps.iter().all(|c| *c == first));
         let sum: f64 = caps.iter().map(|c| c.0).sum();
         assert!((sum - 5_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cluster_controller_respects_site_cap() {
-        let mut nodes: Vec<ComputeNode> = (0..4).map(ComputeNode::davide).collect();
-        // Two busy, two idle nodes.
-        let loads = vec![
-            NodeLoad::FULL,
-            NodeLoad::FULL,
-            NodeLoad::IDLE,
-            NodeLoad::IDLE,
-        ];
-        // Floor must clear the ~490 W idle draw of a DAVIDE node.
-        let site_cap = Watts(4_200.0);
-        let mut ctl =
-            ClusterCapController::new(4, site_cap, Watts(550.0), SharingPolicy::DemandProportional);
-        for _ in 0..100 {
-            ctl.step(&mut nodes, &loads, Seconds(0.1));
-        }
-        let total = ctl.measured_total(&nodes, &loads);
-        // Idle nodes draw under their floor grant, so a modest margin
-        // over the strict cap check:
-        assert!(
-            total.0 <= site_cap.0 * 1.02,
-            "total {total} vs site cap {site_cap}"
-        );
-        // Busy nodes got throttled, idle ones did not.
-        assert!(nodes[0].cpus[0].pstate() < nodes[2].cpus[0].pstate());
-    }
-
-    #[test]
-    fn proportional_beats_uniform_on_busy_node_perf() {
-        // With half the machine idle, demand-proportional sharing lets
-        // the busy half run faster than a uniform split would.
-        let run = |policy: SharingPolicy| -> f64 {
-            let mut nodes: Vec<ComputeNode> = (0..4).map(ComputeNode::davide).collect();
-            let loads = vec![
-                NodeLoad::FULL,
-                NodeLoad::FULL,
-                NodeLoad::IDLE,
-                NodeLoad::IDLE,
-            ];
-            let mut ctl = ClusterCapController::new(4, Watts(5_500.0), Watts(550.0), policy);
-            for _ in 0..150 {
-                ctl.step(&mut nodes, &loads, Seconds(0.1));
-            }
-            // Perf factor of the busy nodes.
-            nodes[..2]
-                .iter()
-                .map(|n| n.cpus[0].spec.dvfs.perf_factor(n.cpus[0].pstate()))
-                .sum::<f64>()
-                / 2.0
-        };
-        let uniform = run(SharingPolicy::Uniform);
-        let proportional = run(SharingPolicy::DemandProportional);
-        assert!(
-            proportional > uniform,
-            "proportional {proportional} !> uniform {uniform}"
-        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Self-telemetry bridge: the registry republished as telemetry.
+//! Self-telemetry namespace: where the registry is republished as
+//! telemetry.
 //!
 //! D.A.V.I.D.E.'s monitoring plane should be observable through the
-//! same EG → MQTT → TsDb chain it provides to applications.
-//! [`SelfTelemetry`] periodically walks the [`MetricsRegistry`] and
-//! emits every metric as a single-sample telemetry series on the
-//! reserved `davide/obs/#` namespace through a caller-supplied
-//! [`FrameSink`]. The MQTT/`SampleFrame` adapter lives in
-//! `davide-telemetry` (which owns the frame codec); this module is
-//! codec-agnostic.
+//! same EG → MQTT → TsDb chain it provides to applications, so every
+//! [`MetricsRegistry`](crate::MetricsRegistry) sample can be published
+//! as a single-sample telemetry series on the reserved `davide/obs/#`
+//! namespace. The publisher lives in `davide-telemetry` (which owns the
+//! frame codec); this module only names the topics.
 //!
 //! The namespace is laid out so obs series can never match application
 //! power subscriptions: application topics are
@@ -15,8 +14,6 @@
 //! `davide/obs/self/<metric>` — the second level is the literal `obs`,
 //! which no node id uses, and the third level is the literal `self`
 //! where power topics have `power`.
-
-use crate::metrics::MetricsRegistry;
 
 /// Topic prefix for self-telemetry series.
 pub const OBS_PREFIX: &str = "davide/obs/self/";
@@ -40,77 +37,9 @@ pub fn obs_topic(metric_name: &str) -> String {
     t
 }
 
-/// Where self-telemetry samples go. Implemented in `davide-telemetry`
-/// by an adapter that encodes each sample as a one-element
-/// `SampleFrame` and publishes it over MQTT.
-pub trait FrameSink {
-    /// Publish one sample of series `topic` taken at `t_s`.
-    fn publish_sample(&mut self, topic: &str, t_s: f64, value: f64);
-}
-
-/// Periodic registry → sink pump. Drive it with the same clock that
-/// timestamps the rest of the pipeline; emission instants are then
-/// deterministic under the virtual-clock harness.
-#[derive(Debug)]
-pub struct SelfTelemetry {
-    period_s: f64,
-    next_due_s: f64,
-    emitted: u64,
-}
-
-impl SelfTelemetry {
-    /// A pump emitting every `period_s` seconds, first due at `period_s`.
-    pub fn new(period_s: f64) -> Self {
-        assert!(period_s > 0.0, "self-telemetry period must be positive");
-        SelfTelemetry {
-            period_s,
-            next_due_s: period_s,
-            emitted: 0,
-        }
-    }
-
-    /// Emit a snapshot of `registry` into `sink` if `now_s` has reached
-    /// the next due time; returns the number of samples published (0 if
-    /// not yet due). Histograms expand to
-    /// `_count`/`_sum`/`_max`/`_p50`/`_p95`/`_p99` series.
-    pub fn maybe_publish(
-        &mut self,
-        now_s: f64,
-        registry: &MetricsRegistry,
-        sink: &mut dyn FrameSink,
-    ) -> usize {
-        if now_s < self.next_due_s {
-            return 0;
-        }
-        // Skip forward past any missed periods rather than bursting.
-        while self.next_due_s <= now_s {
-            self.next_due_s += self.period_s;
-        }
-        let mut n = 0usize;
-        registry.visit_samples(|name, value| {
-            sink.publish_sample(&obs_topic(name), now_s, value);
-            n += 1;
-        });
-        self.emitted += n as u64;
-        n
-    }
-
-    /// Total samples published over the pump's lifetime.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct VecSink(Vec<(String, f64, f64)>);
-    impl FrameSink for VecSink {
-        fn publish_sample(&mut self, topic: &str, t_s: f64, value: f64) {
-            self.0.push((topic.to_string(), t_s, value));
-        }
-    }
 
     #[test]
     fn obs_topic_sanitizes_label_syntax() {
@@ -124,24 +53,5 @@ mod tests {
         );
         // Always exactly one level appended: no '/' survives.
         assert_eq!(obs_topic("x/y").matches('/').count(), 3);
-    }
-
-    #[test]
-    fn pump_emits_on_period_and_skips_missed_windows() {
-        let r = MetricsRegistry::new();
-        r.counter("c").add(3);
-        let mut pump = SelfTelemetry::new(10.0);
-        let mut sink = VecSink(Vec::new());
-
-        assert_eq!(pump.maybe_publish(5.0, &r, &mut sink), 0);
-        assert_eq!(pump.maybe_publish(10.0, &r, &mut sink), 1);
-        assert_eq!(sink.0[0].0, "davide/obs/self/c");
-        assert_eq!(sink.0[0].1, 10.0);
-        assert_eq!(sink.0[0].2, 3.0);
-
-        // Jump over three missed periods: one emission, not a burst.
-        assert_eq!(pump.maybe_publish(45.0, &r, &mut sink), 1);
-        assert_eq!(pump.maybe_publish(46.0, &r, &mut sink), 0);
-        assert_eq!(pump.emitted(), 2);
     }
 }

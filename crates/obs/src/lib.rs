@@ -29,12 +29,11 @@
 //! * [`FlightRecorder`] — a bounded lock-free ring of recent
 //!   control-loop events, snapshotted into a deterministic text dump
 //!   the instant an invariant fires.
-//! * [`SelfTelemetry`] — a bridge that periodically serialises the
-//!   registry into ordinary telemetry samples on the reserved
-//!   `davide/obs/#` topic namespace, published through whatever
-//!   [`FrameSink`] the caller wires up (the MQTT adapter lives in
-//!   `davide-telemetry`, which owns the frame codec). The monitoring
-//!   plane monitors itself with its own plumbing.
+//! * [`obs_topic`] — the reserved `davide/obs/#` topic namespace on
+//!   which the registry is republished as ordinary telemetry samples
+//!   (the publisher lives in `davide-telemetry`, which owns the frame
+//!   codec). The monitoring plane monitors itself with its own
+//!   plumbing.
 //!
 //! All time flows through the injectable [`Clock`] trait: deterministic
 //! harnesses drive a [`ManualClock`] from their virtual clock, so
@@ -50,7 +49,7 @@ pub mod hash;
 pub mod metrics;
 pub mod trace;
 
-pub use bridge::{obs_topic, FrameSink, SelfTelemetry, OBS_FILTER, OBS_PREFIX};
+pub use bridge::{obs_topic, OBS_FILTER, OBS_PREFIX};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hash::{fnv1a, Fnv1a};

@@ -63,7 +63,30 @@ impl ControlMode {
             ControlMode::ClosedLoop => "closed-loop",
         }
     }
+
+    /// Admission inflates predicted job power by this fraction, so an
+    /// underprediction must exceed the margin before the envelope is at
+    /// risk. Open loop has nothing but the margin between a
+    /// misprediction and an overcap, so it runs a thick one; the closed
+    /// loop keeps only a sliver because the reactive ladder catches what
+    /// admission gets wrong.
+    pub fn safety_margin(self) -> f64 {
+        if self == ControlMode::ClosedLoop {
+            0.02
+        } else {
+            0.08
+        }
+    }
 }
+
+/// Idle draw per free node, watts.
+pub const IDLE_NODE_POWER_W: f64 = 350.0;
+/// Hysteresis band of the per-node ladder controller, watts.
+pub const BAND_W: f64 = 40.0;
+/// Sustain time before a ladder move, seconds.
+pub const SUSTAIN_S: f64 = 10.0;
+/// Dispatcher anti-starvation bound on head wait, seconds.
+pub const MAX_HEAD_WAIT_S: f64 = 4.0 * 3600.0;
 
 /// Static configuration of a [`ControlPlane`].
 #[derive(Debug, Clone, PartialEq)]
@@ -74,46 +97,20 @@ pub struct ControlPlaneConfig {
     pub n_nodes: u32,
     /// Facility power envelope over time.
     pub cap: CapSchedule,
-    /// Idle draw per free node, watts.
-    pub idle_node_power_w: f64,
-    /// Admission inflates predicted job power by this fraction, so an
-    /// underprediction must exceed the margin before the envelope is at
-    /// risk.
-    pub safety_margin: f64,
     /// Telemetry older than this is stale and the loop falls back to
     /// predictions for that node, seconds.
     pub telemetry_deadline_s: f64,
-    /// Hysteresis band of the per-node ladder controller, watts.
-    pub band_w: f64,
-    /// Sustain time before a ladder move, seconds.
-    pub sustain_s: f64,
-    /// Dispatcher anti-starvation bound on head wait, seconds.
-    pub max_head_wait_s: f64,
 }
 
 impl ControlPlaneConfig {
     /// D.A.V.I.D.E.-flavoured defaults for `n_nodes` nodes in `mode`
     /// under `cap`.
-    ///
-    /// The admission margin depends on the mode: open loop has nothing
-    /// but the margin between a misprediction and an overcap, so it runs
-    /// a thick one; the closed loop keeps only a sliver because the
-    /// reactive ladder catches what admission gets wrong.
     pub fn davide(mode: ControlMode, n_nodes: u32, cap: CapSchedule) -> Self {
         ControlPlaneConfig {
             mode,
             n_nodes,
             cap,
-            idle_node_power_w: 350.0,
-            safety_margin: if mode == ControlMode::ClosedLoop {
-                0.02
-            } else {
-                0.08
-            },
             telemetry_deadline_s: 30.0,
-            band_w: 40.0,
-            sustain_s: 10.0,
-            max_head_wait_s: 4.0 * 3600.0,
         }
     }
 }
@@ -195,10 +192,10 @@ pub struct NodeSnapshot {
 /// Control-loop instruments: per-tick counters, the predictor-error
 /// distribution, frame age at ingest, and the causal-trace stamps for
 /// the loop-side pipeline stages (ingest append → predictor update →
-/// scheduler tick → DVFS publish). One instance per [`ControlPlane`];
-/// install with [`ControlPlane::set_obs`]. All metric handles are
-/// pre-registered so the per-tick cost is pure atomics.
-pub struct ControlPlaneObs {
+/// scheduler tick → DVFS publish). One instance per [`ControlPlane`].
+/// All metric handles are pre-registered so the per-tick cost is pure
+/// atomics.
+struct ControlPlaneObs {
     hub: ObsHub,
     cap: CapObs,
     ticks: Counter,
@@ -216,7 +213,7 @@ pub struct ControlPlaneObs {
 
 impl ControlPlaneObs {
     /// Control-loop instruments registered in `hub`'s registry.
-    pub fn new(hub: &ObsHub) -> Self {
+    fn new(hub: &ObsHub) -> Self {
         let r = &hub.registry;
         ControlPlaneObs {
             cap: CapObs::new(r),
@@ -267,14 +264,6 @@ impl ControlPlaneObs {
     }
 }
 
-impl std::fmt::Debug for ControlPlaneObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ControlPlaneObs")
-            .field("pending", &self.pending.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Per-node live state as the control plane sees it.
 struct NodeState {
     /// Interned series of this node's total-power topic, once seen.
@@ -317,46 +306,41 @@ pub struct ControlPlane {
     steps_up: u64,
     stale_node_s: f64,
     truncated_mean_windows: u64,
-    obs: Option<ControlPlaneObs>,
+    obs: ControlPlaneObs,
 }
 
 impl ControlPlane {
     /// Connect to `broker`, subscribe to every node's total-power topic,
-    /// and arm the loop. `predictor` is the batch-trained "EP" model
-    /// wrapped with its online corrector.
+    /// and arm the loop over the telemetry store `db` (the caller builds
+    /// it from a [`davide_telemetry::TsDbConfig`], handling any
+    /// disk-tier I/O error itself). `predictor` is the batch-trained
+    /// "EP" model wrapped with its online corrector; the loop's
+    /// instruments register in `hub`, whose clock stamps them.
     pub fn new(
         broker: &Broker,
         cfg: ControlPlaneConfig,
         predictor: OnlinePowerPredictor,
-    ) -> Result<Self, BrokerError> {
-        Self::with_db(broker, cfg, predictor, TsDb::new())
-    }
-
-    /// [`ControlPlane::new`] with an injected telemetry store — the hook
-    /// for running the loop over a tiered [`TsDb`] (the caller builds it
-    /// from a [`davide_telemetry::TsDbConfig`], handling any disk-tier
-    /// I/O error itself).
-    pub fn with_db(
-        broker: &Broker,
-        cfg: ControlPlaneConfig,
-        predictor: OnlinePowerPredictor,
         db: TsDb,
+        hub: &ObsHub,
     ) -> Result<Self, BrokerError> {
         let ingest = FrameIngestor::subscribe(broker, "control-plane", &["davide/+/power/node"])?;
         let ctl = broker.connect("control-plane-actuator");
-        let band = Watts(cfg.band_w);
         let nodes = (0..cfg.n_nodes)
             .map(|_| NodeState {
                 series: None,
                 last_seen_s: f64::NEG_INFINITY,
                 measured_w: 0.0,
-                controller: LadderCapController::power8(Watts(f64::INFINITY), band, cfg.sustain_s),
+                controller: LadderCapController::power8(
+                    Watts(f64::INFINITY),
+                    Watts(BAND_W),
+                    SUSTAIN_S,
+                ),
                 job: None,
             })
             .collect();
         let policy = match cfg.mode {
-            ControlMode::ReactiveOnly => EasyBackfill::new().with_aging(cfg.max_head_wait_s),
-            _ => EasyBackfill::power_aware().with_aging(cfg.max_head_wait_s),
+            ControlMode::ReactiveOnly => EasyBackfill::new().with_aging(MAX_HEAD_WAIT_S),
+            _ => EasyBackfill::power_aware().with_aging(MAX_HEAD_WAIT_S),
         };
         Ok(ControlPlane {
             cfg,
@@ -377,18 +361,13 @@ impl ControlPlane {
             steps_up: 0,
             stale_node_s: 0.0,
             truncated_mean_windows: 0,
-            obs: None,
+            obs: ControlPlaneObs::new(hub),
         })
     }
 
     /// The configuration the loop was armed with.
     pub fn config(&self) -> &ControlPlaneConfig {
         &self.cfg
-    }
-
-    /// Arm the loop-side instruments; uninstrumented loops pay nothing.
-    pub fn set_obs(&mut self, obs: ControlPlaneObs) {
-        self.obs = Some(obs);
     }
 
     /// Snapshot the per-node live view (one entry per node, in id
@@ -455,9 +434,7 @@ impl ControlPlane {
     /// swap takes effect on the next control period.
     pub fn set_cap_schedule(&mut self, cap: CapSchedule) {
         self.cfg.cap = cap;
-        if let Some(obs) = &self.obs {
-            obs.cap_retargets.inc();
-        }
+        self.obs.cap_retargets.inc();
     }
 
     /// The cap the loop is enforcing at `now`, if any.
@@ -477,26 +454,20 @@ impl ControlPlane {
         for &(id, end_s) in completions {
             self.complete(id, end_s);
         }
-        if let Some(obs) = &self.obs {
-            obs.ticks.inc();
-            // Completions just trained the predictor on this tick's
-            // telemetry: the frames' next causal hop.
-            obs.stamp_pending(Stage::PredictorUpdate);
-        }
+        self.obs.ticks.inc();
+        // Completions just trained the predictor on this tick's
+        // telemetry: the frames' next causal hop.
+        self.obs.stamp_pending(Stage::PredictorUpdate);
         self.account_staleness(dt);
-        if let Some(obs) = &self.obs {
-            // The actuation pass (reactive ladder + dispatcher) begins.
-            obs.stamp_pending(Stage::SchedulerTick);
-        }
+        // The actuation pass (reactive ladder + dispatcher) begins.
+        self.obs.stamp_pending(Stage::SchedulerTick);
         if self.cfg.mode != ControlMode::OpenLoop {
             self.reactive_capping(now, dt);
         }
         let placements = self.dispatch(now);
-        if let Some(obs) = &mut self.obs {
-            obs.queue_jobs.set(self.queue.len() as f64);
-            obs.running_jobs.set(self.running.len() as f64);
-            obs.close_tick();
-        }
+        self.obs.queue_jobs.set(self.queue.len() as f64);
+        self.obs.running_jobs.set(self.running.len() as f64);
+        self.obs.close_tick();
         placements
     }
 
@@ -543,9 +514,7 @@ impl ControlPlane {
             let node = self.nodes.get_mut(node_id as usize)?;
             let id = self.db.resolve(f.topic);
             let stored = self.db.append_frame_id(id, f.t0_s, f.dt_s, f.watts);
-            if let Some(obs) = &mut self.obs {
-                obs.on_frame(&f, stored);
-            }
+            self.obs.on_frame(&f, stored);
             // An entirely stale frame (a duplicate or a badly delayed
             // one) must not move the live view backwards.
             if stored > 0 {
@@ -592,12 +561,11 @@ impl ControlPlane {
         } else {
             0.0
         };
-        if let Some(obs) = &self.obs {
-            if measured_nodes > 0 {
-                let predicted = self.predictor.predict(&rj.job);
-                obs.predictor_abs_err_w
-                    .record((predicted - observed_node_w).abs().round() as u64);
-            }
+        if measured_nodes > 0 {
+            let predicted = self.predictor.predict(&rj.job);
+            self.obs
+                .predictor_abs_err_w
+                .record((predicted - observed_node_w).abs().round() as u64);
         }
         if self.cfg.mode == ControlMode::ClosedLoop {
             self.predictor.observe(&rj.job, observed_node_w);
@@ -628,7 +596,7 @@ impl ControlPlane {
         }
         match node.job.and_then(|id| self.running.get(&id)) {
             Some(rj) => self.predictor.predict(&rj.job),
-            None => self.cfg.idle_node_power_w,
+            None => IDLE_NODE_POWER_W,
         }
     }
 
@@ -646,8 +614,8 @@ impl ControlPlane {
             return;
         }
         let free = self.nodes.len() - busy;
-        let budget = ((cap_w - free as f64 * self.cfg.idle_node_power_w) / busy as f64)
-            .max(self.cfg.idle_node_power_w);
+        let budget =
+            ((cap_w - free as f64 * IDLE_NODE_POWER_W) / busy as f64).max(IDLE_NODE_POWER_W);
         let mut commands = Vec::new();
         for i in 0..self.nodes.len() {
             if self.nodes[i].job.is_none() {
@@ -661,14 +629,10 @@ impl ControlPlane {
             if (node.controller.cap.0 - budget).abs() > 1.0 {
                 node.controller.set_cap(Watts(budget));
             }
-            let action = match &self.obs {
-                Some(obs) => {
-                    node.controller
-                        .observe_instrumented(Watts(node_w), Seconds(dt), &obs.cap)
-                }
-                None => node.controller.observe(Watts(node_w), Seconds(dt)),
-            };
-            match action {
+            match node
+                .controller
+                .observe_instrumented(Watts(node_w), Seconds(dt), &self.obs.cap)
+            {
                 -1 => {
                     self.steps_down += 1;
                     commands.push((i, node.controller.speed()));
@@ -691,11 +655,9 @@ impl ControlPlane {
             );
         }
         if actuated {
-            if let Some(obs) = &self.obs {
-                // The commands are derived from the cluster view this
-                // tick's frames built: their final causal hop.
-                obs.stamp_pending(Stage::DvfsPublish);
-            }
+            // The commands are derived from the cluster view this
+            // tick's frames built: their final causal hop.
+            self.obs.stamp_pending(Stage::DvfsPublish);
         }
     }
 
@@ -736,11 +698,11 @@ impl ControlPlane {
             total_nodes: self.cfg.n_nodes,
             running,
             power_cap_w: self.cfg.cap.cap_at(now),
-            idle_node_power_w: self.cfg.idle_node_power_w,
+            idle_node_power_w: IDLE_NODE_POWER_W,
         };
         // Admission sees margin-inflated predictions; the placements
         // report the raw ones.
-        let margin = 1.0 + self.cfg.safety_margin;
+        let margin = 1.0 + self.cfg.mode.safety_margin();
         let mut selection: Vec<Job> = Vec::with_capacity(self.queue.len());
         for job in &self.queue {
             if job.submit_s > now {
@@ -800,6 +762,13 @@ mod tests {
         OnlinePowerPredictor::new(base, 0.995, 1000.0)
     }
 
+    /// A loop on `broker` over a fresh store, instrumented on a manual
+    /// clock.
+    fn control_plane(broker: &Broker, cfg: ControlPlaneConfig) -> ControlPlane {
+        let (hub, _) = ObsHub::manual();
+        ControlPlane::new(broker, cfg, trained_predictor(), TsDb::new(), &hub).unwrap()
+    }
+
     fn frame(w: f64, t0: f64, n: usize) -> SampleFrame {
         SampleFrame {
             t0_s: t0,
@@ -813,7 +782,7 @@ mod tests {
         let broker = Broker::new(4096);
         let cfg =
             ControlPlaneConfig::davide(ControlMode::ClosedLoop, 4, CapSchedule::constant(10_000.0));
-        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let mut cp = control_plane(&broker, cfg);
         let gw = broker.connect("gw");
         gw.publish(
             &power_topic(2, "node"),
@@ -836,7 +805,7 @@ mod tests {
         let broker = Broker::new(4096);
         let cfg =
             ControlPlaneConfig::davide(ControlMode::ClosedLoop, 4, CapSchedule::constant(10_000.0));
-        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let mut cp = control_plane(&broker, cfg);
         let gw = broker.connect("gw");
         gw.publish(
             &power_topic(1, "node"),
@@ -870,6 +839,44 @@ mod tests {
         );
         assert_eq!(cp.ingest.stats().malformed, 1);
         assert_eq!(cp.db().keys(), vec![power_topic(1, "node")]);
+        registry_matches_ingest(&cp);
+
+        // Replay the first frame: its samples at t = 0..3 fall behind
+        // the series tail and are stale; the one at t = 4 equals the
+        // tail, and the store keeps nondecreasing timestamps. The
+        // registry still agrees, now at a non-zero stale count.
+        gw.publish(
+            &power_topic(1, "node"),
+            frame(1500.0, 0.0, 5).encode(),
+            QoS::AtMostOnce,
+            false,
+        )
+        .unwrap();
+        cp.tick(7.0, &[]);
+        assert_eq!(cp.ingest.stats().stale_dropped, 4);
+        registry_matches_ingest(&cp);
+    }
+
+    /// The loop's registry counts the frames, stored samples and stale
+    /// samples its ingestor reports.
+    fn registry_matches_ingest(cp: &ControlPlane) {
+        let counter = |name| {
+            cp.obs
+                .hub
+                .registry
+                .find_counter(name)
+                .expect("registered")
+                .get()
+        };
+        let stats = cp.ingest.stats();
+        assert_eq!(
+            (
+                counter("ctl_frames_total"),
+                counter("ctl_samples_stored_total"),
+                counter("ctl_samples_stale_total"),
+            ),
+            (stats.frames, stats.samples, stats.stale_dropped)
+        );
     }
 
     #[test]
@@ -878,7 +885,7 @@ mod tests {
         let mut cfg =
             ControlPlaneConfig::davide(ControlMode::ClosedLoop, 2, CapSchedule::constant(8_000.0));
         cfg.telemetry_deadline_s = 20.0;
-        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let mut cp = control_plane(&broker, cfg);
         let mut gen = WorkloadGenerator::new(WorkloadConfig::default(), 9);
         let mut job = gen.trace(1).remove(0);
         job.submit_s = 0.0;
@@ -918,13 +925,12 @@ mod tests {
     #[test]
     fn reactive_ladder_steps_down_and_publishes_command() {
         let broker = Broker::new(4096);
-        let mut cfg = ControlPlaneConfig::davide(
+        let cfg = ControlPlaneConfig::davide(
             ControlMode::ReactiveOnly,
             1,
             CapSchedule::constant(1_000.0),
         );
-        cfg.sustain_s = 10.0;
-        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let mut cp = control_plane(&broker, cfg);
         let mut watch = broker.connect("watch");
         watch
             .subscribe("davide/+/ctl/speed", QoS::AtMostOnce)
@@ -965,7 +971,7 @@ mod tests {
         let broker = Broker::new(4096);
         let cfg =
             ControlPlaneConfig::davide(ControlMode::OpenLoop, 1, CapSchedule::constant(500.0));
-        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let mut cp = control_plane(&broker, cfg);
         let mut gen = WorkloadGenerator::new(WorkloadConfig::default(), 9);
         let mut job = gen.trace(1).remove(0);
         job.submit_s = 0.0;
@@ -994,7 +1000,7 @@ mod tests {
         let broker = Broker::new(4096);
         let cfg =
             ControlPlaneConfig::davide(ControlMode::ClosedLoop, 2, CapSchedule::constant(10_000.0));
-        let mut cp = ControlPlane::new(&broker, cfg, trained_predictor()).unwrap();
+        let mut cp = control_plane(&broker, cfg);
         let mut gen = WorkloadGenerator::new(WorkloadConfig::default(), 9);
         let mut job = gen.trace(1).remove(0);
         job.submit_s = 0.0;

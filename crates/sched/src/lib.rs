@@ -27,7 +27,6 @@ pub mod cap;
 pub mod controlplane;
 pub mod job;
 pub mod metrics;
-pub mod partition;
 pub mod placement;
 pub mod policy;
 pub mod power_predictor;
@@ -37,12 +36,10 @@ pub mod workload;
 pub use accounting::{EnergyLedger, Tariff};
 pub use cap::CapSchedule;
 pub use controlplane::{
-    ControlMode, ControlPlane, ControlPlaneConfig, ControlPlaneObs, ControlPlaneReport,
-    NodeSnapshot,
+    ControlMode, ControlPlane, ControlPlaneConfig, ControlPlaneReport, NodeSnapshot,
 };
 pub use job::{Job, JobId, JobState};
 pub use metrics::{report, SimReport};
-pub use partition::{davide_partitions, Partition, PartitionedQueue};
 pub use placement::{NodePool, PlacementStrategy};
 pub use policy::{ClusterView, EasyBackfill, Fcfs, Policy};
 pub use power_predictor::{OnlinePowerPredictor, PowerPredictor};

@@ -36,7 +36,7 @@ use davide_core::time::{SimDuration, SimTime};
 use davide_core::Watts;
 use davide_mqtt::{Bridge, Broker, Client, QoS};
 use davide_obs::{flight, Fnv1a, GrantStage};
-use davide_sched::{CapSchedule, ControlPlaneConfig};
+use davide_sched::controlplane::{BAND_W, IDLE_NODE_POWER_W};
 use davide_telemetry::gateway::parse_node_topic;
 use davide_telemetry::{FrameIngestor, TsDbConfig};
 
@@ -234,9 +234,6 @@ pub(crate) struct Federator {
     budget_w: f64,
     floor_w: f64,
     policy: SharingPolicy,
-    /// Per-node ladder hysteresis band of the rack controllers — the
-    /// same slack the per-rack envelope check grants.
-    band_w: f64,
     grace_s: f64,
     log: EventLog,
     violations: Vec<Violation>,
@@ -249,13 +246,8 @@ impl Federator {
     /// Wire the site: bridges onto every rack broker, watch + grant
     /// clients on the site broker.
     fn new(fs: &FedScenario, site: &Broker, racks: &[RackSim]) -> Federator {
-        let cfg = ControlPlaneConfig::davide(
-            fs.rack.mode,
-            fs.rack.n_nodes,
-            CapSchedule::constant(fs.rack.cap_w),
-        );
         assert!(
-            fs.floor_w > cfg.idle_node_power_w * fs.rack.n_nodes as f64,
+            fs.floor_w > IDLE_NODE_POWER_W * fs.rack.n_nodes as f64,
             "floor {} W must clear a rack's idle draw",
             fs.floor_w
         );
@@ -318,7 +310,7 @@ impl Federator {
             downlinks,
             watch,
             grant,
-            node_demand_w: vec![vec![cfg.idle_node_power_w; fs.rack.n_nodes as usize]; racks.len()],
+            node_demand_w: vec![vec![IDLE_NODE_POWER_W; fs.rack.n_nodes as usize]; racks.len()],
             caps_w: vec![fs.global_budget_w / racks.len() as f64; racks.len()],
             grant_seq: vec![0; racks.len()],
             tick_s: fs.rack.tick_s,
@@ -327,7 +319,6 @@ impl Federator {
             budget_w: fs.global_budget_w,
             floor_w: fs.floor_w,
             policy: fs.policy,
-            band_w: cfg.band_w,
             grace_s: fs.rack.cap_grace_s,
             log: EventLog::new(),
             violations: Vec::new(),
@@ -461,9 +452,10 @@ impl Federator {
             return;
         }
         self.energy_j += sys_w * self.tick_s;
-        // One extra watt of slack per rack, mirroring the per-rack
-        // check's float guard.
-        let allowed = self.budget_w + busy as f64 * self.band_w + racks.len() as f64;
+        // Each busy node may sit one ladder hysteresis band over its
+        // share, as the per-rack envelope check grants, plus one watt
+        // of slack per rack mirroring that check's float guard.
+        let allowed = self.budget_w + busy as f64 * BAND_W + racks.len() as f64;
         if sys_w > allowed && visible {
             self.overcap_streak_s += self.tick_s;
             if self.overcap_streak_s > self.grace_s {

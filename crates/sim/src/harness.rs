@@ -46,9 +46,10 @@ use davide_core::time::{SimDuration, SimTime};
 use davide_mqtt::{Broker, BrokerObs, Client, PublishFate, QoS};
 use davide_obs::{flight, GrantStage, ManualClock, ObsHub};
 use davide_predictor::ModelKind;
+use davide_sched::controlplane::IDLE_NODE_POWER_W;
 use davide_sched::{
-    CapSchedule, ControlPlane, ControlPlaneConfig, ControlPlaneObs, ControlPlaneReport, JobId,
-    OnlinePowerPredictor, PowerPredictor, WorkloadConfig, WorkloadGenerator,
+    CapSchedule, ControlPlane, ControlPlaneConfig, ControlPlaneReport, JobId, OnlinePowerPredictor,
+    PowerPredictor, WorkloadConfig, WorkloadGenerator,
 };
 use davide_telemetry::gateway::{parse_node_topic, power_topic, SampleFrame, FRAME_MAGIC};
 use davide_telemetry::{TsDb, TsDbConfig};
@@ -243,7 +244,6 @@ pub(crate) struct RackSim {
     tick: f64,
     tick_dur: SimDuration,
     samples: usize,
-    idle_w: f64,
 
     pub(crate) broker: Broker,
     cp: ControlPlane,
@@ -352,22 +352,18 @@ impl RackSim {
         } else {
             cfg.telemetry_deadline_s = sc.deadline_s;
         }
-        let band_w = cfg.band_w;
-        let sustain_s = cfg.sustain_s;
-        let idle_w = cfg.idle_node_power_w;
         let broker = match sc.broker_shards {
             Some(n) => Broker::with_shards(1 << 16, n),
             None => Broker::new(1 << 16),
         };
         let db = TsDb::with_config(db_cfg).expect("telemetry store (disk tier open)");
-        let mut cp =
-            ControlPlane::with_db(&broker, cfg, predictor, db).expect("subscribe on fresh broker");
         // Self-instrumentation is always armed: every stamp reads the
         // virtual clock, and nothing here draws RNG or touches the event
         // log, so per-seed digests are exactly what they were without it.
         let (hub, obs_clock) = ObsHub::manual();
+        let cp = ControlPlane::new(&broker, cfg, predictor, db, &hub)
+            .expect("subscribe on fresh broker");
         broker.set_obs(Some(BrokerObs::new(&hub, Some(&FRAME_MAGIC.to_le_bytes()))));
-        cp.set_obs(ControlPlaneObs::new(&hub));
         let mut ctl_watch = broker.connect("plant-gateways");
         ctl_watch
             .subscribe("davide/+/ctl/speed", QoS::AtMostOnce)
@@ -446,8 +442,6 @@ impl RackSim {
         let checker = InvariantChecker::new(CheckerConfig {
             n_nodes: sc.n_nodes,
             cap_w: sc.cap_w,
-            band_w,
-            sustain_s,
             deadline_s: sc.deadline_s,
             cap_grace_s: sc.cap_grace_s,
             tick_s: tick,
@@ -467,7 +461,6 @@ impl RackSim {
             tick,
             tick_dur: SimDuration::from_secs_f64(tick),
             samples,
-            idle_w,
             broker,
             cp,
             ctl_watch,
@@ -482,7 +475,7 @@ impl RackSim {
             plant_rng: Rng::seed_from(sc.seed ^ 0x9e37_79b9),
             inject_rng: Rng::seed_from(sc.seed ^ 0xa076_1d64_78bd_642f),
             speeds: vec![1.0; n],
-            node_draw_w: vec![idle_w; n],
+            node_draw_w: vec![IDLE_NODE_POWER_W; n],
             dead: vec![false; n],
             clock_offset: vec![0.0; n],
             clock_faulted: vec![false; n],
@@ -1052,7 +1045,7 @@ impl RackSim {
     fn plant_phase(&mut self, t: SimTime) {
         let n = self.sc.n_nodes as usize;
         for (i, w) in self.node_draw_w.iter_mut().enumerate() {
-            *w = if self.dead[i] { 0.0 } else { self.idle_w };
+            *w = if self.dead[i] { 0.0 } else { IDLE_NODE_POWER_W };
         }
         for pj in self.plant.iter_mut() {
             let speed = pj
@@ -1063,7 +1056,7 @@ impl RackSim {
             for &nd in &pj.nodes {
                 if !self.dead[nd as usize] {
                     self.node_draw_w[nd as usize] =
-                        self.idle_w + speed * (pj.node_w - self.idle_w).max(0.0);
+                        IDLE_NODE_POWER_W + speed * (pj.node_w - IDLE_NODE_POWER_W).max(0.0);
                 }
             }
             pj.remaining_s -= self.tick * speed;

@@ -23,6 +23,7 @@
 //!   and at end of run the broker's retained command mirrors the
 //!   controller's final state bit-for-rendered-bit.
 
+use davide_sched::controlplane::{BAND_W, SUSTAIN_S};
 use davide_sched::{ControlPlane, ControlPlaneReport};
 use davide_telemetry::gateway::{power_topic, speed_topic};
 use davide_telemetry::tsdb::Resolution;
@@ -110,18 +111,15 @@ impl StoreModel {
     }
 }
 
-/// Checker tolerances and loop constants, frozen at harness start.
+/// Checker tolerances, frozen at harness start. The ladder's band and
+/// sustain time are the control plane's own constants
+/// ([`BAND_W`], [`SUSTAIN_S`]).
 #[derive(Debug, Clone)]
 pub struct CheckerConfig {
     /// Nodes under control.
     pub n_nodes: u32,
     /// The facility cap, watts.
     pub cap_w: f64,
-    /// Per-node hysteresis band of the reactive ladder, watts.
-    pub band_w: f64,
-    /// Ladder sustain time — the anti-flap floor on command spacing,
-    /// seconds.
-    pub sustain_s: f64,
     /// Nominal telemetry deadline the checker audits against, seconds.
     pub deadline_s: f64,
     /// INV-CAP grace window, seconds.
@@ -257,13 +255,12 @@ impl InvariantChecker {
         }
         let last = self.last_cmd_s[node as usize];
         let gap = t_s - last;
-        if last.is_finite() && gap < self.cfg.sustain_s - 1e-6 {
+        if last.is_finite() && gap < SUSTAIN_S - 1e-6 {
             self.flag(
                 "converge-spacing",
                 t_s,
                 format!(
-                    "node {node}: commands {gap:.2}s apart, sustain floor {:.2}s (flapping)",
-                    self.cfg.sustain_s
+                    "node {node}: commands {gap:.2}s apart, sustain floor {SUSTAIN_S:.2}s (flapping)",
                 ),
             );
         }
@@ -280,7 +277,7 @@ impl InvariantChecker {
         // INV-CAP: truth draw against the envelope plus the ladder's
         // overshoot budget. The streak only accrues while the loop can
         // see: broker up and every busy node's telemetry actually fresh.
-        let allowed = self.cfg.cap_w + busy.len() as f64 * self.cfg.band_w + 1.0;
+        let allowed = self.cfg.cap_w + busy.len() as f64 * BAND_W + 1.0;
         if truth.sys_w <= allowed {
             self.overcap_streak_s = 0.0;
             self.overcap_flagged = false;

@@ -4,7 +4,8 @@
 //! supporting up to 1.6 MS/s across 8 multiplexed channels. The energy
 //! gateway runs it at 800 kS/s on the power channels and decimates in
 //! hardware to 50 kS/s. This module models quantisation, full-scale
-//! clipping, aperture jitter and channel multiplexing.
+//! clipping and aperture jitter; the acquisition path scans the eight
+//! channels through [`crate::acquisition::AcquisitionConfig::channels`].
 
 use davide_core::power::PowerTrace;
 use davide_core::rng::Rng;
@@ -108,62 +109,6 @@ impl SarAdc {
     }
 }
 
-/// The 8-channel input multiplexer: channels are sampled round-robin, so
-/// each channel sees `rate/8` and a per-channel time skew.
-#[derive(Debug, Clone)]
-pub struct AdcMux {
-    /// The underlying converter.
-    pub adc: SarAdc,
-    /// Channels in the scan list.
-    pub channels: u32,
-}
-
-impl AdcMux {
-    /// The gateway's scan: 8 channels (node, 2×CPU, 4×GPU, 12V aux).
-    pub fn gateway_scan() -> Self {
-        AdcMux {
-            adc: SarAdc::am335x_power_channel(),
-            channels: 8,
-        }
-    }
-
-    /// Effective per-channel sample rate.
-    pub fn per_channel_rate(&self) -> f64 {
-        self.adc.sample_rate / self.channels as f64
-    }
-
-    /// Time skew between consecutive channels in the scan.
-    pub fn channel_skew_s(&self) -> f64 {
-        1.0 / self.adc.sample_rate
-    }
-
-    /// Sample `channels` simultaneous signals; returns one trace per
-    /// channel at the per-channel rate, with the mux skew applied.
-    pub fn sample_all(
-        &self,
-        signals: &[&dyn Fn(f64) -> f64],
-        duration_s: f64,
-        rng: &mut Rng,
-    ) -> Vec<PowerTrace> {
-        assert_eq!(signals.len(), self.channels as usize);
-        let per_rate = self.per_channel_rate();
-        let n = (per_rate * duration_s).round() as usize;
-        let dt = 1.0 / per_rate;
-        (0..self.channels as usize)
-            .map(|c| {
-                let skew = c as f64 * self.channel_skew_s();
-                let samples = (0..n)
-                    .map(|i| {
-                        let t = i as f64 * dt + skew + rng.normal(0.0, self.adc.aperture_jitter_s);
-                        self.adc.to_watts(self.adc.quantise(signals[c](t.max(0.0))))
-                    })
-                    .collect();
-                PowerTrace::new(SimTime::from_secs_f64(skew), dt, samples)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,24 +171,5 @@ mod tests {
                 "sample {i}: {s} vs {truth}"
             );
         }
-    }
-
-    #[test]
-    fn mux_divides_rate_and_skews_channels() {
-        let mux = AdcMux::gateway_scan();
-        assert_eq!(mux.per_channel_rate(), 100_000.0);
-        let mut rng = Rng::seed_from(3);
-        let f0 = |_t: f64| 100.0;
-        let f1 = |_t: f64| 200.0;
-        let same = |_t: f64| 300.0;
-        let signals: Vec<&dyn Fn(f64) -> f64> =
-            vec![&f0, &f1, &same, &same, &same, &same, &same, &same];
-        let traces = mux.sample_all(&signals, 0.001, &mut rng);
-        assert_eq!(traces.len(), 8);
-        assert_eq!(traces[0].len(), 100);
-        assert!((traces[0].mean().0 - 100.0).abs() < 1.5);
-        assert!((traces[1].mean().0 - 200.0).abs() < 1.5);
-        // Channel time origins are skewed by the scan order.
-        assert!(traces[1].t0 > traces[0].t0);
     }
 }

@@ -3,10 +3,11 @@
 //! §III-A1: the gateway exploits the AM335x ADC's averaging support to
 //! sample at 800 kS/s and decimate to 50 kS/s in hardware. Averaging
 //! before the rate reduction is what removes the aliasing that plagues
-//! instantaneous-sampling monitors (IPMI). Three decimators are provided
-//! for the E4 ablation: the boxcar (what the BBB hardware does), a
-//! windowed-sinc FIR (the textbook anti-alias filter) and a plain
-//! pick-every-Nth subsampler (the strawman).
+//! instantaneous-sampling monitors (IPMI). Three batch decimators are
+//! provided for the E4 ablation: the boxcar (what the BBB hardware
+//! does), a windowed-sinc FIR (the textbook anti-alias filter) and a
+//! plain pick-every-Nth subsampler (the strawman). The streaming
+//! [`Decimator`] is the boxcar alone, as the gateway hardware runs it.
 
 use davide_core::power::PowerTrace;
 
@@ -122,29 +123,30 @@ pub fn tone_amplitude(trace: &PowerTrace, freq: f64) -> f64 {
     2.0 * (real * real + imag * imag).sqrt() / n as f64
 }
 
-/// The D.A.V.I.D.E. gateway decimation: 800 kS/s → 50 kS/s (factor 16)
-/// boxcar, as the AM335x hardware averaging performs.
-pub fn gateway_decimate(input: &PowerTrace) -> PowerTrace {
-    assert!(
-        (input.sample_rate() - 800_000.0).abs() < 1.0,
-        "gateway decimation expects an 800 kS/s input"
-    );
-    boxcar_decimate(input, 16)
-}
-
-/// Streaming boxcar state: a running window sum, no stored samples.
+/// A streaming boxcar decimator: feed input chunks of any size, collect
+/// decimated output incrementally. Over a complete stream the
+/// concatenated output is **bit-identical** to [`boxcar_decimate`]
+/// applied to the concatenated input — the partial tail window is
+/// *held* across calls (see [`Decimator::pending`]) rather than silently
+/// dropped, so the monitor chain can run continuously without
+/// frame-boundary loss.
+///
+/// Outputs are appended to a caller-owned `Vec`, so the steady state
+/// performs no per-call allocation; the state is a running window sum,
+/// no stored samples.
 #[derive(Debug, Clone)]
-pub struct StreamingBoxcar {
+pub struct Decimator {
     m: usize,
     inv: f64,
     acc: f64,
     filled: usize,
 }
 
-impl StreamingBoxcar {
-    fn new(m: usize) -> Self {
+impl Decimator {
+    /// Streaming boxcar by factor `m`.
+    pub fn new(m: usize) -> Self {
         assert!(m >= 1, "decimation factor must be ≥ 1");
-        StreamingBoxcar {
+        Decimator {
             m,
             inv: 1.0 / m as f64,
             acc: 0.0,
@@ -152,7 +154,13 @@ impl StreamingBoxcar {
         }
     }
 
-    fn push(&mut self, xs: &[f64], out: &mut Vec<f64>) {
+    /// Decimation factor.
+    pub fn factor(&self) -> usize {
+        self.m
+    }
+
+    /// Absorb an input chunk, appending any completed outputs to `out`.
+    pub fn push(&mut self, xs: &[f64], out: &mut Vec<f64>) {
         for &x in xs {
             self.acc += x;
             self.filled += 1;
@@ -163,148 +171,12 @@ impl StreamingBoxcar {
             }
         }
     }
-}
-
-/// Streaming FIR-decimate state: a bounded ring of the most recent
-/// inputs (≤ `taps + m` samples), O(taps) work per emitted output.
-#[derive(Debug, Clone)]
-pub struct StreamingFir {
-    h: Vec<f64>,
-    m: usize,
-    half: usize,
-    buf: std::collections::VecDeque<f64>,
-    /// Absolute input index of `buf[0]`.
-    base: usize,
-    n_in: usize,
-    emitted: usize,
-}
-
-impl StreamingFir {
-    fn new(h: Vec<f64>, m: usize) -> Self {
-        assert!(m >= 1, "decimation factor must be ≥ 1");
-        assert!(!h.is_empty(), "FIR needs at least one tap");
-        let half = h.len() / 2;
-        let cap = h.len() + m;
-        StreamingFir {
-            h,
-            m,
-            half,
-            buf: std::collections::VecDeque::with_capacity(cap),
-            base: 0,
-            n_in: 0,
-            emitted: 0,
-        }
-    }
-
-    fn push(&mut self, xs: &[f64], out: &mut Vec<f64>) {
-        for &x in xs {
-            self.buf.push_back(x);
-            self.n_in += 1;
-            // Emit once the output's full forward half-window is in.
-            while self.emitted * self.m + self.half < self.n_in {
-                self.emit(out);
-            }
-        }
-    }
-
-    /// Compute the output centred at `emitted · m` from the ring,
-    /// renormalising over the taps that have samples (identical edge
-    /// handling to [`fir_decimate`]), then evict what the next output
-    /// can no longer need.
-    fn emit(&mut self, out: &mut Vec<f64>) {
-        let c = (self.emitted * self.m) as isize;
-        let mut acc = 0.0;
-        let mut wsum = 0.0;
-        for (k, &hk) in self.h.iter().enumerate() {
-            let idx = c + k as isize - self.half as isize;
-            if idx >= 0 && (idx as usize) < self.n_in {
-                acc += hk * self.buf[idx as usize - self.base];
-                wsum += hk;
-            }
-        }
-        out.push(if wsum.abs() > 1e-12 { acc / wsum } else { acc });
-        self.emitted += 1;
-        let need = (self.emitted * self.m).saturating_sub(self.half);
-        while self.base < need {
-            self.buf.pop_front();
-            self.base += 1;
-        }
-    }
-
-    /// Emit the outputs whose forward window is cut short by the end of
-    /// the stream, matching the batch path's edge renormalisation.
-    fn finish(&mut self, out: &mut Vec<f64>) {
-        while self.emitted < self.n_in / self.m {
-            self.emit(out);
-        }
-    }
-}
-
-/// A streaming decimator: feed input chunks of any size, collect
-/// decimated output incrementally. Over a complete stream the
-/// concatenated output is **bit-identical** to the corresponding batch
-/// function ([`boxcar_decimate`] / [`fir_decimate`]) applied to the
-/// concatenated input — the partial tail window is *held* across calls
-/// (see [`Decimator::pending`]) rather than silently dropped, so the
-/// monitor chain can run continuously without frame-boundary loss.
-///
-/// Outputs are appended to a caller-owned `Vec`, so the steady state
-/// performs no per-call allocation; internal state is a running sum
-/// (boxcar) or a bounded ring of `taps + m` samples (FIR) with O(taps)
-/// work per output.
-#[derive(Debug, Clone)]
-pub enum Decimator {
-    /// Hardware-averaging decimator (what the BBB does).
-    Boxcar(StreamingBoxcar),
-    /// Windowed-sinc anti-alias decimator.
-    Fir(StreamingFir),
-}
-
-impl Decimator {
-    /// Streaming boxcar by factor `m`.
-    pub fn boxcar(m: usize) -> Self {
-        Decimator::Boxcar(StreamingBoxcar::new(m))
-    }
-
-    /// Streaming FIR decimator with taps `h` by factor `m`.
-    pub fn fir(h: Vec<f64>, m: usize) -> Self {
-        Decimator::Fir(StreamingFir::new(h, m))
-    }
-
-    /// Decimation factor.
-    pub fn factor(&self) -> usize {
-        match self {
-            Decimator::Boxcar(s) => s.m,
-            Decimator::Fir(s) => s.m,
-        }
-    }
-
-    /// Absorb an input chunk, appending any completed outputs to `out`.
-    pub fn push(&mut self, xs: &[f64], out: &mut Vec<f64>) {
-        match self {
-            Decimator::Boxcar(s) => s.push(xs, out),
-            Decimator::Fir(s) => s.push(xs, out),
-        }
-    }
 
     /// Input samples held in the current partial output window — the
     /// count the equivalent batch call would have dropped from the tail
     /// if the stream ended now.
     pub fn pending(&self) -> usize {
-        match self {
-            Decimator::Boxcar(s) => s.filled,
-            Decimator::Fir(s) => s.n_in % s.m,
-        }
-    }
-
-    /// End of stream: emit outputs that were waiting on future samples
-    /// (FIR edge windows; a no-op for boxcar, whose partial tail is
-    /// dropped exactly as the batch function drops it).
-    pub fn finish(&mut self, out: &mut Vec<f64>) {
-        match self {
-            Decimator::Boxcar(_) => {}
-            Decimator::Fir(s) => s.finish(out),
-        }
+        self.filled
     }
 }
 
@@ -339,14 +211,6 @@ mod tests {
         for (x, y) in lhs.samples.iter().zip(&rhs.samples) {
             assert!((x - y).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn gateway_decimation_is_16x() {
-        let tr = tone(800e3, 80_000, 1700.0, 500.0, 100.0);
-        let out = gateway_decimate(&tr);
-        assert!((out.sample_rate() - 50_000.0).abs() < 1.0);
-        assert_eq!(out.len(), 5000);
     }
 
     #[test]
@@ -432,13 +296,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "800 kS/s")]
-    fn gateway_decimate_checks_rate() {
-        let tr = PowerTrace::new(SimTime::ZERO, 1e-3, vec![1.0; 100]);
-        gateway_decimate(&tr);
-    }
-
-    #[test]
     fn boxcar_tail_drop_pinned() {
         // 1605 = 100×16 + 5: the 5-sample tail is dropped, and the kept
         // outputs are unaffected by the tail's values.
@@ -471,31 +328,14 @@ mod tests {
     fn streaming_boxcar_matches_batch_bit_exact() {
         let tr = tone(800e3, 4003, 1000.0, 7000.0, 80.0);
         let batch = boxcar_decimate(&tr, 16);
-        let mut dec = Decimator::boxcar(16);
+        let mut dec = Decimator::new(16);
         let mut out = Vec::new();
         for c in chunked(&tr.samples, &[1, 7, 500, 33]) {
             dec.push(&c, &mut out);
         }
-        dec.finish(&mut out);
         assert_eq!(out, batch.samples, "streaming == batch, bit-exact");
         assert_eq!(dec.pending(), boxcar_remainder(4003, 16));
         assert_eq!(dec.pending(), 3);
-    }
-
-    #[test]
-    fn streaming_fir_matches_batch_bit_exact() {
-        let tr = tone(800e3, 3217, 1000.0, 5000.0, 60.0);
-        let h = design_lowpass_fir(63, 0.02);
-        let batch = fir_decimate(&tr, &h, 16);
-        let mut dec = Decimator::fir(h, 16);
-        let mut out = Vec::new();
-        for c in chunked(&tr.samples, &[11, 3, 900, 1]) {
-            dec.push(&c, &mut out);
-        }
-        // Outputs needing future samples are withheld until finish().
-        assert!(out.len() <= batch.len());
-        dec.finish(&mut out);
-        assert_eq!(out, batch.samples, "streaming == batch, bit-exact");
     }
 
     #[test]
@@ -503,7 +343,7 @@ mod tests {
         // The monitor-chain use: 500-sample frames at 50 kS/s arriving
         // forever; the decimator carries the window across frames, so a
         // factor that does not divide the frame length loses nothing.
-        let mut dec = Decimator::boxcar(7);
+        let mut dec = Decimator::new(7);
         let mut out = Vec::new();
         let frame = vec![100.0; 500];
         for _ in 0..10 {

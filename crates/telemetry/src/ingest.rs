@@ -15,9 +15,9 @@
 //! decodes through one loop, [`FrameIngestor::drain_with`], which hands
 //! each frame over as a [`FrameView`] borrowed from reusable scratch.
 //!
-//! For multi-core management nodes, [`ShardedTsDb`] partitions series
-//! across independent shards by topic hash, so each frame touches one
-//! shard and compaction fans out over the shards with rayon.
+//! [`ShardedTsDb`] partitions series across independent shards by topic
+//! hash, so each frame touches one shard and compaction is a rayon-shaped
+//! loop over the shards (sequential under the vendored shim).
 
 use crate::gateway::SampleFrame;
 use crate::storage::TierStats;
@@ -253,7 +253,7 @@ impl FrameIngestor {
 
 /// A [`TsDb`] partitioned into independent shards by topic hash: every
 /// series lives in exactly one shard, so shards never contend on a
-/// series and compaction runs shard-parallel.
+/// series and each shard compacts on its own.
 #[derive(Debug)]
 pub struct ShardedTsDb {
     shards: Vec<TsDb>,
@@ -291,10 +291,11 @@ impl ShardedTsDb {
         Ok(ShardedTsDb { shards })
     }
 
-    /// Run one compaction pass on every shard in parallel — seal
-    /// overfull hot rings into compressed blocks and demote over-budget
-    /// blocks to disk. Returns `true` if any shard changed. Shards are
-    /// independent, so this is a plain rayon fan-out.
+    /// Run one compaction pass on every shard — seal overfull hot rings
+    /// into compressed blocks and demote over-budget blocks to disk.
+    /// Returns `true` if any shard changed. Shards are independent, so
+    /// this is written as a rayon fan-out; the vendored shim runs it
+    /// sequentially.
     pub fn compact(&mut self) -> bool {
         self.shards
             .par_iter_mut()

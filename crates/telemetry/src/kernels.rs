@@ -14,9 +14,9 @@
 //!   correct per-output loop, retained forever as the semantic spec;
 //! * a **blocked kernel** (`*_block`) — shaped for the autovectorizer.
 //!   Quantisation is a plain element-wise loop with select clamps;
-//!   window sums and polyphase dot products process [`LANES`]
-//!   independent outputs concurrently, breaking the floating-point add
-//!   latency chain with [`LANES`] parallel accumulators.
+//!   window sums process [`LANES`] independent outputs concurrently,
+//!   breaking the floating-point add latency chain with [`LANES`]
+//!   parallel accumulators.
 //!
 //! **Bit-exactness.** The blocked kernels are bit-identical to their
 //! scalar references by construction: they never reassociate the
@@ -24,14 +24,13 @@
 //! (order-free), and its select clamps pick the same value as
 //! `f32::max`/`min` wherever the difference could reach an output (NaN
 //! and signed zeros included, see [`AdcKernel::digitise_block`]);
-//! window sums and polyphase dot products keep each
-//! output's accumulation order exactly as the scalar loop performs it —
-//! the blocked variants only interleave *independent* outputs, which
-//! IEEE-754 evaluates identically regardless of lane count, so
-//! [`LANES`] affects speed only. The property tests at the
-//! bottom of this file pin the equivalence for arbitrary lengths,
-//! factors and tail remainders, and for every `f32` bit pattern the
-//! ADC can be fed.
+//! window sums keep each output's accumulation order exactly as the
+//! scalar loop performs it — the blocked variants only interleave
+//! *independent* outputs, which IEEE-754 evaluates identically
+//! regardless of lane count, so [`LANES`] affects speed only. The
+//! property tests at the bottom of this file pin the equivalence for
+//! arbitrary lengths, factors and tail remainders, and for every `f32`
+//! bit pattern the ADC can be fed.
 //!
 //! The kernels speak `f32` because that is the wire format
 //! ([`crate::gateway::SampleFrame`] carries `f32` watts): quantising
@@ -204,174 +203,10 @@ pub fn boxcar_block(input: &[f32], m: usize, out: &mut Vec<f32>) {
     }
 }
 
-/// An anti-alias FIR decimator restructured as per-phase dot products.
-///
-/// The textbook form ([`crate::decimation::fir_decimate`]) walks all
-/// `T` taps for every output. The polyphase form splits `h` into `m`
-/// phases `h_p[j] = h[j·m + p]` so each output is a sum of `m` short
-/// dot products; the blocked kernel evaluates [`LANES`] outputs per
-/// pass with one broadcast coefficient per step.
-///
-/// Output semantics match `fir_decimate`: output `i` is centred on
-/// input `i·m` with a `taps/2` look-back, and outputs whose window is
-/// cut short by either stream edge renormalise over the taps that have
-/// samples. **Accumulation order is phase-major** (phase `p` outer,
-/// taps-within-phase `j` inner) in *both* variants — that order is this
-/// kernel's spec, and the reason scalar and blocked agree bit for bit.
-/// Against the tap-major `f64` `fir_decimate` the result agrees only to
-/// rounding (different association, different precision).
-#[derive(Debug, Clone)]
-pub struct PolyphaseFir {
-    /// Taps in `f32`, original tap order.
-    h: Vec<f32>,
-    /// Decimation factor (number of phases).
-    m: usize,
-    /// Centre offset, `taps / 2`.
-    half: usize,
-}
-
-impl PolyphaseFir {
-    /// Build from `f64` taps (e.g.
-    /// [`crate::decimation::design_lowpass_fir`]) and factor `m`.
-    pub fn new(h: &[f64], m: usize) -> Self {
-        assert!(m >= 1, "decimation factor must be ≥ 1");
-        assert!(!h.is_empty(), "FIR needs at least one tap");
-        PolyphaseFir {
-            h: h.iter().map(|&v| v as f32).collect(),
-            m,
-            half: h.len() / 2,
-        }
-    }
-
-    /// Number of taps.
-    pub fn taps(&self) -> usize {
-        self.h.len()
-    }
-
-    /// Decimation factor.
-    pub fn factor(&self) -> usize {
-        self.m
-    }
-
-    /// Output count for an input length (mirrors `fir_decimate`).
-    pub fn out_len(&self, input_len: usize) -> usize {
-        input_len / self.m
-    }
-
-    /// First output index whose full tap window is in range, and one
-    /// past the last: outputs in `lo..hi` need no edge handling.
-    fn interior(&self, input_len: usize) -> (usize, usize) {
-        let n_out = self.out_len(input_len);
-        // Need i*m ≥ half  and  i*m + (taps-1-half) < len.
-        let lo = self.half.div_ceil(self.m);
-        let fwd = self.h.len() - 1 - self.half;
-        let hi = (input_len.saturating_sub(fwd).saturating_sub(1) / self.m + 1).min(n_out);
-        (lo.min(hi), hi)
-    }
-
-    /// One edge output (partial window): phase-major accumulation over
-    /// the in-range taps, renormalised by their summed weight — the
-    /// same edge treatment as `fir_decimate`. Shared by both variants,
-    /// so edges are bit-exact trivially.
-    fn edge_output(&self, input: &[f32], i: usize) -> f32 {
-        let c = (i * self.m) as isize - self.half as isize;
-        let mut acc = 0.0f32;
-        let mut wsum = 0.0f32;
-        for p in 0..self.m {
-            let mut k = p;
-            while k < self.h.len() {
-                let idx = c + k as isize;
-                if idx >= 0 && (idx as usize) < input.len() {
-                    acc += self.h[k] * input[idx as usize];
-                    wsum += self.h[k];
-                }
-                k += self.m;
-            }
-        }
-        if wsum.abs() > 1e-12 {
-            acc / wsum
-        } else {
-            acc
-        }
-    }
-
-    /// Scalar reference: every output via phase-major dot products.
-    pub fn decimate_scalar(&self, input: &[f32], out: &mut Vec<f32>) {
-        let n_out = self.out_len(input.len());
-        out.clear();
-        out.reserve(n_out);
-        let (lo, hi) = self.interior(input.len());
-        for i in 0..lo {
-            out.push(self.edge_output(input, i));
-        }
-        for i in lo..hi {
-            let base = i * self.m - self.half;
-            let mut acc = 0.0f32;
-            for p in 0..self.m {
-                let mut k = p;
-                while k < self.h.len() {
-                    acc += self.h[k] * input[base + k];
-                    k += self.m;
-                }
-            }
-            out.push(acc);
-        }
-        for i in hi..n_out {
-            out.push(self.edge_output(input, i));
-        }
-    }
-
-    /// Blocked kernel: interior outputs in [`LANES`]-wide groups. For
-    /// each tap the coefficient is broadcast across the lanes and the
-    /// [`LANES`] input loads stride by `m` — per-output accumulation
-    /// order stays phase-major, identical to [`Self::decimate_scalar`].
-    pub fn decimate_block(&self, input: &[f32], out: &mut Vec<f32>) {
-        let n_out = self.out_len(input.len());
-        out.clear();
-        out.reserve(n_out);
-        let (lo, hi) = self.interior(input.len());
-        for i in 0..lo {
-            out.push(self.edge_output(input, i));
-        }
-        let mut i = lo;
-        while i + LANES <= hi {
-            let base = i * self.m - self.half;
-            let mut acc = [0.0f32; LANES];
-            for p in 0..self.m {
-                let mut k = p;
-                while k < self.h.len() {
-                    let hk = self.h[k];
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a += hk * input[base + j * self.m + k];
-                    }
-                    k += self.m;
-                }
-            }
-            out.extend_from_slice(&acc);
-            i += LANES;
-        }
-        for i in i..hi {
-            let base = i * self.m - self.half;
-            let mut acc = 0.0f32;
-            for p in 0..self.m {
-                let mut k = p;
-                while k < self.h.len() {
-                    acc += self.h[k] * input[base + k];
-                    k += self.m;
-                }
-            }
-            out.push(acc);
-        }
-        for i in hi..n_out {
-            out.push(self.edge_output(input, i));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decimation::{boxcar_decimate, design_lowpass_fir, fir_decimate};
+    use crate::decimation::boxcar_decimate;
     use davide_core::power::PowerTrace;
     use davide_core::rng::Rng;
     use davide_core::time::SimTime;
@@ -524,47 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn polyphase_block_bit_exact_and_tracks_fir_decimate() {
-        let h = design_lowpass_fir(63, 0.02);
-        let pf = PolyphaseFir::new(&h, 16);
-        assert_eq!(pf.taps(), 63);
-        assert_eq!(pf.factor(), 16);
-        let mut rng = Rng::seed_from(5);
-        let input: Vec<f32> = (0..3217)
-            .map(|_| rng.uniform_in(900.0, 1100.0) as f32)
-            .collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        pf.decimate_scalar(&input, &mut a);
-        pf.decimate_block(&input, &mut b);
-        assert_eq!(a.len(), pf.out_len(input.len()));
-        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(a.len(), b.len());
-
-        let tr = PowerTrace::new(
-            SimTime::ZERO,
-            1.25e-6,
-            input.iter().map(|&v| v as f64).collect(),
-        );
-        let slow = fir_decimate(&tr, &h, 16);
-        assert_eq!(a.len(), slow.len());
-        for (f, s) in a.iter().zip(&slow.samples) {
-            assert!((*f as f64 - s).abs() < 0.05, "{f} vs {s}");
-        }
-    }
-
-    #[test]
-    fn polyphase_dc_gain_is_unity() {
-        let h = design_lowpass_fir(101, 0.02);
-        let pf = PolyphaseFir::new(&h, 16);
-        let input = vec![777.0f32; 10_000];
-        let mut out = Vec::new();
-        pf.decimate_block(&input, &mut out);
-        for &s in &out {
-            assert!((s - 777.0).abs() < 1e-2, "s={s}");
-        }
-    }
-
-    #[test]
     fn kernels_reuse_scratch_without_reallocating() {
         let k = AdcKernel::new(&adc());
         let input = vec![1700.0f32; 8192];
@@ -624,25 +418,6 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())));
         }
 
-        /// Blocked polyphase FIR is bit-exact vs the scalar reference
-        /// for arbitrary lengths, factors and odd tap counts (edge
-        /// windows on both stream ends included).
-        #[test]
-        fn prop_polyphase_bit_exact(
-            input in proptest::collection::vec(0.0f32..2000.0, 0..400),
-            m in 1usize..12,
-            half_taps in 1usize..24,
-        ) {
-            let h = design_lowpass_fir(2 * half_taps + 1, 0.1);
-            let pf = PolyphaseFir::new(&h, m);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            pf.decimate_scalar(&input, &mut a);
-            pf.decimate_block(&input, &mut b);
-            prop_assert_eq!(a.len(), pf.out_len(input.len()));
-            prop_assert_eq!(a.len(), b.len());
-            prop_assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-
         /// The streaming `Decimator` honours its pending-window
         /// contract under arbitrary chunkings: concatenated output is
         /// bit-identical to the batch function over the whole stream,
@@ -657,7 +432,7 @@ mod tests {
             use crate::decimation::{boxcar_remainder, Decimator};
             let tr = PowerTrace::new(SimTime::ZERO, 1e-5, samples.clone());
             let batch = boxcar_decimate(&tr, m);
-            let mut dec = Decimator::boxcar(m);
+            let mut dec = Decimator::new(m);
             let mut out = Vec::new();
             let mut i = 0;
             let mut k = 0;
@@ -668,7 +443,6 @@ mod tests {
                 k += 1;
                 prop_assert_eq!(dec.pending(), boxcar_remainder(i, m));
             }
-            dec.finish(&mut out);
             prop_assert_eq!(out, batch.samples);
         }
     }

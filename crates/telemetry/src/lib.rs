@@ -9,9 +9,11 @@
 //!   for the physical power backplane; see DESIGN.md);
 //! * [`sensors`] — shunt / Hall-effect analog front-ends with gain,
 //!   offset, bandwidth and noise;
-//! * [`adc`] — the AM335x 12-bit SAR ADC (800 kS/s, 8-way mux, jitter);
-//! * [`decimation`] — boxcar (hardware-averaging) and windowed-sinc FIR
-//!   decimators, plus the aliasing strawman and a Goertzel analyser;
+//! * [`adc`] — the AM335x 12-bit SAR ADC (800 kS/s, quantisation,
+//!   clipping, jitter);
+//! * [`decimation`] — batch boxcar (hardware-averaging), windowed-sinc
+//!   FIR and aliasing-strawman decimators for the E4 ablation, the
+//!   streaming boxcar [`Decimator`], and a Goertzel analyser;
 //! * [`clock`] — oscillator drift and NTP/PTP discipline (sub-µs with
 //!   hardware timestamps);
 //! * [`kernels`] — the same DSP stages as cache-blocked `f32` hot-loop
@@ -24,13 +26,13 @@
 //!   frame publishing; [`energy`] — stream-side energy integration;
 //! * [`ingest`] — management-node side: MQTT frames drained into the
 //!   [`tsdb`] store with one bulk append per frame, optionally sharded
-//!   across cores;
+//!   by topic hash;
 //! * [`storage`] — the tiered storage engine behind [`tsdb`]: sealed
 //!   Gorilla-compressed blocks, an in-memory compressed tier, on-disk
 //!   segment files, and the block-skipping range scan;
-//! * [`selfmon`] — the `davide-obs` self-telemetry bridge's MQTT
-//!   adapter: the metrics registry republished as ordinary one-sample
-//!   frames on the reserved `davide/obs/#` namespace.
+//! * [`selfmon`] — self-telemetry: the `davide-obs` metrics registry
+//!   published as ordinary one-sample frames on the reserved
+//!   `davide/obs/#` namespace.
 
 #![warn(missing_docs)]
 
@@ -61,7 +63,7 @@ pub use ingest::{FrameIngestor, IngestObs, IngestStats, ShardedTsDb};
 pub use monitor::MonitorChain;
 pub use profiler::{detect_phases, PhaseSegment, ProfilerConfig};
 pub use read::{FilterRangeQuery, SeriesRead};
-pub use selfmon::{MqttMetricSink, SelfMonitor};
+pub use selfmon::publish_registry;
 pub use sensors::PowerSensor;
 pub use spectral::{welch_psd, Spectrum};
 pub use storage::{

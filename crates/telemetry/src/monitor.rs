@@ -9,7 +9,7 @@
 //! (≈1 S/s instantaneous, no timestamps, aliased).
 
 use crate::adc::SarAdc;
-use crate::decimation::{boxcar_decimate, pick_decimate, Decimator};
+use crate::decimation::{boxcar_decimate, pick_decimate};
 use crate::sensors::PowerSensor;
 use davide_core::power::{energy_error_pct, PowerTrace};
 use davide_core::rng::Rng;
@@ -172,22 +172,6 @@ impl MonitorChain {
         }
     }
 
-    /// Streaming rate reducer for continuous operation: feed digitised
-    /// chunks (at the ADC rate) as they arrive and collect report-rate
-    /// output incrementally; over a whole stream the output matches
-    /// [`Self::acquire`]'s reduction stage exactly, with the partial
-    /// window carried across chunk boundaries instead of dropped.
-    /// `None` for chains that report at the ADC rate or snapshot
-    /// instantaneously (no averaging state to carry).
-    pub fn streaming_reducer(&self) -> Option<Decimator> {
-        let adc_rate = self.adc.as_ref().map(|a| a.sample_rate)?;
-        let m = (adc_rate / self.report_rate_hz).round() as usize;
-        if m <= 1 || self.reduction != RateReduction::Averaged {
-            return None;
-        }
-        Some(Decimator::boxcar(m))
-    }
-
     /// Energy-measurement error (percent) for this chain on `truth`.
     pub fn energy_error(&self, truth: &PowerTrace, rng: &mut Rng) -> f64 {
         let reported = self.acquire(truth, rng);
@@ -290,34 +274,6 @@ mod tests {
             e_avg <= e_inst + 0.05,
             "averaging must not lose to snapshots: {e_avg}% vs {e_inst}%"
         );
-    }
-
-    #[test]
-    fn streaming_reducer_matches_batch_acquire() {
-        // Run the EG reduction stage continuously in 500-sample chunks:
-        // the concatenated output must equal the batch acquire()'s.
-        let mut rng = Rng::seed_from(8);
-        let t = truth(13, 0.1);
-        let eg = MonitorChain::davide_eg(&mut rng.fork());
-        let batch = eg.acquire(&t, &mut rng.fork());
-
-        // Reproduce the pre-reduction pipeline with an identical rng.
-        let mut rng2 = Rng::seed_from(8);
-        let eg2 = MonitorChain::davide_eg(&mut rng2.fork());
-        let mut acq_rng = rng2.fork();
-        let analog = eg2.sensor.acquire(&t, &mut acq_rng);
-        let digital = eg2.adc.as_ref().unwrap().digitise(&analog);
-
-        let mut dec = eg2.streaming_reducer().expect("EG averages");
-        assert_eq!(dec.factor(), 16);
-        let mut out = Vec::new();
-        for chunk in digital.samples.chunks(500) {
-            dec.push(chunk, &mut out);
-        }
-        dec.finish(&mut out);
-        assert_eq!(out, batch.samples, "streaming == batch reduction");
-        // Instantaneous chains carry no averaging state.
-        assert!(MonitorChain::ipmi(&mut rng).streaming_reducer().is_none());
     }
 
     #[test]

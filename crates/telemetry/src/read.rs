@@ -383,7 +383,6 @@ mod tests {
         let mut db = TsDb::with_config(TsDbConfig {
             raw_capacity: 4096,
             rollup_capacity: 1024,
-            ring_prealloc: 256,
             tiering: Some(TieringConfig {
                 seal_block: 256,
                 hot_retain: Some(256),

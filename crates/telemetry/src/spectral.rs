@@ -124,22 +124,6 @@ pub fn welch_psd(trace: &PowerTrace, segment_len: usize) -> Spectrum {
     spec
 }
 
-/// Spectrogram: sequence of `(t_center_s, Spectrum)` over consecutive
-/// windows — how the profiler sees application phases change spectra.
-pub fn spectrogram(trace: &PowerTrace, window: usize) -> Vec<(f64, Spectrum)> {
-    assert!(window >= 8);
-    let rate = trace.sample_rate();
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start + window <= trace.len() {
-        let spec = periodogram(&trace.samples[start..start + window], rate);
-        let t_center = trace.time_of(start) + 0.5 * window as f64 / rate;
-        out.push((t_center, spec));
-        start += window;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,29 +165,6 @@ mod tests {
         let pa = a.band_power(600.0, 800.0);
         let pb = b.band_power(600.0, 800.0);
         assert!((pb / pa - 4.0).abs() < 0.2, "ratio {}", pb / pa);
-    }
-
-    #[test]
-    fn spectrogram_tracks_phase_change() {
-        // First half 500 Hz, second half 5 kHz.
-        let rate = 50_000.0;
-        let n = 32_768;
-        let tr = PowerTrace::from_fn(SimTime::ZERO, 1.0 / rate, n, |t| {
-            let f = if t < n as f64 / rate / 2.0 {
-                500.0
-            } else {
-                5_000.0
-            };
-            1000.0 + 100.0 * (2.0 * std::f64::consts::PI * f * t).sin()
-        });
-        let frames = spectrogram(&tr, 4096);
-        assert!(frames.len() >= 6);
-        let (_, first) = &frames[0];
-        let (_, last) = frames.last().unwrap();
-        let (f0, _) = first.dominant().unwrap();
-        let (f1, _) = last.dominant().unwrap();
-        assert!((f0 - 500.0).abs() < 50.0, "first window at {f0}");
-        assert!((f1 - 5_000.0).abs() < 100.0, "last window at {f1}");
     }
 
     #[test]

@@ -76,6 +76,10 @@ impl SampleValue for f64 {
     }
 }
 
+/// Ring pre-allocation cap: rings reserve `min(capacity,
+/// RING_PREALLOC)` slots up front.
+const RING_PREALLOC: usize = 4096;
+
 /// A bounded columnar ring: timestamps and values in separate arrays.
 #[derive(Debug, Clone)]
 struct Ring<V> {
@@ -88,8 +92,8 @@ struct Ring<V> {
 }
 
 impl<V: SampleValue> Ring<V> {
-    fn new(capacity: usize, prealloc: usize) -> Self {
-        let pre = capacity.min(prealloc);
+    fn new(capacity: usize) -> Self {
+        let pre = capacity.min(RING_PREALLOC);
         Ring {
             ts: VecDeque::with_capacity(pre),
             vs: VecDeque::with_capacity(pre),
@@ -169,10 +173,10 @@ struct Rollup {
 }
 
 impl Rollup {
-    fn new(bucket_s: f64, capacity: usize, prealloc: usize) -> Self {
+    fn new(bucket_s: f64, capacity: usize) -> Self {
         Rollup {
             bucket_s,
-            ring: Ring::new(capacity, prealloc),
+            ring: Ring::new(capacity),
             acc_sum: 0.0,
             acc_n: 0,
             acc_bucket: i64::MIN,
@@ -264,13 +268,10 @@ struct Series {
 }
 
 impl Series {
-    fn new(raw_cap: usize, roll_cap: usize, prealloc: usize) -> Self {
+    fn new(raw_cap: usize, roll_cap: usize) -> Self {
         Series {
-            raw: Ring::new(raw_cap, prealloc),
-            rollups: vec![
-                Rollup::new(1.0, roll_cap, prealloc),
-                Rollup::new(60.0, roll_cap, prealloc),
-            ],
+            raw: Ring::new(raw_cap),
+            rollups: vec![Rollup::new(1.0, roll_cap), Rollup::new(60.0, roll_cap)],
             count: 0,
             last_t: f64::NEG_INFINITY,
         }
@@ -288,29 +289,24 @@ pub enum Resolution {
     Minute,
 }
 
-/// Full store configuration: ring sizes (the PR 5 cache-tuning
-/// constants, lifted out of the code) plus the optional tiering policy.
+/// Full store configuration: ring sizes plus the optional tiering
+/// policy.
 #[derive(Debug, Clone)]
 pub struct TsDbConfig {
     /// Hot raw points retained per series.
     pub raw_capacity: usize,
     /// Rollup buckets retained per series per resolution.
     pub rollup_capacity: usize,
-    /// Ring pre-allocation cap (was hardcoded to 4096 by PR 5's cache
-    /// tuning): rings reserve `min(capacity, ring_prealloc)` up front.
-    pub ring_prealloc: usize,
     /// Tiered-storage policy; `None` keeps the store hot-ring-only.
     pub tiering: Option<TieringConfig>,
 }
 
 impl Default for TsDbConfig {
-    /// The PR 5 defaults: 100k raw points and 100k rollup buckets per
-    /// series, 4096-slot pre-allocation, no tiering.
+    /// 100k raw points and 100k rollup buckets per series, no tiering.
     fn default() -> Self {
         TsDbConfig {
             raw_capacity: 100_000,
             rollup_capacity: 100_000,
-            ring_prealloc: 4096,
             tiering: None,
         }
     }
@@ -341,7 +337,6 @@ impl TsDb {
             raw_capacity: raw,
             rollup_capacity: rollup,
             tiering: None,
-            ..TsDbConfig::default()
         })
         .expect("untiered construction is infallible")
     }
@@ -372,11 +367,7 @@ impl TsDb {
                     let id = SeriesId(series.len() as u32);
                     ids.insert(name.to_string(), id);
                     names.push(name.to_string());
-                    series.push(Series::new(
-                        cfg.raw_capacity,
-                        cfg.rollup_capacity,
-                        cfg.ring_prealloc,
-                    ));
+                    series.push(Series::new(cfg.raw_capacity, cfg.rollup_capacity));
                     id.0
                 })?;
                 engine.ensure_series(db.series.len());
@@ -402,11 +393,8 @@ impl TsDb {
         let id = SeriesId(self.series.len() as u32);
         self.ids.insert(key.to_string(), id);
         self.names.push(key.to_string());
-        self.series.push(Series::new(
-            self.cfg.raw_capacity,
-            self.cfg.rollup_capacity,
-            self.cfg.ring_prealloc,
-        ));
+        self.series
+            .push(Series::new(self.cfg.raw_capacity, self.cfg.rollup_capacity));
         id
     }
 

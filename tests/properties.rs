@@ -3,8 +3,6 @@
 
 use davide::apps::cg::{conjugate_gradient, LinearOp};
 use davide::apps::fft::fft_inplace;
-use davide::apps::gemm::Matrix;
-use davide::apps::lu::{hpl_residual, lu_factor};
 use davide::apps::C64;
 use davide::core::power::PowerTrace;
 use davide::core::time::SimTime;
@@ -156,27 +154,6 @@ proptest! {
         // Energy attribution never exceeds system energy.
         let attributed: f64 = out.job_energy_j.values().sum();
         prop_assert!(attributed <= out.total_energy_j() + 1e-6);
-    }
-
-    /// LU with pivoting solves every well-conditioned random system it
-    /// is given, at any block size.
-    #[test]
-    fn lu_solves_random_systems(
-        seed in 1u64..1_000_000,
-        nb in 1usize..20,
-        n in 4usize..24,
-    ) {
-        use davide::core::rng::Rng;
-        let mut rng = Rng::seed_from(seed);
-        // Diagonally-boosted random matrix: comfortably nonsingular.
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let base = rng.uniform_in(-1.0, 1.0);
-            if i == j { base + 4.0 } else { base }
-        });
-        let b: Vec<f64> = (0..n).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
-        let f = lu_factor(&a, nb).expect("boosted diagonal is nonsingular");
-        let x = f.solve(&b);
-        prop_assert!(hpl_residual(&a, &x, &b) < 50.0);
     }
 
     /// Placement never loses or duplicates nodes across arbitrary

@@ -291,7 +291,6 @@ proptest! {
                 hot_retain: Some(50),
                 ..TieringConfig::default()
             }),
-            ..TsDbConfig::default()
         })
         .unwrap();
         let hid = hot.resolve("rail");
@@ -347,7 +346,6 @@ fn disk_tier_recovers_after_restart() {
             mem_budget_bytes: 256,
             disk: Some(DiskTierConfig::new(&dir)),
         }),
-        ..TsDbConfig::default()
     };
     let n = 2000usize;
     let dt = 2e-5;
@@ -407,7 +405,6 @@ fn query_coverage_reports_tier_provenance_and_eviction() {
             mem_budget_bytes: 700,
             disk: None,
         }),
-        ..TsDbConfig::default()
     })
     .unwrap();
     let id = db.resolve("rail");
