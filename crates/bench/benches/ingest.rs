@@ -56,7 +56,7 @@ fn test_frame() -> SampleFrame {
 
 /// Warmed store: raw ring at capacity so deque growth is behind us.
 fn warmed_db() -> (TsDb, davide_telemetry::tsdb::SeriesId, f64) {
-    let mut db = TsDb::with_capacity(100_000, 1_000);
+    let mut db = TsDb::with_capacity(100_000);
     let id = db.resolve("node00/power/node");
     let watts = vec![1700.0f32; FRAME_LEN];
     let mut t0 = 0.0;
@@ -171,12 +171,12 @@ fn alloc_proof(c: &mut Criterion) {
     // path itself must stay heap-free between compactions.
     let mut tdb = davide_telemetry::TsDb::with_config(davide_telemetry::TsDbConfig {
         raw_capacity: 100_000,
-        rollup_capacity: 1_000,
         tiering: Some(davide_telemetry::TieringConfig {
             seal_block: 1024,
             hot_retain: Some(4096),
             ..davide_telemetry::TieringConfig::default()
         }),
+        ..davide_telemetry::TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
     let tid = tdb.resolve("node00/power/node");
@@ -237,7 +237,7 @@ fn drain_floor(instrumented: bool) -> std::time::Duration {
 
     // Warm the raw ring to capacity (untimed, with pre-frame
     // timestamps) so sub-drains recycle slots instead of growing.
-    let mut db = TsDb::with_capacity(SUB_FRAMES * FRAME_LEN, 1_000);
+    let mut db = TsDb::with_capacity(SUB_FRAMES * FRAME_LEN);
     let id = db.resolve(&power_topic(0, "node"));
     let mut tw = -((SUB_FRAMES * FRAME_LEN) as f64) * DT;
     for _ in 0..SUB_FRAMES {

@@ -94,12 +94,12 @@ fn bench_scan(c: &mut Criterion) {
     let vs = corpus(Shape::Noisy, n);
     let mut db = TsDb::with_config(TsDbConfig {
         raw_capacity: 4096,
-        rollup_capacity: 64,
         tiering: Some(TieringConfig {
             seal_block: 1024,
             hot_retain: Some(128),
             ..TieringConfig::default()
         }),
+        ..TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
     let id = db.resolve("node00/power/node");
@@ -124,15 +124,6 @@ fn bench_scan(c: &mut Criterion) {
                 .scan_id(id, black_box(0.0), black_box(1e18))
                 .fold_points((0u64, 0.0f64), |(cnt, sum), _t, v| (cnt + 1, sum + v));
             assert_eq!(cnt as usize, n);
-            sum
-        })
-    });
-    g.bench_function("tiered_full_history_iter_500k", |b| {
-        b.iter(|| {
-            let mut sum = 0.0f64;
-            for p in db.scan_id(id, black_box(0.0), black_box(1e18)) {
-                sum += p.v;
-            }
             sum
         })
     });

@@ -84,7 +84,6 @@ const ROUNDS: usize = 40;
 /// Ring capacities for the replay stores: big enough that queries see
 /// real history, small enough that four stores fit comfortably in RAM.
 const RAW_CAP: usize = 8_192;
-const ROLL_CAP: usize = 512;
 
 /// Synthesise the replay batch: `ROUNDS` `(topic, frame)` pairs per
 /// node × channel.
@@ -148,7 +147,7 @@ pub fn e21() {
     // Per-sample, but through the interned-id path (no hash per sample).
     {
         let t = Instant::now();
-        let mut db = TsDb::with_capacity(RAW_CAP, ROLL_CAP);
+        let mut db = TsDb::with_capacity(RAW_CAP);
         for (topic, f) in &batch {
             let id = db.resolve(topic);
             for (i, &w) in f.watts.iter().enumerate() {
@@ -164,7 +163,7 @@ pub fn e21() {
     // Frame-bulk: one append_frame_id per frame.
     {
         let t = Instant::now();
-        let mut db = TsDb::with_capacity(RAW_CAP, ROLL_CAP);
+        let mut db = TsDb::with_capacity(RAW_CAP);
         for (topic, f) in &batch {
             let id = db.resolve(topic);
             db.append_frame_id(id, f.t0_s, f.dt_s, &f.watts);
@@ -182,7 +181,7 @@ pub fn e21() {
     // shard by topic hash: the append `drain_into_sharded` runs.
     {
         let t = Instant::now();
-        let mut sharded = ShardedTsDb::new(4, RAW_CAP, ROLL_CAP);
+        let mut sharded = ShardedTsDb::new(4, RAW_CAP, 0);
         let mut n = 0;
         for (topic, f) in &batch {
             n += sharded.append_frame(topic, f.t0_s, f.dt_s, &f.watts) as u64;
@@ -212,7 +211,7 @@ pub fn e21() {
         }
         ing.drain_with(|_| None); // discard; sample counters untouched
         let t = Instant::now();
-        let mut db = TsDb::with_capacity(RAW_CAP, ROLL_CAP);
+        let mut db = TsDb::with_capacity(RAW_CAP);
         for round in batch.chunks(per_round) {
             for (topic, f) in round {
                 eg_side

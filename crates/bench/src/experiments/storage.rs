@@ -59,12 +59,12 @@ fn compression_gate() -> f64 {
 
     let mut db = TsDb::with_config(TsDbConfig {
         raw_capacity: 4096,
-        rollup_capacity: 64,
         tiering: Some(TieringConfig {
             seal_block: 1024,
             hot_retain: Some(128),
             ..TieringConfig::default()
         }),
+        ..TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
 
@@ -220,12 +220,12 @@ fn scan_gate() {
     let dt = 2e-5f64;
     let mut db = TsDb::with_config(TsDbConfig {
         raw_capacity: 4096,
-        rollup_capacity: 64,
         tiering: Some(TieringConfig {
             seal_block: 1024,
             hot_retain: Some(128),
             ..TieringConfig::default()
         }),
+        ..TsDbConfig::default()
     })
     .expect("mem-only tiering is infallible");
     let id = db.resolve("node00/power/node");

@@ -311,17 +311,28 @@ impl<S: Stages> StageTracer<S> {
     /// Stamp `stage` for every id in `ids` at one shared timestamp,
     /// taking the table lock once for the whole batch — the ingest
     /// hot-path amortisation (a drained batch shares one drain instant
-    /// anyway). Displaced residents are finalised inline; the loss
-    /// counters are plain atomics, so no lock ordering is at stake.
+    /// anyway). Displaced residents are tallied by the furthest stage
+    /// they reached, and each stage's loss counter is bumped once, after
+    /// the lock drops.
     pub fn stamp_batch(&self, stage: S, now_s: f64, ids: impl IntoIterator<Item = u64>) {
         if !self.enabled() {
             return;
         }
         let (stage, now_ns) = (stage.index(), to_ns(now_s));
-        let mut g = self.table.lock();
-        for id in ids {
-            if let Some(s) = Self::stamp_in(&mut g, id, stage, now_ns) {
-                self.finalize_lost(&s);
+        let mut lost = [0u64; MAX_STAGES];
+        {
+            let mut g = self.table.lock();
+            for id in ids {
+                if let Some(i) =
+                    Self::stamp_in(&mut g, id, stage, now_ns).and_then(|s| furthest(&s))
+                {
+                    lost[i] += 1;
+                }
+            }
+        }
+        for (counter, &n) in self.lost.iter().zip(&lost) {
+            if n > 0 {
+                counter.add(n);
             }
         }
     }
@@ -358,15 +369,31 @@ impl<S: Stages> StageTracer<S> {
     /// caller to finalise as lost.
     fn stamp_in(g: &mut Table, id: u64, stage: usize, now_ns: u64) -> Option<Slot> {
         let home = Self::home(id);
-        let mut free = None;
-        let mut found = None;
-        for k in 0..PROBE {
-            let i = (home + k) & Self::MASK;
-            if g.seen[i] == 0 {
-                free = free.or(Some(i));
-            } else if g.ids[i] == id {
-                found = Some(i);
-                break;
+        let (mut free, mut found) = (None, None);
+        if home + PROBE <= S::CAPACITY {
+            // A contiguous window: build the occupancy and match masks
+            // in one pass with no data-dependent branch.
+            let (mut occupied, mut matches) = (0u32, 0u32);
+            let window = g.seen[home..home + PROBE]
+                .iter()
+                .zip(&g.ids[home..home + PROBE]);
+            for (k, (&seen, &resident)) in window.enumerate() {
+                occupied |= u32::from(seen != 0) << k;
+                matches |= u32::from(resident == id) << k;
+            }
+            let first = |mask: u32| (mask != 0).then(|| home + mask.trailing_zeros() as usize);
+            found = first(matches & occupied);
+            free = first(!occupied & ((1 << PROBE) - 1));
+        } else {
+            // The window wraps past the table end.
+            for k in 0..PROBE {
+                let i = (home + k) & Self::MASK;
+                if g.seen[i] == 0 {
+                    free = free.or(Some(i));
+                } else if g.ids[i] == id {
+                    found = Some(i);
+                    break;
+                }
             }
         }
         let mut evicted = None;
@@ -455,10 +482,15 @@ impl<S: Stages> StageTracer<S> {
     }
 
     fn finalize_lost(&self, s: &Slot) {
-        if let Some(i) = (0..Self::N).rev().find(|&i| s.seen & (1 << i) != 0) {
+        if let Some(i) = furthest(s) {
             self.lost[i].inc();
         }
     }
+}
+
+/// The furthest stage a trace reached, if it was stamped at all.
+fn furthest(s: &Slot) -> Option<usize> {
+    (s.seen != 0).then(|| 7 - s.seen.leading_zeros() as usize)
 }
 
 /// Clock seconds as integer nanoseconds, rounded, clamped at zero.

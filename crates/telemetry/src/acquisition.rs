@@ -361,8 +361,8 @@ impl AcquisitionRig {
             cfg.shards,
             TsDbConfig {
                 raw_capacity: cfg.raw_capacity,
-                rollup_capacity: 1_024,
                 tiering: cfg.tiering.clone(),
+                ..TsDbConfig::default()
             },
         )
         .expect("ingest store construction");

@@ -99,10 +99,10 @@ impl IngestObs {
 
     /// Record one drain from the parallel trace-id and `t0` arrays of
     /// the frames it took: one clock read and one tracer lock for the
-    /// whole drain (every frame shares the drain instant), one
-    /// histogram record per frame for the age distribution, counters
-    /// bumped once in aggregate. This is the shape that keeps the
-    /// instruments inside the ingest bench's 5 % overhead budget.
+    /// whole drain (every frame shares the drain instant), one batched
+    /// histogram record for the age distribution, counters bumped once
+    /// in aggregate. This is the shape that keeps the instruments
+    /// inside the ingest bench's 5 % overhead budget.
     fn on_drain(&self, trace_ids: &[u64], t0s: &[f64], malformed: u64, stored: u64, offered: u64) {
         self.frames_per_drain.record(trace_ids.len() as u64);
         self.malformed.add(malformed);
@@ -110,12 +110,10 @@ impl IngestObs {
         self.hub
             .tracer
             .stamp_batch(Stage::IngestAppend, now, trace_ids.iter().copied());
-        for &t0 in t0s {
+        self.frame_age.record_all(t0s.iter().filter_map(|&t0| {
             let age_s = now - t0;
-            if age_s >= 0.0 {
-                self.frame_age.record((age_s * 1e9).round() as u64);
-            }
-        }
+            (age_s >= 0.0).then(|| (age_s * 1e9).round() as u64)
+        }));
         self.frames.add(trace_ids.len() as u64);
         self.samples.add(stored);
         self.stale.add(offered - stored);
@@ -261,13 +259,12 @@ pub struct ShardedTsDb {
 
 impl ShardedTsDb {
     /// A store with `n_shards` shards (at least 1), each with the given
-    /// per-series capacities.
-    pub fn new(n_shards: usize, raw_capacity: usize, rollup_capacity: usize) -> Self {
+    /// per-series raw capacity. The third argument is ignored: rollups
+    /// are computed from the raw tiers at query time.
+    pub fn new(n_shards: usize, raw_capacity: usize, _rollup_capacity: usize) -> Self {
         let n = n_shards.max(1);
         ShardedTsDb {
-            shards: (0..n)
-                .map(|_| TsDb::with_capacity(raw_capacity, rollup_capacity))
-                .collect(),
+            shards: (0..n).map(|_| TsDb::with_capacity(raw_capacity)).collect(),
         }
     }
 
@@ -313,11 +310,6 @@ impl ShardedTsDb {
         st
     }
 
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a series key lives in: FNV-1a over the key, reduced
     /// mod the shard count.
     pub fn shard_of(&self, key: &str) -> usize {
@@ -336,13 +328,6 @@ impl ShardedTsDb {
         let shard = &mut self.shards[i];
         let id = shard.resolve(topic);
         shard.append_frame_id(id, t0_s, dt_s, watts)
-    }
-
-    /// Flush rollup accumulators on every shard.
-    pub fn flush(&mut self) {
-        for s in &mut self.shards {
-            s.flush();
-        }
     }
 
     /// Known series names across all shards, sorted.
@@ -558,8 +543,6 @@ mod tests {
             3,
             "the duplicate re-appends only its boundary sample"
         );
-        flat.flush();
-        sharded.flush();
         assert_eq!(flat.keys(), sharded.keys());
         assert_eq!(sharded.keys().len(), 6);
         for key in flat.keys() {

@@ -24,6 +24,9 @@
 //!   ArduPower, IPMI — used by experiment E3;
 //! * [`gateway`] — the EG proper: acquisition + PTP timestamps + MQTT
 //!   frame publishing; [`energy`] — stream-side energy integration;
+//! * [`tsdb`] — the Fig. 4 database: one raw ring per series with
+//!   range, mean and energy queries; 1 s and 1 min answers are bucket
+//!   means folded from the raw tiers at query time;
 //! * [`ingest`] — management-node side: MQTT frames drained into the
 //!   [`tsdb`] store with one bulk append per frame, optionally sharded
 //!   by topic hash;
@@ -66,8 +69,6 @@ pub use read::{FilterRangeQuery, SeriesRead};
 pub use selfmon::publish_registry;
 pub use sensors::PowerSensor;
 pub use spectral::{welch_psd, Spectrum};
-pub use storage::{
-    DiskTierConfig, QueryCoverage, RangeQuery, StorageObs, TierStats, TieringConfig,
-};
+pub use storage::{DiskTierConfig, QueryCoverage, RangeQuery, TierStats, TieringConfig};
 pub use tsdb::{Resolution, SeriesId, TsDb, TsDbConfig};
 pub use waveform::WorkloadWaveform;

@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn energy_coverage_flags_evicted_history() {
-        let mut db = TsDb::with_capacity(8, 100);
+        let mut db = TsDb::with_capacity(8);
         fill(&mut db, "s", 20); // points 0..12 evicted
         let (e_all, cov_all) = db.series_energy_j("s", 0.0, 1e9);
         assert!(e_all > 0.0);
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn filter_query_merges_coverage_across_series() {
-        let mut db = TsDb::with_capacity(8, 100);
+        let mut db = TsDb::with_capacity(8);
         fill(&mut db, "davide/node00/power/node", 20); // overflows: evicted
         fill(&mut db, "davide/node01/power/node", 4); // fits: complete
         let all = db.series_range_filter("davide/+/power/#", Resolution::Raw, 0.0, 1e9);
@@ -382,12 +382,12 @@ mod tests {
     fn tiered_store_reports_tier_stats_via_trait() {
         let mut db = TsDb::with_config(TsDbConfig {
             raw_capacity: 4096,
-            rollup_capacity: 1024,
             tiering: Some(TieringConfig {
                 seal_block: 256,
                 hot_retain: Some(256),
                 ..TieringConfig::default()
             }),
+            ..TsDbConfig::default()
         })
         .unwrap();
         let id = db.resolve("s");

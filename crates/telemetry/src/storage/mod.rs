@@ -14,58 +14,3 @@ pub use block::SealedBlock;
 pub use codec::{decode_block_into, encode_block, CodecError, MAX_BLOCK_POINTS};
 pub use disk::{DiskTier, DiskTierConfig};
 pub use tiered::{QueryCoverage, RangeQuery, TierStats, TieredScan, TieringConfig};
-
-use davide_obs::{Gauge, Histogram, MetricsRegistry};
-
-/// `davide-obs` bridge for the storage engine: per-tier occupancy
-/// gauges, the achieved compression ratio, and a compaction-latency
-/// histogram. Register once, then [`StorageObs::publish`] after each
-/// compaction pass.
-#[derive(Debug, Clone)]
-pub struct StorageObs {
-    hot_points: Gauge,
-    hot_bytes: Gauge,
-    compressed_blocks: Gauge,
-    compressed_bytes: Gauge,
-    disk_segments: Gauge,
-    disk_blocks: Gauge,
-    disk_bytes: Gauge,
-    sealed_points: Gauge,
-    evicted_points: Gauge,
-    compression_ratio: Gauge,
-    /// Wall time of one whole compact pass (seal + demote + budgets).
-    pub compact_ns: Histogram,
-}
-
-impl StorageObs {
-    /// Register the `tsdb_*` storage instruments on a registry.
-    pub fn register(reg: &MetricsRegistry) -> Self {
-        StorageObs {
-            hot_points: reg.gauge("tsdb_hot_points"),
-            hot_bytes: reg.gauge("tsdb_hot_bytes"),
-            compressed_blocks: reg.gauge("tsdb_compressed_blocks"),
-            compressed_bytes: reg.gauge("tsdb_compressed_bytes"),
-            disk_segments: reg.gauge("tsdb_disk_segments"),
-            disk_blocks: reg.gauge("tsdb_disk_blocks"),
-            disk_bytes: reg.gauge("tsdb_disk_bytes"),
-            sealed_points: reg.gauge("tsdb_sealed_points"),
-            evicted_points: reg.gauge("tsdb_evicted_points"),
-            compression_ratio: reg.gauge("tsdb_compression_ratio"),
-            compact_ns: reg.histogram("tsdb_compact_ns"),
-        }
-    }
-
-    /// Push a stats snapshot into the gauges.
-    pub fn publish(&self, st: &TierStats) {
-        self.hot_points.set(st.hot_points as f64);
-        self.hot_bytes.set(st.hot_bytes as f64);
-        self.compressed_blocks.set(st.compressed_blocks as f64);
-        self.compressed_bytes.set(st.compressed_bytes as f64);
-        self.disk_segments.set(st.disk_segments as f64);
-        self.disk_blocks.set(st.disk_blocks as f64);
-        self.disk_bytes.set(st.disk_bytes as f64);
-        self.sealed_points.set(st.sealed_points as f64);
-        self.evicted_points.set(st.evicted_points as f64);
-        self.compression_ratio.set(st.compression_ratio());
-    }
-}

@@ -1,5 +1,6 @@
 //! Tier engine: seal policy, budgets, demotion and the block-skipping
-//! range scan that is the single query path for raw series data.
+//! range scan that is the single query path for series data at every
+//! resolution.
 //!
 //! Lifecycle of a point: it lands in the hot ring (zero-alloc append),
 //! is **sealed** into a compressed [`SealedBlock`] once the ring holds
@@ -343,9 +344,9 @@ impl TierEngine {
     }
 }
 
-/// Iterator-based range scan across all three tiers, chronological
-/// (disk → compressed → hot), yielding [`Point`]s for the half-open
-/// window `[t0, t1)`.
+/// Range scan across all three tiers, chronological (disk →
+/// compressed → hot), over the half-open window `[t0, t1)`, consumed by
+/// [`TieredScan::fold_points`].
 ///
 /// Compressed blocks are decoded **only** when their `[t_min, t_max]`
 /// overlaps the window (binary-searched start, early stop) into a
@@ -364,11 +365,7 @@ pub struct TieredScan<'a> {
     buf: Vec<u8>,
     ts: Vec<f64>,
     vs: Vec<f32>,
-    pos: usize,
-    end: usize,
-    from_disk: bool,
     tally: QueryCoverage,
-    errors: u32,
 }
 
 impl<'a> TieredScan<'a> {
@@ -390,150 +387,93 @@ impl<'a> TieredScan<'a> {
             buf: Vec::new(),
             ts: Vec::new(),
             vs: Vec::new(),
-            pos: 0,
-            end: 0,
-            from_disk: false,
             tally: QueryCoverage::default(),
-            errors: 0,
         }
     }
 
-    /// Per-tier points yielded so far (`evicted` is filled in by the
+    /// Per-tier points folded so far (`evicted` is filled in by the
     /// store, which owns the loss accounting).
     pub fn coverage(&self) -> QueryCoverage {
         self.tally
     }
 
-    /// Blocks skipped because of an I/O or decode failure (0 on any
-    /// healthy store).
-    pub fn skipped_blocks(&self) -> u32 {
-        self.errors
-    }
-
-    /// Decode `self.buf`'s block, window it, and charge the windowed
-    /// span to the owning tier's tally up front (block granularity, so
-    /// the per-point paths stay branch-free).
-    fn window_decoded(&mut self) {
+    /// Decode `self.buf`'s block and return the index range of its
+    /// points inside the window, charged to the owning tier's tally up
+    /// front (block granularity, so the per-point loop stays
+    /// branch-free). A block that fails to decode yields nothing.
+    fn window_decoded(&mut self, from_disk: bool) -> (usize, usize) {
         self.ts.clear();
         self.vs.clear();
         if decode_block_into(&self.buf, &mut self.ts, &mut self.vs).is_err() {
-            self.errors += 1;
-            self.pos = 0;
-            self.end = 0;
-            return;
+            return (0, 0);
         }
-        self.pos = self.ts.partition_point(|&t| t < self.t0);
-        self.end = self.ts.partition_point(|&t| t < self.t1);
-        if self.from_disk {
-            self.tally.disk += self.end - self.pos;
+        let pos = self.ts.partition_point(|&t| t < self.t0);
+        let end = self.ts.partition_point(|&t| t < self.t1).max(pos);
+        if from_disk {
+            self.tally.disk += end - pos;
         } else {
-            self.tally.compressed += self.end - self.pos;
+            self.tally.compressed += end - pos;
         }
+        (pos, end)
     }
 
     /// Pull blocks (disk first, then in-memory) until one decodes with
-    /// points inside the window; false once both block tiers are
-    /// exhausted and only the hot tail remains.
-    fn advance_block(&mut self) -> bool {
+    /// points inside the window, and return their index range; `None`
+    /// once both block tiers are exhausted and only the hot tail
+    /// remains.
+    fn next_block(&mut self) -> Option<(usize, usize)> {
         loop {
-            if let Some(d) = self.disk.as_mut() {
+            let window = if let Some(d) = self.disk.as_mut() {
                 match d.next_block(&mut self.buf) {
-                    Some(Ok(())) => {
-                        self.from_disk = true;
-                        self.window_decoded();
-                        if self.pos < self.end {
-                            return true;
-                        }
-                        continue;
-                    }
-                    Some(Err(_)) => {
-                        self.errors += 1;
-                        continue;
-                    }
+                    Some(Ok(())) => self.window_decoded(true),
+                    Some(Err(_)) => continue,
                     None => {
                         self.disk = None;
                         continue;
                     }
                 }
-            }
-            if let Some(m) = self.mem.as_mut() {
-                match m.next() {
+            } else {
+                match self.mem.as_mut()?.next() {
                     Some(b) if b.t_min < self.t1 => {
                         if b.t_max < self.t0 {
                             continue;
                         }
                         self.buf.clear();
                         self.buf.extend_from_slice(&b.bytes);
-                        self.from_disk = false;
-                        self.window_decoded();
-                        if self.pos < self.end {
-                            return true;
-                        }
-                        continue;
+                        self.window_decoded(false)
                     }
                     _ => {
                         self.mem = None;
                         continue;
                     }
                 }
+            };
+            if window.0 < window.1 {
+                return Some(window);
             }
-            return false;
         }
     }
 
-    /// Fold every windowed point in chronological order, visiting each
-    /// decoded block as a pair of slices. The accumulation order — and
-    /// therefore every f64 fold built on it (means, energy integrals)
-    /// — is identical to the [`Iterator`] path; what this drops is the
-    /// per-point call, bounds-check and tier-branch machinery, which is
-    /// what the ≥100 M samples/s range-scan budget (E26) goes to
-    /// otherwise.
+    /// Fold every windowed point in chronological order — the one way
+    /// points leave the store. Decoded blocks are visited as pairs of
+    /// slices, so there is no per-point call, bounds check or tier
+    /// branch; that is what the ≥100 M samples/s range-scan budget
+    /// (E26) rests on. Every f64 fold built on it (means, energy
+    /// integrals, rollup buckets) accumulates in the same order
+    /// whichever tiers the window spans.
     pub fn fold_points<B>(&mut self, init: B, mut f: impl FnMut(B, f64, f64) -> B) -> B {
         let mut acc = init;
-        loop {
-            for (&t, &v) in self.ts[self.pos..self.end]
-                .iter()
-                .zip(&self.vs[self.pos..self.end])
-            {
+        while let Some((pos, end)) = self.next_block() {
+            for (&t, &v) in self.ts[pos..end].iter().zip(&self.vs[pos..end]) {
                 acc = f(acc, t, v as f64);
             }
-            self.pos = self.end;
-            if !self.advance_block() {
-                break;
-            }
         }
-        while let (Some(&t), Some(&v)) = (self.hot_ts.next(), self.hot_vs.next()) {
-            self.tally.hot += 1;
+        let hot = std::mem::take(&mut self.hot_ts).zip(std::mem::take(&mut self.hot_vs));
+        self.tally.hot += hot.len();
+        for (&t, &v) in hot {
             acc = f(acc, t, v as f64);
         }
         acc
-    }
-}
-
-impl Iterator for TieredScan<'_> {
-    type Item = Point;
-
-    fn next(&mut self) -> Option<Point> {
-        loop {
-            if self.pos < self.end {
-                let p = Point {
-                    t: self.ts[self.pos],
-                    v: self.vs[self.pos] as f64,
-                };
-                self.pos += 1;
-                return Some(p);
-            }
-            if self.advance_block() {
-                continue;
-            }
-            return match (self.hot_ts.next(), self.hot_vs.next()) {
-                (Some(&t), Some(&v)) => {
-                    self.tally.hot += 1;
-                    Some(Point { t, v: v as f64 })
-                }
-                _ => None,
-            };
-        }
     }
 }
 

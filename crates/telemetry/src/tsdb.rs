@@ -2,10 +2,12 @@
 //!
 //! Fig. 4: monitoring information "is recorded into a database, and
 //! computed by the management node for the training of job-to-power
-//! predictors". This is that database, RRD-style: per-series ring
-//! buffers at multiple rollup resolutions (raw, 1 s, 1 min means) with
-//! range and downsampling queries — enough to hold months of per-node
-//! power history in bounded memory.
+//! predictors". This is that database: one bounded raw ring per series,
+//! optionally backed by the compressed and on-disk tiers of
+//! [`crate::storage`], with range, mean and energy queries. The 1 s and
+//! 1 min resolutions are bucket means folded from the raw points at
+//! query time, so every resolution reads the same history in every
+//! tier.
 //!
 //! ## Ingest hot path
 //!
@@ -19,16 +21,21 @@
 //! * **Columnar rings.** Each series stores timestamps (`f64`) and
 //!   values (`f32`) in separate ring buffers, halving raw-sample memory
 //!   versus `(f64, f64)` pairs and making bulk copies cache-friendly.
-//!   Rollup means stay `f64` and are accumulated from the original
-//!   values, so rollup precision is unchanged.
 //! * **Bulk frame append.** [`TsDb::append_frame_id`] ingests a whole
-//!   uniformly-spaced frame: one monotonicity check, one reserve, bulk
-//!   extend of both columns, and closed-form rollup bucketing (bucket
-//!   boundaries are computed from `t0`/`dt` arithmetic, so samples are
-//!   accumulated in contiguous runs with no per-sample `floor`).
+//!   uniformly-spaced frame: one monotonicity check, one eviction step
+//!   and a bulk extend of both columns. Appends do no per-resolution
+//!   work.
 //! * **Binary-search range queries.** Timestamps are nondecreasing by
-//!   construction (stale points are dropped), so [`TsDb::query_id`] finds
-//!   window bounds with `partition_point` instead of scanning the ring.
+//!   construction (stale points are dropped), so a query finds its
+//!   window bounds in the ring with `partition_point` instead of a scan.
+//!
+//! ## Read path
+//!
+//! Every query folds one chronological disk → compressed → hot scan,
+//! [`TieredScan::fold_points`]. A rollup query widens its window to the
+//! whole buckets it reports and folds their raw points into bucket
+//! means on the way, so its [`QueryCoverage`] counts raw points per
+//! tier and compaction never changes its answer.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -57,53 +64,39 @@ impl SeriesId {
     }
 }
 
-/// Stored sample value: `f32` for raw columns, `f64` for rollup means.
-trait SampleValue: Copy {
-    fn to_f64(self) -> f64;
-}
-
-impl SampleValue for f32 {
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-}
-
-impl SampleValue for f64 {
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-/// Ring pre-allocation cap: rings reserve `min(capacity,
-/// RING_PREALLOC)` slots up front.
+/// Ring pre-allocation cap: a series reserves `min(capacity,
+/// RING_PREALLOC)` raw slots up front.
 const RING_PREALLOC: usize = 4096;
 
-/// A bounded columnar ring: timestamps and values in separate arrays.
+/// One series: a bounded columnar raw ring (timestamps and values in
+/// separate arrays) plus its ingest totals.
 #[derive(Debug, Clone)]
-struct Ring<V> {
+struct Series {
     ts: VecDeque<f64>,
-    vs: VecDeque<V>,
+    vs: VecDeque<f32>,
     capacity: usize,
     /// Points overwritten by the ring before anything could seal them —
     /// lost history, surfaced through [`QueryCoverage::evicted`].
     evicted: u64,
+    count: u64,
+    last_t: f64,
 }
 
-impl<V: SampleValue> Ring<V> {
+impl Series {
     fn new(capacity: usize) -> Self {
         let pre = capacity.min(RING_PREALLOC);
-        Ring {
+        Series {
             ts: VecDeque::with_capacity(pre),
             vs: VecDeque::with_capacity(pre),
             capacity,
             evicted: 0,
+            count: 0,
+            last_t: f64::NEG_INFINITY,
         }
     }
 
     #[inline]
-    fn push(&mut self, t: f64, v: V) {
+    fn push(&mut self, t: f64, v: f32) {
         if self.ts.len() == self.capacity {
             self.ts.pop_front();
             self.vs.pop_front();
@@ -115,7 +108,7 @@ impl<V: SampleValue> Ring<V> {
 
     /// Bulk-append a uniformly-spaced frame: evict in one step, then
     /// extend both columns (no per-sample capacity branch).
-    fn extend_uniform(&mut self, t0: f64, dt: f64, vals: &[V]) {
+    fn extend_uniform(&mut self, t0: f64, dt: f64, vals: &[f32]) {
         let n = vals.len();
         // If the frame alone exceeds capacity only its tail survives.
         let skip = n.saturating_sub(self.capacity);
@@ -141,15 +134,6 @@ impl<V: SampleValue> Ring<V> {
         let b = self.ts.partition_point(|&t| t < t1);
         (a, b.max(a))
     }
-
-    fn range(&self, t0: f64, t1: f64) -> Vec<Point> {
-        let (a, b) = self.bounds(t0, t1);
-        self.ts
-            .range(a..b)
-            .zip(self.vs.range(a..b))
-            .map(|(&t, &v)| Point { t, v: v.to_f64() })
-            .collect()
-    }
 }
 
 /// Copy the oldest `k` items of a deque into `out` (cleared first) as
@@ -162,126 +146,17 @@ fn copy_front<T: Copy>(ring: &VecDeque<T>, k: usize, out: &mut Vec<T>) {
     out.extend_from_slice(&tail[..k - from_head]);
 }
 
-/// Rollup accumulator: averages raw points into fixed buckets.
-#[derive(Debug, Clone)]
-struct Rollup {
-    bucket_s: f64,
-    ring: Ring<f64>,
-    acc_sum: f64,
-    acc_n: u64,
-    acc_bucket: i64,
-}
-
-impl Rollup {
-    fn new(bucket_s: f64, capacity: usize) -> Self {
-        Rollup {
-            bucket_s,
-            ring: Ring::new(capacity),
-            acc_sum: 0.0,
-            acc_n: 0,
-            acc_bucket: i64::MIN,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, t: f64) -> i64 {
-        (t / self.bucket_s).floor() as i64
-    }
-
-    #[inline]
-    fn push(&mut self, t: f64, v: f64) {
-        let bucket = self.bucket_of(t);
-        if bucket != self.acc_bucket {
-            self.flush();
-            self.acc_bucket = bucket;
-        }
-        self.acc_sum += v;
-        self.acc_n += 1;
-    }
-
-    /// Bulk-accumulate a uniformly-spaced frame. Bucket boundaries are
-    /// located in closed form from `(t0, dt)` — `ceil(((b+1)·B − t0)/dt)`
-    /// gives the first index of the next bucket — so each bucket's
-    /// samples are summed as one contiguous run without per-sample
-    /// `floor` or branch. Matches the per-sample path exactly (a short
-    /// adjustment loop absorbs any float rounding of the boundary).
-    fn push_frame(&mut self, t0: f64, dt: f64, vals: &[f32]) {
-        let n = vals.len();
-        if n == 0 {
-            return;
-        }
-        if dt <= 0.0 {
-            // Degenerate spacing: fall back to per-sample accumulation.
-            for (i, &v) in vals.iter().enumerate() {
-                self.push(t0 + i as f64 * dt, v as f64);
-            }
-            return;
-        }
-        let mut start = 0usize;
-        while start < n {
-            let b = self.bucket_of(t0 + start as f64 * dt);
-            if b != self.acc_bucket {
-                self.flush();
-                self.acc_bucket = b;
-            }
-            // In float: `b` saturates at `i64::MAX` for timestamps past
-            // ~9.2e18 s, where `b + 1` would overflow.
-            let boundary = (b as f64 + 1.0) * self.bucket_s;
-            let mut end = (((boundary - t0) / dt).ceil().max(0.0) as usize).clamp(start + 1, n);
-            // Float-rounding guards: converge to the exact per-sample
-            // boundary (each loop runs at most a step or two).
-            while end > start + 1 && self.bucket_of(t0 + (end - 1) as f64 * dt) != b {
-                end -= 1;
-            }
-            while end < n && self.bucket_of(t0 + end as f64 * dt) == b {
-                end += 1;
-            }
-            let mut sum = 0.0f64;
-            for &v in &vals[start..end] {
-                sum += v as f64;
-            }
-            self.acc_sum += sum;
-            self.acc_n += (end - start) as u64;
-            start = end;
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.acc_n > 0 {
-            self.ring.push(
-                (self.acc_bucket as f64 + 0.5) * self.bucket_s,
-                self.acc_sum / self.acc_n as f64,
-            );
-        }
-        self.acc_sum = 0.0;
-        self.acc_n = 0;
-    }
-}
-
-/// One series: raw ring plus rollups.
-#[derive(Debug, Clone)]
-struct Series {
-    raw: Ring<f32>,
-    rollups: Vec<Rollup>,
-    count: u64,
-    last_t: f64,
-}
-
-impl Series {
-    fn new(raw_cap: usize, roll_cap: usize) -> Self {
-        Series {
-            raw: Ring::new(raw_cap),
-            rollups: vec![Rollup::new(1.0, roll_cap), Rollup::new(60.0, roll_cap)],
-            count: 0,
-            last_t: f64::NEG_INFINITY,
-        }
-    }
-}
-
 /// Query resolution.
+///
+/// A rollup resolution answers one point per bucket of its width; a raw
+/// point at `t` falls in bucket `floor(t / width)`. A bucket is
+/// reported if and only if its centre lies in the query window
+/// `[t0, t1)`; its point sits at that centre and holds the mean of every
+/// retained raw point in the bucket. A rollup mean is the mean of the
+/// reported bucket means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
-    /// Raw samples (shortest retention).
+    /// Raw samples.
     Raw,
     /// 1-second means.
     Second,
@@ -289,24 +164,109 @@ pub enum Resolution {
     Minute,
 }
 
-/// Full store configuration: ring sizes plus the optional tiering
-/// policy.
+impl Resolution {
+    /// Bucket width in seconds; `None` for raw samples.
+    fn bucket_s(self) -> Option<f64> {
+        match self {
+            Resolution::Raw => None,
+            Resolution::Second => Some(1.0),
+            Resolution::Minute => Some(60.0),
+        }
+    }
+}
+
+/// The buckets a rollup query reports: indices `lo..=hi`, whose centres
+/// all lie in the query window.
+#[derive(Debug, Clone, Copy)]
+struct Buckets {
+    width: f64,
+    lo: i64,
+    hi: i64,
+}
+
+impl Buckets {
+    /// The buckets of `width` seconds whose centre lies in `[t0, t1)`,
+    /// or `None` when there are none. Centres never decrease with the
+    /// index, so the reported indices are one contiguous run.
+    fn new(width: f64, t0: f64, t1: f64) -> Option<Self> {
+        if t0.is_nan() || t1.is_nan() {
+            return None;
+        }
+        let first = first_true(|k| centre(k, width) >= t0);
+        let end = first_true(|k| centre(k, width) >= t1);
+        (first < end).then(|| Buckets {
+            width,
+            lo: first as i64,
+            hi: (end - 1) as i64,
+        })
+    }
+
+    /// The raw window `[start, end)` the reported buckets span.
+    fn span(&self) -> (f64, f64) {
+        (
+            self.lo as f64 * self.width,
+            (self.hi as f64 + 1.0) * self.width,
+        )
+    }
+
+    /// The bucket a raw point of the span falls in, clamped to the
+    /// reported ones (float rounding can put a point on a span edge one
+    /// bucket outside).
+    #[inline]
+    fn index(&self, t: f64) -> i64 {
+        ((t / self.width).floor() as i64).clamp(self.lo, self.hi)
+    }
+
+    /// Bucket `k` as its centre and the mean of its `n` points.
+    fn point(&self, k: i64, sum: f64, n: u64) -> (f64, f64) {
+        (centre(k, self.width), sum / n as f64)
+    }
+}
+
+/// The centre of bucket `k` of `width` seconds.
+fn centre(k: i64, width: f64) -> f64 {
+    (k as f64 + 0.5) * width
+}
+
+/// The smallest `k` in `i64::MIN..=i64::MAX + 1` at which a predicate
+/// that is false and then true over `i64` holds (`i64::MAX + 1` if it
+/// never does). A binary search over integers: 64 steps whatever the
+/// window, where walking bucket indices would take as many steps as
+/// there are buckets.
+fn first_true(pred: impl Fn(i64) -> bool) -> i128 {
+    let (mut lo, mut hi) = (i64::MIN as i128, i64::MAX as i128 + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid as i64) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Full store configuration: the raw ring size plus the optional
+/// tiering policy.
 #[derive(Debug, Clone)]
 pub struct TsDbConfig {
     /// Hot raw points retained per series.
     pub raw_capacity: usize,
-    /// Rollup buckets retained per series per resolution.
+    /// Ignored: rollups are computed from the raw tiers at query time.
+    /// Kept so that configurations which still set it compile.
+    #[deprecated(note = "ignored: rollups are computed from the raw tiers at query time")]
     pub rollup_capacity: usize,
     /// Tiered-storage policy; `None` keeps the store hot-ring-only.
     pub tiering: Option<TieringConfig>,
 }
 
 impl Default for TsDbConfig {
-    /// 100k raw points and 100k rollup buckets per series, no tiering.
+    /// 100k raw points per series, no tiering.
+    #[allow(deprecated)]
     fn default() -> Self {
         TsDbConfig {
             raw_capacity: 100_000,
-            rollup_capacity: 100_000,
+            rollup_capacity: 0,
             tiering: None,
         }
     }
@@ -324,19 +284,17 @@ pub struct TsDb {
 }
 
 impl TsDb {
-    /// Store with default retention: 100k raw points and 100k rollup
-    /// buckets per series (≈2 s of 50 kS/s raw, a day of seconds, two
-    /// months of minutes).
+    /// Store with default retention: 100k raw points per series (≈2 s
+    /// of 50 kS/s raw).
     pub fn new() -> Self {
-        Self::with_capacity(100_000, 100_000)
+        Self::with_capacity(100_000)
     }
 
-    /// Store with explicit per-series capacities (no tiering).
-    pub fn with_capacity(raw: usize, rollup: usize) -> Self {
+    /// Store with an explicit per-series raw capacity (no tiering).
+    pub fn with_capacity(raw: usize) -> Self {
         Self::with_config(TsDbConfig {
             raw_capacity: raw,
-            rollup_capacity: rollup,
-            tiering: None,
+            ..TsDbConfig::default()
         })
         .expect("untiered construction is infallible")
     }
@@ -359,7 +317,7 @@ impl TsDb {
                 let ids = &mut db.ids;
                 let names = &mut db.names;
                 let series = &mut db.series;
-                let cfg = &db.cfg;
+                let raw_capacity = db.cfg.raw_capacity;
                 let disk = DiskTier::open(&dcfg, |name| {
                     if let Some(id) = ids.get(name) {
                         return id.0;
@@ -367,7 +325,7 @@ impl TsDb {
                     let id = SeriesId(series.len() as u32);
                     ids.insert(name.to_string(), id);
                     names.push(name.to_string());
-                    series.push(Series::new(cfg.raw_capacity, cfg.rollup_capacity));
+                    series.push(Series::new(raw_capacity));
                     id.0
                 })?;
                 engine.ensure_series(db.series.len());
@@ -376,11 +334,6 @@ impl TsDb {
             db.tier = Some(engine);
         }
         Ok(db)
-    }
-
-    /// The configuration this store was built with.
-    pub fn config(&self) -> &TsDbConfig {
-        &self.cfg
     }
 
     /// Intern a series name, creating the series on first sight.
@@ -393,8 +346,7 @@ impl TsDb {
         let id = SeriesId(self.series.len() as u32);
         self.ids.insert(key.to_string(), id);
         self.names.push(key.to_string());
-        self.series
-            .push(Series::new(self.cfg.raw_capacity, self.cfg.rollup_capacity));
+        self.series.push(Series::new(self.cfg.raw_capacity));
         id
     }
 
@@ -423,21 +375,18 @@ impl TsDb {
         }
         s.last_t = t;
         s.count += 1;
-        s.raw.push(t, v as f32);
-        for r in &mut s.rollups {
-            r.push(t, v);
-        }
+        s.push(t, v as f32);
         true
     }
 
     /// Bulk-append a whole frame of uniformly-spaced samples by
-    /// interned id: one monotonicity check, one eviction step, bulk
-    /// column extends, and closed-form rollup accumulation. Frames that
-    /// start before the series tail, run backwards, or carry a
-    /// timestamp that is not finite fall back to the per-sample path,
-    /// which drops the stale and non-finite points. Returns the number
-    /// of samples actually stored (`values.len()` on the fast path), so
-    /// callers can account for samples lost to reordering faults.
+    /// interned id: one monotonicity check, one eviction step and bulk
+    /// column extends. Frames that start before the series tail, run
+    /// backwards, or carry a timestamp that is not finite fall back to
+    /// the per-sample path, which drops the stale and non-finite
+    /// points. Returns the number of samples actually stored
+    /// (`values.len()` on the fast path), so callers can account for
+    /// samples lost to reordering faults.
     pub fn append_frame_id(&mut self, id: SeriesId, t0: f64, dt: f64, values: &[f32]) -> usize {
         let n = values.len();
         if n == 0 {
@@ -456,24 +405,8 @@ impl TsDb {
         }
         s.last_t = t_last;
         s.count += n as u64;
-        s.raw.extend_uniform(t0, dt, values);
-        for r in &mut s.rollups {
-            r.push_frame(t0, dt, values);
-        }
+        s.extend_uniform(t0, dt, values);
         n
-    }
-
-    /// Flush rollup accumulators (call before querying rollups for data
-    /// that has not crossed a bucket boundary yet).
-    pub fn flush(&mut self) {
-        for s in &mut self.series {
-            for r in &mut s.rollups {
-                r.flush();
-                // flush() clears the accumulator; reset bucket marker so
-                // a subsequent point in the same bucket re-opens it.
-                r.acc_bucket = i64::MIN;
-            }
-        }
     }
 
     /// Known series names, sorted.
@@ -491,9 +424,9 @@ impl TsDb {
     /// Latest raw observation of a series, if any — the staleness probe
     /// the control plane runs per node before trusting telemetry.
     pub fn last_id(&self, id: SeriesId) -> Option<Point> {
-        let raw = &self.series[id.index()].raw;
-        match (raw.ts.back(), raw.vs.back()) {
-            (Some(&t), Some(&v)) => Some(Point { t, v: v.to_f64() }),
+        let s = &self.series[id.index()];
+        match (s.ts.back(), s.vs.back()) {
+            (Some(&t), Some(&v)) => Some(Point { t, v: v as f64 }),
             _ => None,
         }
     }
@@ -513,49 +446,42 @@ impl TsDb {
         let k = engine.seal_len();
         let mut changed = false;
         for (i, s) in self.series.iter_mut().enumerate() {
-            while s.raw.ts.len() >= trigger {
+            while s.ts.len() >= trigger {
                 // The ring is a deque (possibly wrapped); stage the
                 // oldest run in the engine's reusable scratch slices.
-                copy_front(&s.raw.ts, k, &mut engine.scratch_ts);
-                copy_front(&s.raw.vs, k, &mut engine.scratch_vs);
+                copy_front(&s.ts, k, &mut engine.scratch_ts);
+                copy_front(&s.vs, k, &mut engine.scratch_vs);
                 engine.commit_seal(i);
-                s.raw.ts.drain(..k);
-                s.raw.vs.drain(..k);
+                s.ts.drain(..k);
+                s.vs.drain(..k);
                 changed = true;
             }
         }
         changed | engine.demote_over_budget(&self.names)
     }
 
-    /// Iterator-based raw range scan over all three tiers, chronological
-    /// (disk → compressed → hot). The single query path: every raw query
-    /// below is built on it. Compressed blocks are decoded only when
-    /// they overlap `[t0, t1)`, into a per-scan scratch that is lazily
-    /// allocated (a purely-hot scan allocates nothing) and reused across
-    /// blocks.
+    /// Raw range scan over all three tiers, chronological (disk →
+    /// compressed → hot), consumed by [`TieredScan::fold_points`]: the
+    /// single query path every query below is built on. Compressed
+    /// blocks are decoded only when they overlap `[t0, t1)`, into a
+    /// per-scan scratch that is lazily allocated (a purely-hot scan
+    /// allocates nothing) and reused across blocks.
     pub fn scan_id(&self, id: SeriesId, t0: f64, t1: f64) -> TieredScan<'_> {
         let idx = id.index();
         let s = &self.series[idx];
-        let (a, b) = s.raw.bounds(t0, t1);
+        let (a, b) = s.bounds(t0, t1);
         let (disk, mem) = match &self.tier {
             Some(e) => (e.disk_scan(idx, t0, t1), e.mem_scan(idx, t0)),
             None => (None, None),
         };
-        TieredScan::new(
-            t0,
-            t1,
-            disk,
-            mem,
-            s.raw.ts.range(a..b),
-            s.raw.vs.range(a..b),
-        )
+        TieredScan::new(t0, t1, disk, mem, s.ts.range(a..b), s.vs.range(a..b))
     }
 
     /// Has this series lost history that a window starting at `t0`
     /// could have included?
     fn evicted_before(&self, idx: usize, t0: f64) -> bool {
         let s = &self.series[idx];
-        let lost = s.raw.evicted + self.tier.as_ref().map_or(0, |e| e.lost_points(idx));
+        let lost = s.evicted + self.tier.as_ref().map_or(0, |e| e.lost_points(idx));
         if lost == 0 {
             return false;
         }
@@ -563,52 +489,97 @@ impl TsDb {
             .tier
             .as_ref()
             .and_then(|e| e.first_retained_t(idx))
-            .or_else(|| s.raw.ts.front().copied())
+            .or_else(|| s.ts.front().copied())
             .unwrap_or(f64::INFINITY);
         t0 < first_retained
+    }
+
+    /// Fold the raw points of `[t0, t1)` in chronological order, and
+    /// report where they came from.
+    fn fold_raw<B>(
+        &self,
+        id: SeriesId,
+        t0: f64,
+        t1: f64,
+        init: B,
+        f: impl FnMut(B, f64, f64) -> B,
+    ) -> (B, QueryCoverage) {
+        let mut scan = self.scan_id(id, t0, t1);
+        let acc = scan.fold_points(init, f);
+        let mut coverage = scan.coverage();
+        coverage.evicted = self.evicted_before(id.index(), t0);
+        (acc, coverage)
+    }
+
+    /// Fold the `(t, v)` points of `[t0, t1)` at a resolution, in
+    /// chronological order: raw points, or one point per reported
+    /// rollup bucket (see [`Resolution`]), folded from the raw points
+    /// of the buckets' span.
+    fn fold_at<B>(
+        &self,
+        id: SeriesId,
+        res: Resolution,
+        t0: f64,
+        t1: f64,
+        init: B,
+        mut f: impl FnMut(B, f64, f64) -> B,
+    ) -> (B, QueryCoverage) {
+        let Some(width) = res.bucket_s() else {
+            return self.fold_raw(id, t0, t1, init, f);
+        };
+        let Some(b) = Buckets::new(width, t0, t1) else {
+            // No bucket to report: an empty window still says whether
+            // history before `t0` was lost.
+            return self.fold_raw(id, t0, t0, init, f);
+        };
+        let (start, end) = b.span();
+        // The open bucket: its index, and the sum and count of its
+        // points so far.
+        let ((acc, open), coverage) = self.fold_raw(
+            id,
+            start,
+            end,
+            (init, None::<(i64, f64, u64)>),
+            |(acc, open), t, v| {
+                let k = b.index(t);
+                match open {
+                    Some((j, sum, n)) if j == k => (acc, Some((k, sum + v, n + 1))),
+                    Some((j, sum, n)) => {
+                        let (c, m) = b.point(j, sum, n);
+                        (f(acc, c, m), Some((k, v, 1)))
+                    }
+                    None => (acc, Some((k, v, 1))),
+                }
+            },
+        );
+        let acc = match open {
+            Some((j, sum, n)) => {
+                let (c, m) = b.point(j, sum, n);
+                f(acc, c, m)
+            }
+            None => acc,
+        };
+        (acc, coverage)
     }
 
     /// Range query with provenance: the points plus a
     /// [`QueryCoverage`] telling the caller which tiers answered and
     /// whether the window reached past retained history (truncated vs
-    /// complete — the E12 accounting distinction). Rollup resolutions
-    /// are hot-ring only by design; their coverage reports `hot` counts
-    /// and the rollup ring's own eviction state.
+    /// complete — the E12 accounting distinction). At a rollup
+    /// resolution the coverage counts the raw points behind the
+    /// reported buckets.
     pub fn query_range_id(&self, id: SeriesId, res: Resolution, t0: f64, t1: f64) -> RangeQuery {
-        match res {
-            Resolution::Raw => {
-                let mut scan = self.scan_id(id, t0, t1);
-                let points = scan.fold_points(Vec::new(), |mut points, t, v| {
-                    points.push(Point { t, v });
-                    points
-                });
-                let mut coverage = scan.coverage();
-                coverage.evicted = self.evicted_before(id.index(), t0);
-                RangeQuery { points, coverage }
-            }
-            Resolution::Second | Resolution::Minute => {
-                let ring =
-                    &self.series[id.index()].rollups[usize::from(res == Resolution::Minute)].ring;
-                let points = ring.range(t0, t1);
-                let coverage = QueryCoverage {
-                    hot: points.len(),
-                    evicted: ring.evicted > 0
-                        && t0 < ring.ts.front().copied().unwrap_or(f64::INFINITY),
-                    ..QueryCoverage::default()
-                };
-                RangeQuery { points, coverage }
-            }
-        }
+        let (points, coverage) = self.fold_at(id, res, t0, t1, Vec::new(), |mut points, t, v| {
+            points.push(Point { t, v });
+            points
+        });
+        RangeQuery { points, coverage }
     }
 
     /// Range query by interned id (points only; see
     /// [`TsDb::query_range_id`] for coverage).
     pub fn query_id(&self, id: SeriesId, res: Resolution, t0: f64, t1: f64) -> Vec<Point> {
-        match res {
-            Resolution::Raw => self.scan_id(id, t0, t1).collect(),
-            Resolution::Second => self.series[id.index()].rollups[0].ring.range(t0, t1),
-            Resolution::Minute => self.series[id.index()].rollups[1].ring.range(t0, t1),
-        }
+        self.query_range_id(id, res, t0, t1).points
     }
 
     /// Mean of a series over a window at a resolution, by interned id.
@@ -628,35 +599,12 @@ impl TsDb {
         t0: f64,
         t1: f64,
     ) -> (Option<f64>, QueryCoverage) {
-        match res {
-            Resolution::Raw => {
-                let mut scan = self.scan_id(id, t0, t1);
-                let (sum, n) =
-                    scan.fold_points((0.0f64, 0usize), |(sum, n), _t, v| (sum + v, n + 1));
-                let mut coverage = scan.coverage();
-                coverage.evicted = self.evicted_before(id.index(), t0);
-                let mean = if n == 0 { None } else { Some(sum / n as f64) };
-                (mean, coverage)
-            }
-            Resolution::Second | Resolution::Minute => {
-                let ring =
-                    &self.series[id.index()].rollups[usize::from(res == Resolution::Minute)].ring;
-                let (a, b) = ring.bounds(t0, t1);
-                let n = b - a;
-                let coverage = QueryCoverage {
-                    hot: n,
-                    evicted: ring.evicted > 0
-                        && t0 < ring.ts.front().copied().unwrap_or(f64::INFINITY),
-                    ..QueryCoverage::default()
-                };
-                let mean = if n == 0 {
-                    None
-                } else {
-                    Some(ring.vs.range(a..b).sum::<f64>() / n as f64)
-                };
-                (mean, coverage)
-            }
-        }
+        let ((sum, n), coverage) =
+            self.fold_at(id, res, t0, t1, (0.0f64, 0usize), |(sum, n), _t, v| {
+                (sum + v, n + 1)
+            });
+        let mean = if n == 0 { None } else { Some(sum / n as f64) };
+        (mean, coverage)
     }
 
     /// Energy (rectangle rule over raw points' spacing) in a window by
@@ -676,16 +624,16 @@ impl TsDb {
         t0: f64,
         t1: f64,
     ) -> (f64, QueryCoverage) {
-        let mut scan = self.scan_id(id, t0, t1);
-        let (acc, _) = scan.fold_points(
+        let ((acc, _), coverage) = self.fold_raw(
+            id,
+            t0,
+            t1,
             (0.0f64, None::<(f64, f64)>),
             |(acc, prev), t, v| match prev {
                 Some((pt, pv)) => (acc + pv * (t - pt), Some((t, v))),
                 None => (acc, Some((t, v))),
             },
         );
-        let mut coverage = scan.coverage();
-        coverage.evicted = self.evicted_before(id.index(), t0);
         (acc, coverage)
     }
 
@@ -698,8 +646,8 @@ impl TsDb {
             .as_ref()
             .map_or_else(TierStats::default, |e| e.stats());
         for s in &self.series {
-            st.hot_points += s.raw.ts.len() as u64;
-            st.evicted_points += s.raw.evicted;
+            st.hot_points += s.ts.len() as u64;
+            st.evicted_points += s.evicted;
         }
         st.hot_bytes = st.hot_points * 12;
         st
@@ -751,9 +699,8 @@ mod tests {
         assert!(!db.append_id(id, f64::NAN, 1.0));
         assert_eq!(db.append_frame_id(id, 20.0, f64::INFINITY, &[1.0; 3]), 0);
         assert_eq!(db.append_frame_id(id, 20.0, 1.0, &[1.0; 3]), 3);
-        // A huge but finite frame saturates its rollup bucket without
-        // overflowing; one whose later samples overflow to +inf keeps
-        // only its finite head.
+        // A huge but finite frame is stored whole; one whose later
+        // samples overflow to +inf keeps only its finite head.
         assert_eq!(db.append_frame_id(id, 1e19, 1.0, &[1.0; 3]), 3);
         assert_eq!(db.append_frame_id(id, 1e308, 1e308, &[1.0; 3]), 1);
         assert_eq!(db.count_id(id), 12);
@@ -789,7 +736,7 @@ mod tests {
 
     #[test]
     fn raw_ring_evicts_oldest() {
-        let mut db = TsDb::with_capacity(10, 100);
+        let mut db = TsDb::with_capacity(10);
         for i in 0..25 {
             append(&mut db, "s", i as f64, i as f64);
         }
@@ -806,7 +753,6 @@ mod tests {
             let t = i as f64 * 0.1;
             append(&mut db, "s", t, t.floor());
         }
-        db.flush();
         let pts = query(&db, "s", Resolution::Second, 0.0, 10.0);
         assert_eq!(pts.len(), 5);
         for (k, p) in pts.iter().enumerate() {
@@ -821,11 +767,56 @@ mod tests {
         for i in 0..180 {
             append(&mut db, "s", i as f64, if i < 60 { 100.0 } else { 200.0 });
         }
-        db.flush();
         let pts = query(&db, "s", Resolution::Minute, 0.0, 1e9);
         assert_eq!(pts.len(), 3);
         assert!((pts[0].v - 100.0).abs() < 1e-9);
         assert!((pts[1].v - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rollup_windows_at_float_extremes_answer_promptly() {
+        // Bucket bounds come from an integer search, so window edges
+        // far past 2^53 s neither hang nor overflow, and windows holding
+        // no bucket centre, or none with data, answer empty.
+        let mut db = TsDb::new();
+        let id = db.resolve("s");
+        for i in 0..300 {
+            db.append_id(id, i as f64, if i < 120 { 100.0 } else { 200.0 });
+        }
+        for (res, buckets) in [(Resolution::Second, 300), (Resolution::Minute, 5)] {
+            let all = db.query_range_id(id, res, 0.0, 300.0);
+            assert_eq!(all.points.len(), buckets, "{res:?}");
+            assert_eq!(all.coverage.total(), 300);
+            let mean = db.mean_id(id, res, 0.0, 300.0);
+            assert!((mean.unwrap() - 160.0).abs() < 1e-9, "{res:?}: {mean:?}");
+            for (t0, t1) in [
+                (0.0, 1e300),
+                (-1e300, 300.0),
+                (-1e300, 1e300),
+                (0.0, 9.1e15),
+                (0.0, 1e17),
+            ] {
+                let q = db.query_range_id(id, res, t0, t1);
+                assert_eq!(q.points, all.points, "{res:?} [{t0}, {t1})");
+                assert_eq!(q.coverage, all.coverage, "{res:?} [{t0}, {t1})");
+                assert_eq!(db.mean_id(id, res, t0, t1), mean);
+            }
+            for (t0, t1) in [
+                (150.0, 150.0),
+                (1e300, 1e300),
+                (-1e300, -1e300),
+                (1e3, 1e300),
+                (9.1e15, 1e17),
+                (1e300, f64::MAX),
+                (-1e300, -1e3),
+                (-f64::MAX, -1e300),
+            ] {
+                let q = db.query_range_id(id, res, t0, t1);
+                assert!(q.points.is_empty(), "{res:?} [{t0}, {t1})");
+                assert_eq!(q.coverage.total(), 0, "{res:?} [{t0}, {t1})");
+                assert_eq!(db.mean_id(id, res, t0, t1), None);
+            }
+        }
     }
 
     #[test]
@@ -898,8 +889,6 @@ mod tests {
         for (i, &v) in vals.iter().enumerate() {
             append(&mut scalar, "s", t0 + i as f64 * dt, v as f64);
         }
-        bulk.flush();
-        scalar.flush();
 
         assert_eq!(count(&bulk, "s"), count(&scalar, "s"));
         for res in [Resolution::Raw, Resolution::Second, Resolution::Minute] {
@@ -927,31 +916,8 @@ mod tests {
     }
 
     #[test]
-    fn flush_then_same_bucket_reopens() {
-        // flush() mid-bucket emits a partial mean; later points in the
-        // SAME bucket re-open it and emit a second rollup point at the
-        // same bucket midpoint. Both are retained, in arrival order.
-        let mut db = TsDb::new();
-        append(&mut db, "s", 0.1, 10.0);
-        append(&mut db, "s", 0.2, 20.0);
-        db.flush();
-        append(&mut db, "s", 0.3, 40.0);
-        append(&mut db, "s", 0.4, 60.0);
-        db.flush();
-        let pts = query(&db, "s", Resolution::Second, 0.0, 1.0);
-        assert_eq!(pts.len(), 2, "two partial means for bucket 0");
-        assert_eq!(pts[0].t, 0.5);
-        assert_eq!(pts[1].t, 0.5);
-        assert!((pts[0].v - 15.0).abs() < 1e-9);
-        assert!((pts[1].v - 50.0).abs() < 1e-9);
-        // Double flush with nothing accumulated adds nothing.
-        db.flush();
-        assert_eq!(query(&db, "s", Resolution::Second, 0.0, 1.0).len(), 2);
-    }
-
-    #[test]
     fn query_straddling_eviction_boundary() {
-        let mut db = TsDb::with_capacity(8, 100);
+        let mut db = TsDb::with_capacity(8);
         for i in 0..20 {
             append(&mut db, "s", i as f64, i as f64);
         }
@@ -1000,7 +966,7 @@ mod tests {
 
     #[test]
     fn frame_larger_than_capacity_keeps_tail() {
-        let mut db = TsDb::with_capacity(16, 100);
+        let mut db = TsDb::with_capacity(16);
         let vals: Vec<f32> = (0..100).map(|i| i as f32).collect();
         append_frame(&mut db, "s", 0.0, 1.0, &vals);
         let pts = query(&db, "s", Resolution::Raw, 0.0, 1e9);

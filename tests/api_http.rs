@@ -278,6 +278,28 @@ fn observability_endpoints_answer_empty_without_attached_racks() {
 }
 
 #[test]
+fn minute_queries_far_past_the_data_answer_promptly() {
+    // Bucket bounds are found by integer search, so a window ending at
+    // 1e300 s costs no more than one ending at the data.
+    let fx = fixture();
+    let mut c = HttpClient::connect(fx.server.addr()).expect("connect");
+    for op in ["mean", "points"] {
+        let wire = format!(
+            r#"{{"op":"{op}","series":"{}","resolution":"minute","t0":0,"t1":1e300}}"#,
+            fx.series
+        );
+        let start = std::time::Instant::now();
+        let (status, body) = c.request("POST", "/v1/query", &wire).expect("query");
+        assert_eq!(status, 200, "{wire}");
+        assert!(start.elapsed().as_secs_f64() < 5.0, "{wire}");
+        let parsed = serde_json::from_str(&wire).expect("valid JSON");
+        let q = QueryRequest::from_value(&parsed).expect("valid request");
+        let direct = fx.svc.query(&q).expect("direct query");
+        assert_eq!(body, serde_json::to_string(&direct.to_value()), "{wire}");
+    }
+}
+
+#[test]
 fn service_errors_are_bit_identical_too() {
     let fx = fixture();
 

@@ -188,12 +188,11 @@ proptest! {
     fn tsdb_rollup_bounded_by_raw(
         values in proptest::collection::vec(0.0f64..4000.0, 10..200),
     ) {
-        let mut db = TsDb::with_capacity(10_000, 1_000);
+        let mut db = TsDb::with_capacity(10_000);
         let sid = db.resolve("s");
         for (i, &v) in values.iter().enumerate() {
             db.append_id(sid, i as f64 * 0.1, v);
         }
-        db.flush();
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for p in db.query_id(sid, Resolution::Second, 0.0, 1e9) {

@@ -21,7 +21,7 @@ fn rack_to_site_to_database_pipeline() {
         .unwrap();
 
     let mut gen = Rng::seed_from(17);
-    let mut db = TsDb::with_capacity(200_000, 50_000);
+    let mut db = TsDb::with_capacity(200_000);
     for node_id in [0u32, 1] {
         let mut eg = EnergyGateway::connect(&rack, node_id, 500 + node_id as u64);
         let dc = 1500.0 + node_id as f64 * 200.0;
@@ -39,7 +39,6 @@ fn rack_to_site_to_database_pipeline() {
         frames += 1;
     }
     assert_eq!(frames, 200, "two nodes × 100 frames");
-    db.flush();
 
     // Query side: per-node mean power at 1-second rollup.
     let keys = db.keys();
@@ -62,7 +61,7 @@ fn profiler_works_on_database_extracts() {
     let mut gen = Rng::seed_from(23);
     let wave = WorkloadWaveform::hpc_job(1600.0, 0.5);
     let truth = wave.render(10_000.0, 3.0, &mut gen);
-    let mut db = TsDb::with_capacity(100_000, 10_000);
+    let mut db = TsDb::with_capacity(100_000);
     let sid = db.resolve("job42/power");
     for (i, &w) in truth.samples.iter().enumerate() {
         db.append_id(sid, truth.time_of(i), w);

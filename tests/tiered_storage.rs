@@ -1,14 +1,15 @@
 //! Tier-1 property suite for the tiered storage engine: codec identity
 //! over arbitrary `f32` bit patterns, encoder bytes identical to the
 //! reference encoder, truncated-decode-is-an-error, a differential
-//! compressed-vs-hot range scan on random windows, and disk-tier crash
+//! compressed-vs-hot range scan on random windows, 1 s and 1 min
+//! rollups folded from raw points in every tier, and disk-tier crash
 //! recovery.
 
 mod reference_codec;
 
 use davide::telemetry::storage::{decode_block_into, encode_block, MAX_BLOCK_POINTS};
-use davide::telemetry::tsdb::{Resolution, TsDb};
-use davide::telemetry::{DiskTierConfig, TieringConfig, TsDbConfig};
+use davide::telemetry::tsdb::{Point, Resolution, SeriesId, TsDb};
+use davide::telemetry::{DiskTierConfig, RangeQuery, TieringConfig, TsDbConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -282,15 +283,15 @@ proptest! {
         let t0 = 10.0;
         let dt = 2e-5;
         let span = n as f64 * dt;
-        let mut hot = TsDb::with_capacity(4 * n, 1024);
+        let mut hot = TsDb::with_capacity(4 * n);
         let mut tiered = TsDb::with_config(TsDbConfig {
             raw_capacity: 4 * n,
-            rollup_capacity: 1024,
             tiering: Some(TieringConfig {
                 seal_block: 100,
                 hot_retain: Some(50),
                 ..TieringConfig::default()
             }),
+            ..TsDbConfig::default()
         })
         .unwrap();
         let hid = hot.resolve("rail");
@@ -332,12 +333,150 @@ proptest! {
     }
 }
 
+/// Check a rollup answer over `[w0, w1)` against the store's raw
+/// points: it reports exactly the history's buckets whose centre lies
+/// in the window, each as the mean of the points a Raw query over the
+/// reported buckets' span puts in it, with that query's coverage; the
+/// rollup mean is the mean of those bucket means.
+fn rollup_matches_raw(
+    db: &TsDb,
+    id: SeriesId,
+    res: Resolution,
+    (w0, w1): (f64, f64),
+    history: &[Point],
+) -> Result<(RangeQuery, Option<f64>), TestCaseError> {
+    let width = if res == Resolution::Second { 1.0 } else { 60.0 };
+    let bucket = |t: f64| (t / width).floor() as i64;
+    let rq = db.query_range_id(id, res, w0, w1);
+    let mean = db.mean_id(id, res, w0, w1);
+    let mut want: Vec<i64> = history
+        .iter()
+        .map(|p| bucket(p.t))
+        .filter(|&k| (w0..w1).contains(&((k as f64 + 0.5) * width)))
+        .collect();
+    want.dedup();
+    let got: Vec<i64> = rq
+        .points
+        .iter()
+        .map(|p| (p.t / width - 0.5).round() as i64)
+        .collect();
+    prop_assert_eq!(&got, &want, "{:?} [{}, {})", res, w0, w1);
+    let (Some(&lo), Some(&hi)) = (got.first(), got.last()) else {
+        prop_assert_eq!(rq.coverage.total(), 0);
+        prop_assert_eq!(mean, None);
+        return Ok((rq, mean));
+    };
+    let raw = db.query_range_id(
+        id,
+        Resolution::Raw,
+        lo as f64 * width,
+        (hi as f64 + 1.0) * width,
+    );
+    let mut sums: Vec<(i64, f64, u64)> = Vec::new();
+    for p in &raw.points {
+        let k = bucket(p.t).clamp(lo, hi);
+        match sums.last_mut() {
+            Some((j, sum, n)) if *j == k => {
+                *sum += p.v;
+                *n += 1;
+            }
+            _ => sums.push((k, p.v, 1)),
+        }
+    }
+    prop_assert_eq!(sums.len(), rq.points.len());
+    for (&(k, sum, n), p) in sums.iter().zip(&rq.points) {
+        prop_assert_eq!(p.t.to_bits(), ((k as f64 + 0.5) * width).to_bits());
+        prop_assert_eq!(p.v.to_bits(), (sum / n as f64).to_bits());
+    }
+    prop_assert_eq!(rq.coverage, raw.coverage);
+    let bucket_means = rq.points.iter().map(|p| p.v).sum::<f64>() / rq.points.len() as f64;
+    prop_assert!((mean.unwrap() - bucket_means).abs() <= 1e-9 * bucket_means.abs());
+    Ok((rq, mean))
+}
+
+proptest! {
+    /// Rollups read every tier: with history spread over disk
+    /// segments, compressed blocks and the hot ring, `Second` and
+    /// `Minute` answers over windows whose edges fall mid-bucket are
+    /// the bucket means of the raw points, count those points per tier,
+    /// and do not change when a compaction moves points between tiers.
+    #[test]
+    fn rollups_fold_raw_points_across_tiers(
+        seed in any::<u64>(),
+        base in 1.0f64..4000.0,
+        wseed in any::<u64>(),
+    ) {
+        let dir = test_dir("rollups");
+        let mut db = TsDb::with_config(TsDbConfig {
+            raw_capacity: 8192,
+            tiering: Some(TieringConfig {
+                seal_block: 100,
+                hot_retain: Some(150),
+                mem_budget_bytes: 2048,
+                disk: Some(DiskTierConfig::new(&dir)),
+            }),
+            ..TsDbConfig::default()
+        })
+        .unwrap();
+        let id = db.resolve("rail");
+        let (t0, dt, frame) = (10.0, 0.0313, 100);
+        let vs = rail_series(base, 0.05, seed, 60 * frame);
+        for (f, chunk) in vs.chunks(frame).enumerate() {
+            db.append_frame_id(id, t0 + (f * frame) as f64 * dt, dt, chunk);
+            // The last frames stay hot until the compaction below.
+            if f % 6 == 5 && f < 50 {
+                db.compact();
+            }
+        }
+        let st = db.tier_stats();
+        prop_assert!(
+            st.disk_points > 0 && st.compressed_points > 0 && st.hot_points > 0,
+            "{:?}",
+            st
+        );
+        let history = db.query_id(id, Resolution::Raw, f64::MIN, f64::MAX);
+        prop_assert_eq!(history.len(), vs.len());
+        let span = vs.len() as f64 * dt;
+        let mut wstate = wseed | 1;
+        let mut unit = move || {
+            wstate ^= wstate << 13;
+            wstate ^= wstate >> 7;
+            wstate ^= wstate << 17;
+            wstate as f64 / u64::MAX as f64
+        };
+        let mut windows = vec![(t0 + 37.3, t0 + 145.7), (t0 - 90.0, t0 + span + 90.0)];
+        for _ in 0..3 {
+            let (a, b) = (unit(), unit());
+            windows.push((t0 - 30.0 + a.min(b) * (span + 60.0), t0 - 30.0 + a.max(b) * (span + 60.0)));
+        }
+        let mut before = Vec::new();
+        for &w in &windows {
+            for res in [Resolution::Second, Resolution::Minute] {
+                before.push(rollup_matches_raw(&db, id, res, w, &history)?);
+            }
+        }
+        prop_assert!(db.compact());
+        prop_assert!(db.tier_stats().sealed_points > st.sealed_points);
+        let mut after = Vec::new();
+        for &w in &windows {
+            for res in [Resolution::Second, Resolution::Minute] {
+                after.push(rollup_matches_raw(&db, id, res, w, &history)?);
+            }
+        }
+        for ((b, bm), (a, am)) in before.iter().zip(&after) {
+            prop_assert_eq!(&b.points, &a.points);
+            prop_assert_eq!(b.coverage.total(), a.coverage.total());
+            prop_assert_eq!(bm.map(f64::to_bits), am.map(f64::to_bits));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn disk_tier_recovers_after_restart() {
     let dir = test_dir("recovery");
     let cfg = TsDbConfig {
         raw_capacity: 1000,
-        rollup_capacity: 64,
         tiering: Some(TieringConfig {
             seal_block: 64,
             hot_retain: Some(64),
@@ -346,6 +485,7 @@ fn disk_tier_recovers_after_restart() {
             mem_budget_bytes: 256,
             disk: Some(DiskTierConfig::new(&dir)),
         }),
+        ..TsDbConfig::default()
     };
     let n = 2000usize;
     let dt = 2e-5;
@@ -398,13 +538,13 @@ fn query_coverage_reports_tier_provenance_and_eviction() {
     // accounting), and windows reaching the lost history must say so.
     let mut db = TsDb::with_config(TsDbConfig {
         raw_capacity: 1000,
-        rollup_capacity: 64,
         tiering: Some(TieringConfig {
             seal_block: 64,
             hot_retain: Some(64),
             mem_budget_bytes: 700,
             disk: None,
         }),
+        ..TsDbConfig::default()
     })
     .unwrap();
     let id = db.resolve("rail");
