@@ -1,5 +1,5 @@
-//! Minimal blocking HTTP/1.1 client for tests, `api_smoke`, E27's HTTP
-//! load and the `perfbench` `serve` workload.
+//! Minimal blocking HTTP/1.1 client for tests, E27's HTTP load and the
+//! `perfbench` `serve` workload.
 //!
 //! Speaks exactly the dialect the server emits: `Content-Length`
 //! framed bodies over a keep-alive connection. Not a general HTTP

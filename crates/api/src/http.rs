@@ -5,7 +5,8 @@
 //! fixed thread pool over a bounded crossbeam channel (the same
 //! backpressure shape as the MQTT broker). Each worker owns a clone of
 //! the service (all state is `Arc`-shared) and serves keep-alive
-//! request streams until the peer closes or asks to.
+//! request streams until the peer closes, asks to, or goes quiet for
+//! a second.
 //!
 //! The parser is deliberately paranoid — request lines, header blocks
 //! and bodies are all hard-capped, partial reads never panic, and any
@@ -17,6 +18,7 @@
 //! | header block over [`ApiServerConfig::max_header_bytes`] | 431, close |
 //! | body over [`ApiServerConfig::max_body_bytes`] | 413, close |
 //! | truncated body (peer died mid-request) | drop connection |
+//! | socket read or write blocked for 1 s (idle or stalled peer) | drop connection |
 //! | unknown path | 404 |
 //! | known path, wrong method | 405 + `Allow` |
 
@@ -33,6 +35,12 @@ use crate::service::QueryService;
 use crate::types::{
     ApiError, JobProfileRequest, JobRollupRequest, QueryRequest, UserRollupRequest, API_VERSION,
 };
+
+/// How long one socket read or write may block before the worker drops
+/// the connection. An idle keep-alive client therefore holds a worker
+/// for at most this long, and [`RunningServer::stop`] waits at most
+/// this long for a worker to notice shutdown.
+const IO_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server limits and sizing.
 #[derive(Debug, Clone)]
@@ -368,6 +376,9 @@ fn serve_connection<S: SeriesRead>(
     cfg: &ApiServerConfig,
 ) {
     let _ = stream.set_nodelay(true);
+    // A timed-out read ends the connection through `ReadError::Io`.
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut reader = ConnReader {
         stream,
         buf: Vec::with_capacity(1024),

@@ -31,7 +31,7 @@
 //!
 //! [`types`] holds the request/response DTOs shared by both layers and
 //! [`client`] a minimal keep-alive HTTP client used by the test suite,
-//! the `api_smoke` binary and E27's HTTP load.
+//! E27's HTTP load and the `perfbench` `serve` workload.
 
 #![warn(missing_docs)]
 

@@ -13,7 +13,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--smoke") {
         args.remove(i);
-        std::env::set_var(davide_bench::experiments::controlplane::SMOKE_ENV, "1");
+        std::env::set_var(davide_bench::experiments::SMOKE_ENV, "1");
     }
     let experiments = registry();
 

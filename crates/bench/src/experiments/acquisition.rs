@@ -5,14 +5,10 @@
 //! retained scalar reference path (see DESIGN.md "Full-rate acquisition
 //! path").
 
-use super::controlplane::SMOKE_ENV;
+use super::smoke;
 use crate::header;
 use davide_obs::ObsHub;
 use davide_telemetry::acquisition::{AcquisitionConfig, AcquisitionRig, DspMode};
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
 
 /// Per-stage wall-time shares of a run, for the report table.
 fn stage_row(label: &str, r: &davide_telemetry::acquisition::AcquisitionReport) {

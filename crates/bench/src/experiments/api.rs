@@ -23,12 +23,8 @@ use davide_obs::ObsHub;
 use davide_telemetry::gateway::power_topic;
 use davide_telemetry::{Resolution, SeriesRead, ShardedTsDb};
 
-use crate::experiments::controlplane::SMOKE_ENV;
+use super::smoke;
 use crate::header;
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
 
 const NODES: u32 = 16;
 const WINDOW_S: f64 = 60.0;

@@ -2,17 +2,15 @@
 //! frames over MQTT, online prediction, proactive admission, reactive
 //! per-node DVFS. One job trace runs through three loop configurations
 //! under the same cap, on the `davide-sim` plant.
+//!
+//! E23 — the same loop under scripted faults: the canned scenario set
+//! must hold every ground-truth invariant, and two seeded regressions
+//! must trip the checker.
 
+use super::smoke;
 use crate::header;
 use davide_sched::controlplane::ControlMode;
 use davide_sim::{harness, scenario, RunOutcome};
-
-/// `--smoke` (or the env var it sets) shrinks e22 for CI.
-pub const SMOKE_ENV: &str = "DAVIDE_EXPERIMENTS_SMOKE";
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
 
 fn run_mode(mode: ControlMode, n_nodes: u32, cap_w: f64) -> RunOutcome {
     let mut sc = scenario::e22(mode, n_nodes, cap_w);
@@ -88,4 +86,65 @@ pub fn e22() {
     println!("throughput: the predictor learns the plant drift from telemetry while");
     println!("the ladder absorbs what admission could not foresee — the \"mix both\"");
     println!("strategy of §III-A2.");
+}
+
+/// E23 — the canned fault scenarios at seed 2026, then the two seeded
+/// regressions the invariant checker must catch.
+pub fn e23() {
+    header(
+        "e23",
+        "Fault-injection harness (telemetry → control-plane loop)",
+    );
+    let seed = 2026;
+    println!(
+        "\n{:<24} {:>5} {:>9} {:>9} {:>7} {:>7} {:>6} {:>10}",
+        "scenario", "jobs", "frames", "suppr", "stale_s", "ovcap_s", "viol", "digest"
+    );
+    for sc in scenario::canned(seed) {
+        let out = harness::run(&sc);
+        println!(
+            "{:<24} {:>5} {:>9} {:>9} {:>7.0} {:>7.0} {:>6} {:>#10x}",
+            out.scenario,
+            out.report.jobs_completed,
+            out.truth.frames_delivered,
+            out.truth.frames_suppressed,
+            out.report.stale_node_s,
+            out.truth.overcap_s,
+            out.violations.len(),
+            out.log.digest() & 0xffff_ffff,
+        );
+        assert!(
+            out.violations.is_empty(),
+            "{} must hold every invariant: {:?}",
+            out.scenario,
+            out.violations
+        );
+    }
+
+    println!("\nseeded regressions (the checker must catch them):");
+    for (sc, invariant) in [
+        (scenario::open_loop_overcap_demo(seed), "cap"),
+        (
+            scenario::stale_fallback_regression_demo(seed),
+            "stale-fallback",
+        ),
+    ] {
+        let out = harness::run(&sc);
+        let hits: Vec<_> = out
+            .violations
+            .iter()
+            .filter(|v| v.invariant == invariant)
+            .collect();
+        println!(
+            "{:<36} {} `{invariant}` violations",
+            out.scenario,
+            hits.len()
+        );
+        assert!(
+            !hits.is_empty(),
+            "{}: the checker missed the seeded `{invariant}` regression",
+            out.scenario
+        );
+        println!("    first: {}", hits[0]);
+    }
 }

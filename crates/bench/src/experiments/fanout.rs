@@ -23,16 +23,12 @@
 //! `--smoke` shrinks phase 1 to 2000 subscribers / 4 threads for CI;
 //! the gates are the same shape.
 
-use crate::experiments::controlplane::SMOKE_ENV;
+use super::smoke;
 use crate::header;
 use bytes::Bytes;
 use davide_mqtt::{Broker, Message, QoS, DEFAULT_SHARDS};
 use std::sync::Barrier;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
 
 /// Phase-1 workload shape.
 struct Shape {

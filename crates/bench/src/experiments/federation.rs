@@ -10,18 +10,15 @@
 //! hold every per-rack *and* federation-level invariant, conserve
 //! energy between the site ledger and the rack ledgers, and be
 //! bit-identically reproducible (one digest over all rack logs plus
-//! the federation log). `--smoke` shrinks it to 200 nodes / 5000 jobs
-//! for CI; the gates are the same.
+//! the federation log, equal across an in-process rerun and to the
+//! pinned value). `--smoke` shrinks it to 200 nodes / 5000 jobs for
+//! CI; the gates are the same, with the smoke run's own pinned digest.
 
-use crate::experiments::controlplane::SMOKE_ENV;
+use super::smoke;
 use crate::header;
 use davide_obs::rollup_counters;
 use davide_sim::federation::{run_federated_traced, run_federated_with_db_config, FedScenario};
 use davide_telemetry::{TieringConfig, TsDbConfig};
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
 
 /// E28 — federated multi-rack run under one global power budget.
 pub fn e28() {
@@ -101,15 +98,28 @@ pub fn e28() {
     );
     assert!(out.rebalances > 0, "the budget must be rebalanced");
 
-    // Determinism: the whole federation re-runs to the same digest.
+    // Determinism: the whole federation re-runs in-process to the same
+    // digest (catching state that leaks between runs), and that digest
+    // is the pinned one (catching a change that moves every run alike).
     let again = run_federated_with_db_config(&fs, db);
     assert_eq!(
         out.digest(),
         again.digest(),
         "E28 re-run diverged — the federation is not seed-pure"
     );
+    let pinned: u64 = if smoke() {
+        0x4172_c4f8_7bc0_56bd
+    } else {
+        0x8692_ce9d_f29c_3a84
+    };
+    assert_eq!(
+        out.digest(),
+        pinned,
+        "E28 digest {:#018x} moved from the pinned {pinned:#018x}",
+        out.digest()
+    );
     println!(
-        "digest {:#018x} (bit-identical across re-runs)",
+        "digest {:#018x} (bit-identical across re-runs, pinned)",
         out.digest()
     );
 }
@@ -119,7 +129,8 @@ pub fn e28() {
 ///
 /// Gates: tracing must cost ≤ 5 % wall clock against the disarmed
 /// baseline (plus a small absolute slack for timer noise), digests must
-/// be bit-identical traced vs untraced, every rack must complete grant
+/// be bit-identical traced vs untraced (and, in smoke mode, equal the
+/// pinned value), every rack must complete grant
 /// spans, and the grant-to-actuation (fed split → controller command)
 /// and end-to-end (→ observed power crossing) p99 latencies must stay
 /// inside the control-period/rebalance bounds the loop design implies.
@@ -230,6 +241,14 @@ pub fn e29() {
         traced_s <= base_s * 1.05 + 0.25,
         "tracing overhead over budget: {traced_s:.3}s vs {base_s:.3}s baseline"
     );
+    if smoke() {
+        assert_eq!(
+            out.digest(),
+            0x4977_3c8c_6660_8f3f,
+            "E29 smoke digest {:#018x} moved from its pin",
+            out.digest()
+        );
+    }
     println!(
         "\ndigest {:#018x} (traced == untraced), overhead within gate",
         out.digest()

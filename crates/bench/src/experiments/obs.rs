@@ -15,30 +15,12 @@
 use crate::header;
 use davide_mqtt::Broker;
 use davide_obs::trace::STAGE_NAMES;
-use davide_obs::{MetricsRegistry, OBS_FILTER};
+use davide_obs::OBS_FILTER;
 use davide_sched::controlplane::ControlMode;
 use davide_sim::{harness, scenario, Fault};
 use davide_telemetry::{publish_registry, FrameIngestor, TsDb};
 
-use super::controlplane::SMOKE_ENV;
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
-
-/// Publish one snapshot of `registry`, stamped `t_s`, through the
-/// self-telemetry path — `publish_registry` → MQTT → `FrameIngestor` →
-/// `TsDb` — on a fresh broker. Returns the store and the number of
-/// samples it ingested.
-pub fn self_telemetry_roundtrip(registry: &MetricsRegistry, t_s: f64) -> (TsDb, u64) {
-    let broker = Broker::default();
-    let mut ingest =
-        FrameIngestor::subscribe(&broker, "obs-ingest", &[OBS_FILTER]).expect("subscribe obs");
-    publish_registry(&broker.connect("obs-selfmon"), registry, t_s);
-    let mut db = TsDb::new();
-    let samples = ingest.drain_into(&mut db) as u64;
-    (db, samples)
-}
+use super::smoke;
 
 /// E24 — the instrumented E22 closed loop: latency distributions,
 /// per-stage loss, self-telemetry round trip.
@@ -124,8 +106,15 @@ pub fn e24() {
         hist("cap_overcap_w").map(|s| s.quantile(0.99)).unwrap_or(0),
     );
 
-    // ── Self-telemetry round trip. ──
-    let (self_db, self_samples) = self_telemetry_roundtrip(reg, out.truth.makespan_s);
+    // ── Self-telemetry round trip: one snapshot, stamped at the end of
+    // the run, through publish_registry → MQTT → FrameIngestor → TsDb
+    // on a fresh broker. ──
+    let broker = Broker::default();
+    let mut ingest =
+        FrameIngestor::subscribe(&broker, "obs-ingest", &[OBS_FILTER]).expect("subscribe obs");
+    publish_registry(&broker.connect("obs-selfmon"), reg, out.truth.makespan_s);
+    let mut self_db = TsDb::new();
+    let self_samples = ingest.drain_into(&mut self_db);
     println!(
         "\nself-telemetry: {} obs samples round-tripped over MQTT into {} series",
         self_samples,

@@ -21,16 +21,12 @@
 //!    compressed + disk points equal every sample stored, and the
 //!    eviction counter stays zero while budgets hold.
 
-use super::controlplane::SMOKE_ENV;
+use super::smoke;
 use crate::header;
 use davide_telemetry::acquisition::{AcquisitionConfig, AcquisitionRig, DspMode};
 use davide_telemetry::tsdb::{Resolution, TsDb};
 use davide_telemetry::{DiskTierConfig, SeriesRead, TieringConfig, TsDbConfig};
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var_os(SMOKE_ENV).is_some()
-}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("davide-e26-{}-{}", std::process::id(), tag));

@@ -137,6 +137,11 @@ pub fn registry() -> Vec<Experiment> {
             run: controlplane::e22,
         },
         Experiment {
+            id: "e23",
+            title: "Fault-injection harness (telemetry → control-plane loop)",
+            run: controlplane::e23,
+        },
+        Experiment {
             id: "e24",
             title: "Self-instrumented control loop (obs stack)",
             run: obs::e24,

@@ -438,6 +438,9 @@ pub enum PublishFate {
 /// sharded broker: it sees one call per publish, in submission order.
 pub type FaultHook = Box<dyn FnMut(&str) -> PublishFate + Send>;
 
+type ObsGuard<'a> = std::sync::MutexGuard<'a, Option<BrokerObs>>;
+type StateGuard<'a> = std::sync::MutexGuard<'a, ShardState>;
+
 /// The broker: cheaply cloneable handle, safe to share across threads.
 ///
 /// ```
@@ -690,99 +693,60 @@ impl Broker {
         Ok(())
     }
 
-    /// Publish a message; returns the number of subscribers it reached.
+    /// Publish `msgs` in slice order, each at `qos` with the `retain`
+    /// flag; returns the total number of subscriber deliveries. A
+    /// single publish is the one-message batch.
     ///
-    /// For QoS 1 the broker "acknowledges" by bumping the `acked`
-    /// counter once the message is safely fanned out — the in-process
-    /// equivalent of PUBACK. Subscribers that enabled QoS 1 tracking
-    /// additionally get a packet id they must [ack](super::client::Client::ack).
-    pub(crate) fn publish(
-        &self,
-        topic: &str,
-        payload: Bytes,
-        qos: QoS,
-        retain: bool,
-    ) -> Result<usize, BrokerError> {
-        validate_topic(topic)?;
-        let shard = &self.shards[shard_of_topic(topic, self.shards.len())];
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        if self.obs_installed.load(Ordering::Acquire) {
-            if let Some(o) = shard.obs.lock().as_mut() {
-                o.on_publish(topic, &payload);
-            }
-        }
-
-        // Fault injection: decide the packet's fate before touching any
-        // broker state (the hook lock is never held together with a
-        // shard lock).
-        let fate = if self.fault_installed.load(Ordering::Acquire) {
-            match self.fault.lock().as_mut() {
-                Some(hook) => hook(topic),
-                None => PublishFate::Deliver,
-            }
-        } else {
-            PublishFate::Deliver
-        };
-        match fate {
-            PublishFate::Deliver => {}
-            PublishFate::Drop => {
-                if let Some(o) = shard.obs.lock().as_mut() {
-                    o.injected_drops.inc();
-                }
-                return Ok(0);
-            }
-            PublishFate::Duplicate => {
-                if let Some(o) = shard.obs.lock().as_mut() {
-                    o.injected_dups.inc();
-                }
-                let first = self.fan_out(shard, topic, &payload, qos, retain);
-                self.fan_out(shard, topic, &payload, qos, retain);
-                return Ok(first);
-            }
-        }
-        Ok(self.fan_out(shard, topic, &payload, qos, retain))
-    }
-
-    /// Publish a batch of non-retained QoS 0 messages with one
-    /// lock acquisition per run of same-shard topics.
-    ///
-    /// Per-publish semantics are preserved message by message — topic
-    /// validation, `published` stats, [`BrokerObs::on_publish`], the
-    /// fault hook's per-packet fate, delivery counting — but lock
-    /// traffic is amortized: the fault hook is consulted once for the
+    /// Every message gets the full per-publish semantics — topic
+    /// validation, the `published` stat, [`BrokerObs::on_publish`], one
+    /// fault-hook fate, retained-store update and fan-out — but lock
+    /// traffic is amortized: the fault hook is locked once for the
     /// whole batch, and the obs/state locks are handed off only when
     /// consecutive messages hash to different shards. An EG batch
     /// carries one node's frames, which share a topic prefix and
     /// therefore a shard, so the common case is one lock pair per
-    /// batch. Messages are fanned out in slice order.
+    /// batch.
     ///
-    /// Returns the total number of subscriber deliveries across the
-    /// batch. Errors on the first invalid topic, before any message is
+    /// For QoS 1 the broker "acknowledges" each message by bumping the
+    /// `acked` counter once it is fanned out — the in-process
+    /// equivalent of PUBACK. Subscribers that enabled QoS 1 tracking
+    /// additionally get a packet id they must
+    /// [ack](super::client::Client::ack).
+    ///
+    /// Errors on the first invalid topic, before any message is
     /// published.
-    pub(crate) fn publish_batch(&self, msgs: &[(String, Bytes)]) -> Result<usize, BrokerError> {
+    pub(crate) fn publish_batch<T: AsRef<str>>(
+        &self,
+        msgs: &[(T, Bytes)],
+        qos: QoS,
+        retain: bool,
+    ) -> Result<usize, BrokerError> {
         for (topic, _) in msgs {
-            validate_topic(topic)?;
+            validate_topic(topic.as_ref())?;
         }
         self.stats
             .published
             .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-        // One fault-hook lock: decide every packet's fate up front (the
-        // hook must see one call per message, same as the loop form).
-        let fates: Option<Vec<PublishFate>> = if self.fault_installed.load(Ordering::Acquire) {
-            let mut guard = self.fault.lock();
-            guard
-                .as_mut()
-                .map(|hook| msgs.iter().map(|(topic, _)| hook(topic)).collect())
+        // Fault injection: decide every packet's fate before touching
+        // any broker state, under one hook lock that is never held
+        // together with a shard lock. The hook sees one call per
+        // message, in submission order.
+        let fates: Vec<PublishFate> = if self.fault_installed.load(Ordering::Acquire) {
+            self.fault.lock().as_mut().map_or_else(Vec::new, |hook| {
+                msgs.iter().map(|(topic, _)| hook(topic.as_ref())).collect()
+            })
         } else {
-            None
+            Vec::new()
         };
         let n = self.shards.len();
-        // First pass, matching the old all-publishes-then-deliveries
-        // order observable through the frame tracer: count every
-        // message as published before any is fanned out.
-        if self.obs_installed.load(Ordering::Acquire) {
-            let mut held: Option<(usize, std::sync::MutexGuard<'_, Option<BrokerObs>>)> = None;
+        let with_obs = self.obs_installed.load(Ordering::Acquire);
+        // First pass, the all-publishes-then-deliveries order observable
+        // through the frame tracer: count every message as published
+        // before any is fanned out.
+        if with_obs {
+            let mut held: Option<(usize, ObsGuard<'_>)> = None;
             for (topic, payload) in msgs {
+                let topic = topic.as_ref();
                 let idx = shard_of_topic(topic, n);
                 if held.as_ref().map(|h| h.0) != Some(idx) {
                     // Release the previous guard before taking the next
@@ -796,30 +760,29 @@ impl Broker {
             }
         }
         // Second pass: fan out, handing the shard's obs+state lock pair
-        // off only when the shard changes.
+        // (obs first) off only when the shard changes.
         let mut reached = 0;
-        let mut held: Option<(
-            usize,
-            std::sync::MutexGuard<'_, Option<BrokerObs>>,
-            std::sync::MutexGuard<'_, ShardState>,
-        )> = None;
+        let mut held: Option<(usize, Option<ObsGuard<'_>>, StateGuard<'_>)> = None;
+        let mut no_obs = None;
         for (i, (topic, payload)) in msgs.iter().enumerate() {
+            let topic = topic.as_ref();
             let idx = shard_of_topic(topic, n);
             if held.as_ref().map(|h| h.0) != Some(idx) {
                 // Release the previous pair before taking the next
                 // shard's: never hold two shards at once.
                 drop(held.take());
                 let shard = &self.shards[idx];
-                let obs = shard.obs.lock();
-                let st = shard.state.lock();
-                held = Some((idx, obs, st));
+                let obs = with_obs.then(|| shard.obs.lock());
+                held = Some((idx, obs, shard.state.lock()));
             }
-            let (_, obs_guard, st_guard) = held.as_mut().expect("guard pair just installed");
-            let obs: &mut Option<BrokerObs> = obs_guard;
-            let st: &mut ShardState = st_guard;
-            match fates.as_ref().map_or(PublishFate::Deliver, |f| f[i]) {
+            let (_, obs_guard, st) = held.as_mut().expect("guard pair just installed");
+            let obs: &mut Option<BrokerObs> = match obs_guard {
+                Some(g) => g,
+                None => &mut no_obs,
+            };
+            match fates.get(i).copied().unwrap_or(PublishFate::Deliver) {
                 PublishFate::Deliver => {
-                    reached += self.fan_out_locked(st, obs, topic, payload, QoS::AtMostOnce, false);
+                    reached += self.fan_out_locked(st, obs, topic, payload, qos, retain);
                 }
                 PublishFate::Drop => {
                     if let Some(o) = obs.as_mut() {
@@ -830,38 +793,12 @@ impl Broker {
                     if let Some(o) = obs.as_mut() {
                         o.injected_dups.inc();
                     }
-                    reached += self.fan_out_locked(st, obs, topic, payload, QoS::AtMostOnce, false);
-                    self.fan_out_locked(st, obs, topic, payload, QoS::AtMostOnce, false);
+                    reached += self.fan_out_locked(st, obs, topic, payload, qos, retain);
+                    self.fan_out_locked(st, obs, topic, payload, qos, retain);
                 }
             }
         }
         Ok(reached)
-    }
-
-    /// One pass of retained-store update + subscriber fan-out on the
-    /// topic's shard.
-    fn fan_out(
-        &self,
-        shard: &Shard,
-        topic: &str,
-        payload: &Bytes,
-        qos: QoS,
-        retain: bool,
-    ) -> usize {
-        // Lock order within a shard: obs, then state (matches
-        // publish_batch).
-        let mut obs_guard = if self.obs_installed.load(Ordering::Acquire) {
-            Some(shard.obs.lock())
-        } else {
-            None
-        };
-        let mut no_obs = None;
-        let obs: &mut Option<BrokerObs> = match obs_guard.as_mut() {
-            Some(g) => g,
-            None => &mut no_obs,
-        };
-        let mut st = shard.state.lock();
-        self.fan_out_locked(&mut st, obs, topic, payload, qos, retain)
     }
 
     /// The per-message fan-out body, with the shard's locks held.

@@ -41,7 +41,7 @@ impl Client {
         qos: QoS,
         retain: bool,
     ) -> Result<usize, BrokerError> {
-        self.broker.publish(topic, payload, qos, retain)
+        self.broker.publish_batch(&[(topic, payload)], qos, retain)
     }
 
     /// Publish a batch of non-retained QoS 0 messages with one broker
@@ -49,7 +49,7 @@ impl Client {
     /// telemetry frame fan-in (see `Broker::publish_batch`). Returns
     /// the total subscriber deliveries across the batch.
     pub fn publish_batch(&self, msgs: &[(String, Bytes)]) -> Result<usize, BrokerError> {
-        self.broker.publish_batch(msgs)
+        self.broker.publish_batch(msgs, QoS::AtMostOnce, false)
     }
 
     /// Convenience: publish a UTF-8 string payload at QoS 0.

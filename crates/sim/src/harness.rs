@@ -1326,6 +1326,13 @@ mod tests {
         // The causal chains complete, and the injected frame loss is
         // visible as traces that never progressed past broker publish.
         let counter = |n: &str| a.obs.registry.find_counter(n).unwrap().get();
+        for family in [
+            "mqtt_published_total",
+            "mqtt_delivered_total",
+            "ctl_frames_total",
+        ] {
+            assert!(counter(family) > 0, "{family} must fire");
+        }
         assert!(counter("ctl_ticks_total") > 0);
         assert!(
             a.obs
@@ -1342,5 +1349,12 @@ mod tests {
             counter("obs_trace_lost_total{last=\"broker_publish\"}") > 0,
             "frame loss surfaces as per-stage trace loss"
         );
+
+        // Every exported sample is finite (a NaN gauge or quantile would
+        // poison dashboards silently) and the exposition is well formed.
+        a.obs.registry.visit_samples(|name, v| {
+            assert!(v.is_finite(), "non-finite series {name} = {v}");
+        });
+        assert!(a.obs.registry.render_text().contains("# TYPE"));
     }
 }

@@ -56,6 +56,12 @@ fn event_kernel_reproduces_every_lockstep_digest() {
             "canned scenario {:?} must hold every invariant",
             sc.name
         );
+        assert_eq!(
+            out.report.jobs_completed as usize, sc.n_jobs,
+            "{}: trace must complete",
+            sc.name
+        );
+        assert!(out.truth.total_energy_j > 0.0);
     }
 }
 

@@ -11,6 +11,12 @@
 //! every end-to-end and apply latency, every completion, and every loss
 //! attributed to its furthest stage. If a deliberate behaviour change
 //! moves them, re-pin them in the same change with the reason.
+//!
+//! The federated scenario (three racks at seed 2026, one broker restart
+//! and one node death) also pins the federation itself: every per-rack
+//! and federation-level invariant holds, the budget is rebalanced, the
+//! site energy ledger equals the sum of the rack ledgers, and the digest
+//! over all rack logs plus the federation log is fixed.
 
 use davide_obs::Fnv1a;
 use davide_sim::federation::{run_federated, FedScenario};
@@ -81,5 +87,20 @@ fn fed_smoke_tracer_samples_are_pinned() {
         0xed0e_0f94_e047_814f,
         "got {:#018x}",
         h.finish()
+    );
+
+    assert_eq!(out.all_violations(), Vec::new());
+    assert!(out.rebalances > 0, "the budget must be rebalanced");
+    let racks_j = out.racks_energy_j();
+    assert!(
+        (out.global_energy_j - racks_j).abs() <= 1e-9 * racks_j + 1e-6,
+        "site ledger {} J must equal the sum of rack ledgers {racks_j} J",
+        out.global_energy_j
+    );
+    assert_eq!(
+        out.digest(),
+        0xbfb5_7bf7_79ea_33c8,
+        "got {:#018x}",
+        out.digest()
     );
 }

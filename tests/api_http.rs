@@ -13,6 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use davide_api::{
     ApiServer, ApiServerConfig, HttpClient, JobProfileRequest, JobRollupRequest, QueryOp,
@@ -107,6 +108,10 @@ fn every_endpoint_is_bit_identical_to_the_direct_call() {
     assert_eq!(status, 200);
     assert_eq!(body, serde_json::to_string(&fx.svc.health().to_value()));
 
+    let (status, body) = c.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200);
+    assert!(body.contains("api_requests_total"), "{body}");
+
     // Every op over the placed job's series, plus a wildcard filter.
     let mut queries: Vec<QueryRequest> = [
         QueryOp::Points,
@@ -149,6 +154,7 @@ fn every_endpoint_is_bit_identical_to_the_direct_call() {
         assert_eq!(status, 200);
         let direct = fx.svc.rollup_user(&req).expect("direct rollup");
         assert_eq!(body, serde_json::to_string(&direct.to_value()));
+        assert!(!direct.users.is_empty(), "user rollup is populated");
     }
 
     for measured in [false, true] {
@@ -163,6 +169,12 @@ fn every_endpoint_is_bit_identical_to_the_direct_call() {
         assert_eq!(status, 200);
         let direct = fx.svc.rollup_job(&req).expect("direct job rollup");
         assert_eq!(body, serde_json::to_string(&direct.to_value()));
+        if measured {
+            assert!(
+                direct.measured_energy_j.unwrap_or(0.0) > 0.0,
+                "measured job energy integrates to > 0"
+            );
+        }
     }
 
     let req = JobProfileRequest {
@@ -176,6 +188,10 @@ fn every_endpoint_is_bit_identical_to_the_direct_call() {
     assert_eq!(status, 200);
     let direct = fx.svc.profile_job(&req).expect("direct profile");
     assert_eq!(body, serde_json::to_string(&direct.to_value()));
+    assert!(
+        direct.profiles.iter().all(|p| !p.watts.is_empty()),
+        "every profile carries samples"
+    );
 }
 
 #[test]
@@ -482,4 +498,59 @@ fn connection_close_and_http10_semantics_hold() {
         c.request("GET", "/health", "").is_err(),
         "400 must close the connection"
     );
+}
+
+// ------------------------------------------------------------------ //
+// Idle peers: the server drops a connection after 1 s without I/O, so //
+// silent clients can neither hang shutdown nor hold the worker pool.  //
+// ------------------------------------------------------------------ //
+
+/// Three times the server's 1 s I/O timeout.
+const IDLE_BOUND: Duration = Duration::from_secs(3);
+
+#[test]
+fn an_idle_keep_alive_client_does_not_hang_stop() {
+    let fx = fixture();
+    let mut idle = HttpClient::connect(fx.server.addr()).expect("connect");
+    let (status, _) = idle.request("GET", "/health", "").expect("health");
+    assert_eq!(status, 200);
+
+    // `idle` keeps its connection open and silent while the server stops.
+    let server = fx.server;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = tx.send(());
+    });
+    assert!(
+        rx.recv_timeout(IDLE_BOUND).is_ok(),
+        "stop() must return while a keep-alive client idles"
+    );
+    stopper.join().expect("stop thread");
+    drop(idle);
+}
+
+#[test]
+fn idle_connections_cannot_starve_the_worker_pool() {
+    let fx = fixture();
+    // One silent connection per worker, each accepted before the client
+    // below, so every worker starts out blocked on an idle peer.
+    let idle: Vec<TcpStream> = (0..ApiServerConfig::default().workers)
+        .map(|_| TcpStream::connect(fx.server.addr()).expect("connect"))
+        .collect();
+
+    let start = Instant::now();
+    let mut s = TcpStream::connect(fx.server.addr()).expect("connect");
+    s.set_read_timeout(Some(IDLE_BOUND)).expect("read timeout");
+    s.write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("write");
+    let mut resp = String::new();
+    let read = s.read_to_string(&mut resp);
+    assert!(
+        read.is_ok() && start.elapsed() < IDLE_BOUND,
+        "a fresh client must be served within {IDLE_BOUND:?} ({read:?} after {:?})",
+        start.elapsed()
+    );
+    assert_eq!(status_of(&resp), Some(200), "{resp:?}");
+    drop(idle);
 }
