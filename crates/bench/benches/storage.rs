@@ -1,12 +1,14 @@
 //! E26 micro-benchmarks: the Gorilla-style block codec (encode and
-//! decode over idle, tone and noisy-tone E25-shaped corpora) and the
-//! tiered full-history range scan the ≥100 M samples/s gate runs on.
+//! decode over idle, tone and noisy-tone E25-shaped corpora), the
+//! tiered full-history range scan the ≥100 M samples/s gate runs on,
+//! and the full-history raw mean, which adds whole blocks from their
+//! exact-sum certificates instead of decoding them.
 //! Run the assertions without timing via
 //! `cargo bench --bench storage -- --test` (the CI smoke mode).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use davide_telemetry::storage::{decode_block_into, encode_block};
-use davide_telemetry::tsdb::TsDb;
+use davide_telemetry::tsdb::{Resolution, TsDb};
 use davide_telemetry::{TieringConfig, TsDbConfig};
 
 const DT: f64 = 2e-5;
@@ -118,13 +120,28 @@ fn bench_scan(c: &mut Criterion) {
 
     g.throughput(Throughput::Elements(n as u64));
     g.sample_size(20);
+    let fold = |db: &TsDb| {
+        db.scan_id(id, black_box(0.0), black_box(1e18))
+            .fold_points((0u64, 0.0f64), |(cnt, sum), _t, v| (cnt + 1, sum + v))
+    };
     g.bench_function("tiered_full_history_fold_500k", |b| {
         b.iter(|| {
-            let (cnt, sum) = db
-                .scan_id(id, black_box(0.0), black_box(1e18))
-                .fold_points((0u64, 0.0f64), |(cnt, sum), _t, v| (cnt + 1, sum + v));
+            let (cnt, sum) = fold(&db);
             assert_eq!(cnt as usize, n);
             sum
+        })
+    });
+    // The same points through the raw mean: whole blocks add their
+    // certified sums, and the answer keeps the fold's bits.
+    let (cnt, sum) = fold(&db);
+    let want = sum / cnt as f64;
+    g.bench_function("tiered_full_history_mean_500k", |b| {
+        b.iter(|| {
+            let mean = db
+                .mean_id(id, Resolution::Raw, black_box(0.0), black_box(1e18))
+                .expect("the history is not empty");
+            assert_eq!(mean.to_bits(), want.to_bits());
+            mean
         })
     });
     // The common monitoring query: a window living entirely in the
@@ -134,7 +151,7 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| {
             db.mean_id(
                 id,
-                davide_telemetry::tsdb::Resolution::Raw,
+                Resolution::Raw,
                 black_box(t_end - 0.002),
                 black_box(t_end),
             )

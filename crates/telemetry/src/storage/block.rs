@@ -2,12 +2,17 @@
 //! seals out of the hot ring, holds in the compressed in-memory tier,
 //! and demotes to disk segments.
 
-use super::codec::{encode_block, MAX_BLOCK_POINTS};
+use super::codec::{encode_block, BlockSum, MAX_BLOCK_POINTS};
 
 /// One immutable compressed run of a single series. Timestamps inside a
 /// block are nondecreasing (they come out of a ring that enforces it),
 /// so `t_min`/`t_max` are simply the first and last timestamp and a
 /// range scan can skip whole blocks on metadata alone.
+///
+/// The block also keeps its values' [`BlockSum`] certificate, unpacked
+/// into three fields so the struct stays 48 bytes on 64-bit targets. It
+/// lives only in memory: segment files store the payload, not the
+/// certificate.
 #[derive(Debug, Clone)]
 pub struct SealedBlock {
     /// First timestamp in the block.
@@ -16,8 +21,12 @@ pub struct SealedBlock {
     pub t_max: f64,
     /// Point count.
     pub n: u32,
-    /// Gorilla-compressed payload (see [`super::codec`]).
-    pub bytes: Vec<u8>,
+    /// Gorilla-compressed payload (see [`super::codec`]), exactly as
+    /// long as the encoder wrote it.
+    pub bytes: Box<[u8]>,
+    sum: f64,
+    sum_lo: u8,
+    sum_hi: u8,
 }
 
 impl SealedBlock {
@@ -29,12 +38,15 @@ impl SealedBlock {
     pub fn seal(ts: &[f64], vs: &[f32], scratch: &mut Vec<u8>) -> SealedBlock {
         assert!(!ts.is_empty() && ts.len() <= MAX_BLOCK_POINTS);
         scratch.clear();
-        encode_block(ts, vs, scratch);
+        let BlockSum { sum, lo, hi } = encode_block(ts, vs, scratch);
         SealedBlock {
             t_min: ts[0],
             t_max: ts[ts.len() - 1],
             n: ts.len() as u32,
-            bytes: scratch.to_vec(),
+            bytes: scratch.as_slice().into(),
+            sum,
+            sum_lo: lo,
+            sum_hi: hi,
         }
     }
 
@@ -48,6 +60,19 @@ impl SealedBlock {
     #[inline]
     pub fn size_bytes(&self) -> usize {
         self.bytes.len()
+    }
+
+    /// `acc` with every value of the block added one by one in order,
+    /// without decoding it: `Some` only when the block's [`BlockSum`]
+    /// proves that fold exact (see [`BlockSum::add_to`]).
+    #[inline]
+    pub(crate) fn add_sum_to(&self, acc: f64) -> Option<f64> {
+        BlockSum {
+            sum: self.sum,
+            lo: self.sum_lo,
+            hi: self.sum_hi,
+        }
+        .add_to(acc, self.n)
     }
 }
 
@@ -78,5 +103,12 @@ mod tests {
         assert!(b.overlaps(15.0, 16.0));
         assert!(!b.overlaps(0.0, 10.0), "t1 exclusive");
         assert!(!b.overlaps(20.0 + 1e-9, 30.0));
+    }
+
+    /// The certificate costs the block no more than 8 bytes over the
+    /// 48 it had before it (on 64-bit targets it costs none).
+    #[test]
+    fn certificate_keeps_the_block_small() {
+        assert!(std::mem::size_of::<SealedBlock>() <= 56);
     }
 }

@@ -39,6 +39,12 @@
 //!
 //! Decoding is bounds-checked everywhere: a truncated or corrupt block
 //! returns [`CodecError`], never panics and never reads past the slice.
+//!
+//! The encoder also returns each block's [`BlockSum`]: the in-order
+//! `f64` sum of its values plus two exponent bounds that let a raw mean
+//! add the whole block in one step when that step provably gives the
+//! bits of folding the values one by one. It is metadata beside the
+//! bitstream, not part of it.
 
 /// Hard cap on points per block: keeps per-scan scratch bounded and the
 /// `u16` point-count header honest.
@@ -51,6 +57,9 @@ pub enum CodecError {
     Truncated,
     /// The header declared zero points (sealed blocks are never empty).
     EmptyBlock,
+    /// A value window header whose leading-zero count and length add
+    /// up to more than 32 bits; no encoder writes one.
+    Corrupt,
 }
 
 impl std::fmt::Display for CodecError {
@@ -58,11 +67,114 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "compressed block truncated"),
             CodecError::EmptyBlock => write!(f, "compressed block declares zero points"),
+            CodecError::Corrupt => write!(f, "compressed block has a corrupt value window"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+/// A block's exact-sum certificate, computed by [`encode_block`].
+///
+/// Every value `v` is a finite `f32`, so it is a multiple of
+/// 2^(`lo` − 150) and |v| < 2^(`hi` − 126). `BlockSum::add_to` uses
+/// those bounds to prove that folding the values into a running `f64`
+/// sum one by one never rounds, and then adds `sum` in one step: an
+/// exact fold has one answer whatever its grouping, so the bits are the
+/// ones the point-by-point fold gives.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockSum {
+    /// In-order `f64` sum of the values, starting from `+0.0`.
+    pub sum: f64,
+    /// Smallest biased `f32` exponent over the nonzero values, floored
+    /// at 1 (254 when every value is zero).
+    pub lo: u8,
+    /// Largest biased `f32` exponent over the values; 255 when a value
+    /// is NaN or infinite, which voids the certificate.
+    pub hi: u8,
+}
+
+impl BlockSum {
+    /// The certificate of `vs`, whose in-order sum from `+0.0` is
+    /// `sum`. `moved` is false only when no value's sign or exponent
+    /// differs from its predecessor's: every value then shares
+    /// `vs[0]`'s exponent, and a normal `vs[0]` gives both bounds at
+    /// once. Any other block has its bounds computed from its values.
+    fn new(sum: f64, vs: &[f32], moved: bool) -> BlockSum {
+        // The low byte of `bits >> 23` is the biased exponent.
+        let e0 = (vs[0].to_bits() >> 23) as u8;
+        let (lo, hi) = if !moved && (1..=254).contains(&e0) {
+            (e0, e0)
+        } else {
+            exponent_bounds(vs)
+        };
+        BlockSum { sum, lo, hi }
+    }
+
+    /// `acc` with the block's `n` values folded in one by one — computed
+    /// as `acc + sum` when the certificate proves that fold exact, and
+    /// `None` (decode the block instead) when it cannot.
+    ///
+    /// Let `q` be the smaller of `lo − 150` and the exponent of `acc`'s
+    /// lowest set bit. Every partial sum of the fold is then an integer
+    /// multiple of 2^q, of magnitude below |acc| + n·2^(hi − 126). When
+    /// that bound is at most 2^(52 + q), every partial sum, `sum`'s own
+    /// included, is a multiple of 2^q below 2^(53 + q), which an `f64`
+    /// holds exactly: no addition rounds. (The bound is itself an `f64`
+    /// sum; its rounding error is at most 2^(q − 1), well inside the
+    /// factor of two.)
+    ///
+    /// `acc` must be finite and not `-0.0`. A fold that starts from
+    /// `+0.0` never reaches `-0.0`; from `-0.0`, a run of `-0.0` values
+    /// would keep a sign that `sum`, started from `+0.0`, has lost.
+    #[inline]
+    pub(crate) fn add_to(&self, acc: f64, n: u32) -> Option<f64> {
+        if self.hi == 0xff || !acc.is_finite() || acc.to_bits() == (-0.0f64).to_bits() {
+            return None;
+        }
+        let q = (self.lo as i32 - 150).min(lowest_set_bit_exp(acc));
+        let bound = acc.abs() + n as f64 * pow2(self.hi as i32 - 126);
+        (bound <= pow2(52 + q)).then_some(acc + self.sum)
+    }
+}
+
+/// `lo` and `hi` of [`BlockSum`], straight from the values. With the
+/// sign cleared, the order of `f32` bit patterns is magnitude order, so
+/// the extreme magnitudes carry the extreme exponents.
+fn exponent_bounds(vs: &[f32]) -> (u8, u8) {
+    let mags = vs.iter().map(|v| v.to_bits() & 0x7fff_ffff);
+    let max = mags.clone().max().unwrap_or(0);
+    // Subnormals are multiples of 2^-149, as exponent-1 normals are.
+    let lo = mags
+        .filter(|&m| m != 0)
+        .min()
+        .map_or(254, |m| ((m >> 23) as u8).max(1));
+    (lo, (max >> 23) as u8)
+}
+
+/// 2^k for a `k` in the normal `f64` exponent range.
+#[inline]
+fn pow2(k: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&k));
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// Exponent of the lowest set bit of a finite `x`: `x` is an odd
+/// multiple of 2 to this power. `i32::MAX` for zero, which every power
+/// of two divides.
+#[inline]
+fn lowest_set_bit_exp(x: f64) -> i32 {
+    let bits = x.to_bits() & !(1 << 63);
+    if bits == 0 {
+        return i32::MAX;
+    }
+    let e = (bits >> 52) as i32;
+    let frac = bits & ((1 << 52) - 1);
+    // Normal numbers carry the implicit leading bit; subnormals share
+    // the exponent of the smallest normal.
+    let sig = if e == 0 { frac } else { frac | (1 << 52) };
+    sig.trailing_zeros() as i32 + e.max(1) - 1075
+}
 
 #[inline]
 fn zigzag(x: i64) -> u64 {
@@ -205,7 +317,8 @@ fn max_encoded_len(n: usize) -> usize {
 }
 
 /// Compress one sealed run of points into `out` (append; `out` is not
-/// cleared). `ts` and `vs` must be the same length, between 1 and
+/// cleared), and return the values' [`BlockSum`], whose sum is taken in
+/// the same loop. `ts` and `vs` must be the same length, between 1 and
 /// [`MAX_BLOCK_POINTS`]. The round trip through [`decode_block_into`]
 /// reproduces both slices bit-for-bit. `out` is reserved once for the
 /// worst case, so callers that keep it as a scratch buffer never
@@ -215,7 +328,7 @@ fn max_encoded_len(n: usize) -> usize {
 /// If the slices are empty, differ in length, or exceed
 /// [`MAX_BLOCK_POINTS`] — sealing is driver-controlled, so those are
 /// wiring bugs, not data errors.
-pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
+pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) -> BlockSum {
     assert_eq!(ts.len(), vs.len(), "columns must align");
     assert!(!ts.is_empty(), "sealed blocks are never empty");
     assert!(ts.len() <= MAX_BLOCK_POINTS, "block too large to seal");
@@ -226,6 +339,11 @@ pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
     // First point: raw bits.
     w.push(ts[0].to_bits(), 64);
     w.push(vs[0].to_bits() as u64, 32);
+    // The values' in-order sum from +0.0, and whether any value's sign
+    // or exponent differs from its predecessor's (see `BlockSum::new`).
+    let mut sum = 0.0f64;
+    sum += vs[0] as f64;
+    let mut moved = false;
 
     let mut prev_t = ts[0].to_bits() as i64;
     let mut prev_delta: i64 = 0;
@@ -262,6 +380,7 @@ pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
         }
 
         // Value: XOR against the previous value's bits.
+        sum += v as f64;
         let v_bits = v.to_bits();
         let x = v_bits ^ prev_v;
         prev_v = v_bits;
@@ -282,9 +401,14 @@ pub fn encode_block(ts: &[f64], vs: &[f32], out: &mut Vec<u8>) {
             w.push((header << len) | (x >> trail) as u64, 12 + len);
             win_lead = lead;
             win_trail = trail;
+            // Does the XOR reach the sign or exponent (the top nine
+            // bits)? Only a new window can: a reused window starts no
+            // higher than the XOR that opened it.
+            moved |= lead < 9;
         }
     }
     w.finish();
+    BlockSum::new(sum, vs, moved)
 }
 
 /// Decode a block produced by [`encode_block`], appending the points to
@@ -315,8 +439,8 @@ pub fn decode_block_into(
     vs.push(f32::from_bits(v_bits));
 
     let mut prev_delta: i64 = 0;
-    let mut win_lead: u32 = 0;
     let mut win_len: u32 = 32;
+    let mut win_trail: u32 = 0;
 
     for _ in 1..n {
         // Timestamp bucket.
@@ -340,10 +464,13 @@ pub fn decode_block_into(
         // Value bucket.
         if r.read_bit()? == 1 {
             if r.read_bit()? == 1 {
-                win_lead = r.read(5)? as u32;
+                let win_lead = r.read(5)? as u32;
                 win_len = r.read(5)? as u32 + 1;
+                // No encoder writes a window that runs past bit 0.
+                win_trail = 32u32
+                    .checked_sub(win_lead + win_len)
+                    .ok_or(CodecError::Corrupt)?;
             }
-            let win_trail = 32 - win_lead - win_len;
             let x = (r.read(win_len)? as u32) << win_trail;
             v_bits ^= x;
         }
@@ -465,6 +592,94 @@ mod tests {
             decode_block_into(&[0, 0, 0], &mut dt, &mut dv),
             Err(CodecError::EmptyBlock)
         );
+    }
+
+    /// Pack a string of `0`/`1` characters MSB-first behind an `n`
+    /// header, zero-padding the last byte.
+    fn block_from_bits(n: u16, bits: &str) -> Vec<u8> {
+        let mut out = n.to_le_bytes().to_vec();
+        for chunk in bits.as_bytes().chunks(8) {
+            let byte = chunk
+                .iter()
+                .enumerate()
+                .fold(0u8, |b, (i, &c)| b | (u8::from(c == b'1') << (7 - i)));
+            out.push(byte);
+        }
+        out
+    }
+
+    #[test]
+    fn corrupt_value_window_is_an_error_not_a_panic() {
+        // Two points: both raw first fields zero, a zero timestamp dod,
+        // then a new value window with lead 31 and length 32.
+        let bits = format!("{}0{}{}", "0".repeat(96), "11", "1".repeat(5 + 5 + 32));
+        let bytes = block_from_bits(2, &bits);
+        let (mut dt, mut dv) = (Vec::new(), Vec::new());
+        assert_eq!(
+            decode_block_into(&bytes, &mut dt, &mut dv),
+            Err(CodecError::Corrupt)
+        );
+        // The first 13 body bytes end right before the length field:
+        // cut there, the block is only truncated.
+        assert_eq!(
+            decode_block_into(&bytes[..2 + 13], &mut dt, &mut dv),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    fn block_sum(vs: &[f32]) -> BlockSum {
+        let ts: Vec<f64> = (0..vs.len()).map(|i| i as f64).collect();
+        encode_block(&ts, vs, &mut Vec::new())
+    }
+
+    /// The in-order fold the certificate stands in for.
+    fn fold(acc: f64, vs: &[f32]) -> f64 {
+        vs.iter().fold(acc, |acc, &v| acc + v as f64)
+    }
+
+    #[test]
+    fn certificate_records_sum_and_exponent_bounds() {
+        let c = block_sum(&[-0.0, 1.5, 0.0, -3.0]);
+        assert_eq!(c.sum.to_bits(), (-1.5f64).to_bits());
+        assert_eq!((c.lo, c.hi), (127, 128));
+        let c = block_sum(&[-0.0, -0.0]);
+        assert_eq!(c.sum.to_bits(), 0.0f64.to_bits(), "the fold starts at +0.0");
+        assert_eq!((c.lo, c.hi), (254, 0));
+        let c = block_sum(&[f32::from_bits(1), 2.0]);
+        assert_eq!((c.lo, c.hi), (1, 128), "subnormals floor `lo` at 1");
+        assert_eq!(block_sum(&[1.0, f32::INFINITY]).hi, 255);
+        assert_eq!(block_sum(&[f32::NAN, 1.0]).add_to(0.0, 2), None);
+        // One binade and sign throughout: the bounds come from the
+        // first value; a later step into the next binade is seen.
+        assert_eq!(block_sum(&[1.5, 1.75, 1.25, 1.75]).lo, 127);
+        let c = block_sum(&[1.5, 1.75, 1.25, 2.5, 1.25]);
+        assert_eq!((c.lo, c.hi), (127, 128));
+    }
+
+    #[test]
+    fn certificate_adds_only_what_the_fold_adds_exactly() {
+        // Quantised rail readings: exact from any nearby running sum.
+        let lsb = 4000.0 / 4095.0;
+        let rail: Vec<f32> = (0..1000)
+            .map(|i| (1700 + i * 31 % 41) as f32 * lsb)
+            .collect();
+        let c = block_sum(&rail);
+        for acc in [0.0, 1.0, 1e6 + 0.25, -123.0] {
+            let got = c.add_to(acc, rail.len() as u32).expect("certified");
+            assert_eq!(got.to_bits(), fold(acc, &rail).to_bits(), "acc {acc}");
+        }
+        // A running sum with bits far below the values' grid: the exact
+        // sums would need more than 53 bits, so the fold would round.
+        assert_eq!(c.add_to(1e-30, 1000), None);
+        assert_eq!(c.add_to(-0.0, 1000), None);
+        assert_eq!(c.add_to(f64::INFINITY, 1000), None);
+        // 1e8 beside 1 + ε: a few values fit 53 bits, many do not.
+        let mixed = [1e8f32, 1.000_000_1, 1e8, 1.000_000_1];
+        let c = block_sum(&mixed);
+        let got = c.add_to(0.0, 4).expect("four values fit");
+        assert_eq!(got.to_bits(), fold(0.0, &mixed).to_bits());
+        assert_eq!(c.add_to(0.0, 1 << 16), None);
+        assert_eq!(c.add_to(3e9, 4), None);
     }
 
     #[test]

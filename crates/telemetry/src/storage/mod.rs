@@ -11,6 +11,6 @@ pub mod disk;
 pub mod tiered;
 
 pub use block::SealedBlock;
-pub use codec::{decode_block_into, encode_block, CodecError, MAX_BLOCK_POINTS};
+pub use codec::{decode_block_into, encode_block, BlockSum, CodecError, MAX_BLOCK_POINTS};
 pub use disk::{DiskTier, DiskTierConfig};
 pub use tiered::{QueryCoverage, RangeQuery, TierStats, TieredScan, TieringConfig};

@@ -13,6 +13,7 @@
 //! never by an append.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::block::SealedBlock;
 use super::codec::{decode_block_into, MAX_BLOCK_POINTS};
@@ -59,13 +60,15 @@ impl Default for TieringConfig {
 pub struct QueryCoverage {
     /// Points served from the hot ring.
     pub hot: usize,
-    /// Points decoded from compressed in-memory blocks.
+    /// Points read from compressed in-memory blocks (decoded, or summed
+    /// whole by a raw mean).
     pub compressed: usize,
     /// Points decoded from on-disk segments.
     pub disk: usize,
     /// The window starts before the earliest retained point AND this
     /// series has dropped points (ring overwrite before tiering, budget
-    /// eviction, or a dropped segment file).
+    /// eviction, or a dropped segment file) — or the scan skipped a
+    /// block it could not read or decode.
     pub evicted: bool,
 }
 
@@ -181,7 +184,9 @@ pub(crate) struct TierEngine {
     mem_bytes: usize,
     sealed_points: u64,
     demoted_blocks: u64,
-    io_errors: u64,
+    /// Failed demotions, plus blocks scans skipped because they could
+    /// not be read or decoded (scans hold `&self`, hence the atomic).
+    io_errors: AtomicU64,
     /// Seal staging: `compact` copies a ring's oldest run here (the ring
     /// is a deque, the codec wants slices), reused across every seal.
     pub(crate) scratch_ts: Vec<f64>,
@@ -203,7 +208,7 @@ impl TierEngine {
             mem_bytes: 0,
             sealed_points: 0,
             demoted_blocks: 0,
-            io_errors: 0,
+            io_errors: AtomicU64::new(0),
             scratch_ts: Vec::new(),
             scratch_vs: Vec::new(),
             scratch_bytes: Vec::new(),
@@ -266,7 +271,7 @@ impl TierEngine {
             match &mut self.disk {
                 Some(disk) => {
                     if disk.demote(&batch, names).is_err() {
-                        self.io_errors += 1;
+                        *self.io_errors.get_mut() += 1;
                         for (i, b) in &batch {
                             self.evicted[*i as usize] += b.n as u64;
                         }
@@ -305,6 +310,11 @@ impl TierEngine {
         Some(self.disk.as_ref()?.scan(series, t0, t1))
     }
 
+    /// The counter scans charge a skipped block to.
+    pub(crate) fn io_errors(&self) -> &AtomicU64 {
+        &self.io_errors
+    }
+
     /// Points this series has lost to budget eviction (compressed or
     /// disk tier).
     pub(crate) fn lost_points(&self, series: usize) -> u64 {
@@ -326,7 +336,7 @@ impl TierEngine {
             compressed_bytes: self.mem_bytes as u64,
             sealed_points: self.sealed_points,
             evicted_points: self.evicted.iter().sum(),
-            io_errors: self.io_errors,
+            io_errors: self.io_errors.load(Ordering::Relaxed),
             ..TierStats::default()
         };
         for s in &self.mem {
@@ -348,13 +358,15 @@ impl TierEngine {
 /// compressed → hot), over the half-open window `[t0, t1)`, consumed by
 /// [`TieredScan::fold_points`].
 ///
-/// Compressed blocks are decoded **only** when their `[t_min, t_max]`
-/// overlaps the window (binary-searched start, early stop) into a
-/// per-scan scratch buffer that is allocated lazily — a scan that never
-/// touches a compressed tier (the common monitoring query, and every
-/// query on an untiered store) allocates nothing — and reused across
-/// blocks, so there is no per-block allocation and never a
-/// full-segment decompression.
+/// Blocks are read **only** when their `[t_min, t_max]` overlaps the
+/// window (binary-searched start, early stop). In-memory blocks decode
+/// straight from their payload; disk blocks are read into a per-scan
+/// buffer first. Both decode into per-scan staging columns. Those
+/// buffers are allocated lazily — a scan that never touches a
+/// compressed tier (the common monitoring query, and every query on an
+/// untiered store) allocates nothing — and reused across blocks, so
+/// there is no per-block allocation and never a full-segment
+/// decompression.
 pub struct TieredScan<'a> {
     t0: f64,
     t1: f64,
@@ -362,10 +374,20 @@ pub struct TieredScan<'a> {
     mem: Option<std::collections::vec_deque::Iter<'a, SealedBlock>>,
     hot_ts: std::collections::vec_deque::Iter<'a, f64>,
     hot_vs: std::collections::vec_deque::Iter<'a, f32>,
+    /// Where a skipped block is counted (the engine's `io_errors`).
+    io_errors: Option<&'a AtomicU64>,
     buf: Vec<u8>,
     ts: Vec<f64>,
     vs: Vec<f32>,
     tally: QueryCoverage,
+}
+
+/// The next block a scan reads.
+enum Block<'a> {
+    /// A disk block, its payload read into the scan's buffer.
+    Disk,
+    /// An in-memory block, not yet decoded.
+    Mem(&'a SealedBlock),
 }
 
 impl<'a> TieredScan<'a> {
@@ -376,6 +398,7 @@ impl<'a> TieredScan<'a> {
         mem: Option<std::collections::vec_deque::Iter<'a, SealedBlock>>,
         hot_ts: std::collections::vec_deque::Iter<'a, f64>,
         hot_vs: std::collections::vec_deque::Iter<'a, f32>,
+        io_errors: Option<&'a AtomicU64>,
     ) -> Self {
         TieredScan {
             t0,
@@ -384,6 +407,7 @@ impl<'a> TieredScan<'a> {
             mem,
             hot_ts,
             hot_vs,
+            io_errors,
             buf: Vec::new(),
             ts: Vec::new(),
             vs: Vec::new(),
@@ -391,20 +415,57 @@ impl<'a> TieredScan<'a> {
         }
     }
 
-    /// Per-tier points folded so far (`evicted` is filled in by the
-    /// store, which owns the loss accounting).
+    /// Per-tier points folded so far. `evicted` is set here only when
+    /// the scan skipped a block it could not read or decode; the store,
+    /// which owns the loss accounting, adds lost history.
     pub fn coverage(&self) -> QueryCoverage {
         self.tally
     }
 
-    /// Decode `self.buf`'s block and return the index range of its
-    /// points inside the window, charged to the owning tier's tally up
-    /// front (block granularity, so the per-point loop stays
-    /// branch-free). A block that fails to decode yields nothing.
-    fn window_decoded(&mut self, from_disk: bool) -> (usize, usize) {
+    /// Give up on a block: count it and mark the answer incomplete.
+    fn skip_block(&mut self) {
+        if let Some(errors) = self.io_errors {
+            errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.tally.evicted = true;
+    }
+
+    /// The next block overlapping the window, disk first, then in
+    /// memory; `None` once both block tiers are exhausted and only the
+    /// hot tail remains. A disk block that cannot be read is skipped.
+    fn next_block(&mut self) -> Option<Block<'a>> {
+        while let Some(d) = self.disk.as_mut() {
+            match d.next_block(&mut self.buf) {
+                Some(Ok(())) => return Some(Block::Disk),
+                Some(Err(_)) => self.skip_block(),
+                None => self.disk = None,
+            }
+        }
+        loop {
+            match self.mem.as_mut()?.next() {
+                Some(b) if b.t_min < self.t1 => {
+                    if b.t_max >= self.t0 {
+                        return Some(Block::Mem(b));
+                    }
+                }
+                _ => self.mem = None,
+            }
+        }
+    }
+
+    /// Decode a block into the staging columns and return the index
+    /// range of its points inside the window, charged to the block's
+    /// tier up front so the per-point loop stays branch-free. A block
+    /// that fails to decode is skipped and yields nothing.
+    fn decode_window(&mut self, block: Block<'_>) -> (usize, usize) {
+        let (bytes, from_disk) = match block {
+            Block::Disk => (&self.buf[..], true),
+            Block::Mem(b) => (&b.bytes[..], false),
+        };
         self.ts.clear();
         self.vs.clear();
-        if decode_block_into(&self.buf, &mut self.ts, &mut self.vs).is_err() {
+        if decode_block_into(bytes, &mut self.ts, &mut self.vs).is_err() {
+            self.skip_block();
             return (0, 0);
         }
         let pos = self.ts.partition_point(|&t| t < self.t0);
@@ -417,43 +478,6 @@ impl<'a> TieredScan<'a> {
         (pos, end)
     }
 
-    /// Pull blocks (disk first, then in-memory) until one decodes with
-    /// points inside the window, and return their index range; `None`
-    /// once both block tiers are exhausted and only the hot tail
-    /// remains.
-    fn next_block(&mut self) -> Option<(usize, usize)> {
-        loop {
-            let window = if let Some(d) = self.disk.as_mut() {
-                match d.next_block(&mut self.buf) {
-                    Some(Ok(())) => self.window_decoded(true),
-                    Some(Err(_)) => continue,
-                    None => {
-                        self.disk = None;
-                        continue;
-                    }
-                }
-            } else {
-                match self.mem.as_mut()?.next() {
-                    Some(b) if b.t_min < self.t1 => {
-                        if b.t_max < self.t0 {
-                            continue;
-                        }
-                        self.buf.clear();
-                        self.buf.extend_from_slice(&b.bytes);
-                        self.window_decoded(false)
-                    }
-                    _ => {
-                        self.mem = None;
-                        continue;
-                    }
-                }
-            };
-            if window.0 < window.1 {
-                return Some(window);
-            }
-        }
-    }
-
     /// Fold every windowed point in chronological order — the one way
     /// points leave the store. Decoded blocks are visited as pairs of
     /// slices, so there is no per-point call, bounds check or tier
@@ -461,9 +485,35 @@ impl<'a> TieredScan<'a> {
     /// (E26) rests on. Every f64 fold built on it (means, energy
     /// integrals, rollup buckets) accumulates in the same order
     /// whichever tiers the window spans.
-    pub fn fold_points<B>(&mut self, init: B, mut f: impl FnMut(B, f64, f64) -> B) -> B {
+    pub fn fold_points<B>(&mut self, init: B, f: impl FnMut(B, f64, f64) -> B) -> B {
+        self.fold_points_with(init, |_, _| None, f)
+    }
+
+    /// [`Self::fold_points`] with a whole-block step. For an in-memory
+    /// block that lies entirely inside the window, `whole(&acc, block)`
+    /// may return the accumulator with all of the block's points folded
+    /// in, without decoding it; the block's points count as compressed
+    /// coverage all the same. When it declines with `None`, the block is
+    /// decoded and folded point by point. Edge blocks, disk blocks and
+    /// the hot tail always fold point by point.
+    pub(crate) fn fold_points_with<B>(
+        &mut self,
+        init: B,
+        mut whole: impl FnMut(&B, &SealedBlock) -> Option<B>,
+        mut f: impl FnMut(B, f64, f64) -> B,
+    ) -> B {
         let mut acc = init;
-        while let Some((pos, end)) = self.next_block() {
+        while let Some(block) = self.next_block() {
+            if let Block::Mem(b) = block {
+                if self.t0 <= b.t_min && b.t_max < self.t1 {
+                    if let Some(next) = whole(&acc, b) {
+                        self.tally.compressed += b.n as usize;
+                        acc = next;
+                        continue;
+                    }
+                }
+            }
+            let (pos, end) = self.decode_window(block);
             for (&t, &v) in self.ts[pos..end].iter().zip(&self.vs[pos..end]) {
                 acc = f(acc, t, v as f64);
             }
@@ -480,10 +530,18 @@ impl<'a> TieredScan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tsdb::{Resolution, TsDb};
+    use crate::TsDbConfig;
+
+    /// Readings of a 12-bit 4 kW channel spread over 41 codes.
+    fn adc_rail(n: usize, phase: usize) -> impl Iterator<Item = f32> {
+        let lsb = 4000.0 / 4095.0;
+        (0..n).map(move |i| (1700 + (phase + i) * 7919 % 41) as f32 * lsb)
+    }
 
     /// The memory budget and `TierStats::compressed_bytes` count each
-    /// block's payload length, so a sealed block must hold no spare
-    /// capacity beyond it.
+    /// block's payload length; a sealed block's payload is a boxed
+    /// slice, so it holds exactly those bytes and no spare capacity.
     #[test]
     fn sealed_blocks_hold_exactly_the_bytes_the_budget_counts() {
         let cfg = TieringConfig {
@@ -499,19 +557,56 @@ mod tests {
             engine
                 .scratch_ts
                 .extend((0..500).map(|i| r as f64 * 0.01 + i as f64 * 2e-5));
-            // Readings of a 12-bit 4 kW channel spread over 41 codes.
-            let lsb = 4000.0 / 4095.0;
-            engine
-                .scratch_vs
-                .extend((0..500).map(|i| (1700 + (r * 500 + i) * 7919 % 41) as f32 * lsb));
+            engine.scratch_vs.extend(adc_rail(500, r * 500));
             engine.commit_seal(0);
         }
         let blocks = &engine.mem[0].blocks;
         assert_eq!(blocks.len(), 4);
         for b in blocks {
             assert!(b.size_bytes() > 1024, "{} bytes", b.size_bytes());
-            assert_eq!(b.bytes.capacity(), b.size_bytes());
         }
-        assert_eq!(engine.stats().compressed_bytes as usize, engine.mem_bytes);
+        let payload: usize = blocks.iter().map(SealedBlock::size_bytes).sum();
+        assert_eq!(engine.mem_bytes, payload);
+        assert_eq!(engine.stats().compressed_bytes as usize, payload);
+    }
+
+    /// A raw mean adds an in-window block from its certificate without
+    /// decoding it. With one block's payload cut to its 2-byte header,
+    /// the plain fold must skip that block (and say so), while the mean
+    /// still answers with the bits of the intact fold.
+    #[test]
+    fn raw_mean_sums_whole_blocks_without_decoding_them() {
+        let mut db = TsDb::with_config(TsDbConfig {
+            raw_capacity: 4096,
+            tiering: Some(TieringConfig {
+                seal_block: 100,
+                hot_retain: Some(50),
+                ..TieringConfig::default()
+            }),
+            ..TsDbConfig::default()
+        })
+        .unwrap();
+        let id = db.resolve("rail");
+        let vs: Vec<f32> = adc_rail(450, 0).collect();
+        db.append_frame_id(id, 10.0, 0.01, &vs);
+        db.compact();
+        let sum = vs.iter().fold(0.0, |acc, &v| acc + v as f64);
+        let (want, coverage) = db.mean_id_with_coverage(id, Resolution::Raw, 0.0, 1e9);
+        assert_eq!(want.map(f64::to_bits), Some((sum / 450.0).to_bits()));
+        assert_eq!((coverage.compressed, coverage.hot), (400, 50));
+
+        let engine = db.tier_mut().unwrap();
+        let cut = &mut engine.mem[0].blocks[1];
+        cut.bytes = cut.bytes[..2].into();
+        let (got, got_coverage) = db.mean_id_with_coverage(id, Resolution::Raw, 0.0, 1e9);
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+        assert_eq!(got_coverage, coverage);
+        assert_eq!(db.tier_stats().io_errors, 0);
+
+        let mut scan = db.scan_id(id, 0.0, 1e9);
+        assert_eq!(scan.fold_points(0, |n, _, _| n + 1), 350);
+        assert_eq!(scan.coverage().compressed, 300);
+        assert!(!scan.coverage().is_complete());
+        assert_eq!(db.tier_stats().io_errors, 1);
     }
 }

@@ -36,12 +36,24 @@
 //! whole buckets it reports and folds their raw points into bucket
 //! means on the way, so its [`QueryCoverage`] counts raw points per
 //! tier and compaction never changes its answer.
+//!
+//! A raw mean gives the scan a whole-block step
+//! (`TieredScan::fold_points_with`). Each sealed block stores the
+//! in-order `f64` sum of its values and two `f32` exponent bounds; for
+//! an in-memory block wholly inside the window, the bounds and the
+//! running sum decide whether every addition of the point-by-point fold
+//! would be exact. When they would, adding the stored sum gives the
+//! same bits and the block is not decoded; otherwise it is decoded as
+//! before. Edge blocks, disk blocks, the hot tail, rollups and energy
+//! integrals always fold point by point.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 
 use crate::storage::tiered::TierEngine;
-use crate::storage::{DiskTier, QueryCoverage, RangeQuery, TierStats, TieredScan, TieringConfig};
+use crate::storage::{
+    DiskTier, QueryCoverage, RangeQuery, SealedBlock, TierStats, TieredScan, TieringConfig,
+};
 
 /// One (timestamp, value) observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -465,16 +477,23 @@ impl TsDb {
     /// single query path every query below is built on. Compressed
     /// blocks are decoded only when they overlap `[t0, t1)`, into a
     /// per-scan scratch that is lazily allocated (a purely-hot scan
-    /// allocates nothing) and reused across blocks.
+    /// allocates nothing) and reused across blocks. A block the scan
+    /// cannot read or decode is skipped, counted in
+    /// [`TierStats::io_errors`] and flagged in the scan's coverage.
     pub fn scan_id(&self, id: SeriesId, t0: f64, t1: f64) -> TieredScan<'_> {
         let idx = id.index();
         let s = &self.series[idx];
         let (a, b) = s.bounds(t0, t1);
-        let (disk, mem) = match &self.tier {
-            Some(e) => (e.disk_scan(idx, t0, t1), e.mem_scan(idx, t0)),
-            None => (None, None),
+        let (disk, mem, io_errors) = match &self.tier {
+            Some(e) => (
+                e.disk_scan(idx, t0, t1),
+                e.mem_scan(idx, t0),
+                Some(e.io_errors()),
+            ),
+            None => (None, None, None),
         };
-        TieredScan::new(t0, t1, disk, mem, s.ts.range(a..b), s.vs.range(a..b))
+        let (hot_ts, hot_vs) = (s.ts.range(a..b), s.vs.range(a..b));
+        TieredScan::new(t0, t1, disk, mem, hot_ts, hot_vs, io_errors)
     }
 
     /// Has this series lost history that a window starting at `t0`
@@ -495,19 +514,21 @@ impl TsDb {
     }
 
     /// Fold the raw points of `[t0, t1)` in chronological order, and
-    /// report where they came from.
+    /// report where they came from. `whole` is the scan's whole-block
+    /// step (see `TieredScan::fold_points_with`).
     fn fold_raw<B>(
         &self,
         id: SeriesId,
         t0: f64,
         t1: f64,
         init: B,
+        whole: impl FnMut(&B, &SealedBlock) -> Option<B>,
         f: impl FnMut(B, f64, f64) -> B,
     ) -> (B, QueryCoverage) {
         let mut scan = self.scan_id(id, t0, t1);
-        let acc = scan.fold_points(init, f);
+        let acc = scan.fold_points_with(init, whole, f);
         let mut coverage = scan.coverage();
-        coverage.evicted = self.evicted_before(id.index(), t0);
+        coverage.evicted |= self.evicted_before(id.index(), t0);
         (acc, coverage)
     }
 
@@ -525,12 +546,12 @@ impl TsDb {
         mut f: impl FnMut(B, f64, f64) -> B,
     ) -> (B, QueryCoverage) {
         let Some(width) = res.bucket_s() else {
-            return self.fold_raw(id, t0, t1, init, f);
+            return self.fold_raw(id, t0, t1, init, |_, _| None, f);
         };
         let Some(b) = Buckets::new(width, t0, t1) else {
             // No bucket to report: an empty window still says whether
             // history before `t0` was lost.
-            return self.fold_raw(id, t0, t0, init, f);
+            return self.fold_raw(id, t0, t0, init, |_, _| None, f);
         };
         let (start, end) = b.span();
         // The open bucket: its index, and the sum and count of its
@@ -540,6 +561,7 @@ impl TsDb {
             start,
             end,
             (init, None::<(i64, f64, u64)>),
+            |_, _| None,
             |(acc, open), t, v| {
                 let k = b.index(t);
                 match open {
@@ -586,6 +608,10 @@ impl TsDb {
     /// Raw means fold the tiered scan in chronological order — the same
     /// sequential f64 accumulation as the hot-only path, so results are
     /// bit-identical whether or not the window spans compressed tiers.
+    /// An in-memory block wholly inside the window is added as its
+    /// stored sum whenever the block's certificate proves that addition
+    /// exact (`SealedBlock::add_sum_to`), which gives the same bits
+    /// without decoding the block.
     pub fn mean_id(&self, id: SeriesId, res: Resolution, t0: f64, t1: f64) -> Option<f64> {
         self.mean_id_with_coverage(id, res, t0, t1).0
     }
@@ -599,10 +625,18 @@ impl TsDb {
         t0: f64,
         t1: f64,
     ) -> (Option<f64>, QueryCoverage) {
-        let ((sum, n), coverage) =
-            self.fold_at(id, res, t0, t1, (0.0f64, 0usize), |(sum, n), _t, v| {
-                (sum + v, n + 1)
-            });
+        let add = |(sum, n): (f64, usize), _t, v| (sum + v, n + 1);
+        let ((sum, n), coverage) = match res {
+            Resolution::Raw => self.fold_raw(
+                id,
+                t0,
+                t1,
+                (0.0, 0),
+                |&(sum, n), b| Some((b.add_sum_to(sum)?, n + b.n as usize)),
+                add,
+            ),
+            _ => self.fold_at(id, res, t0, t1, (0.0, 0), add),
+        };
         let mean = if n == 0 { None } else { Some(sum / n as f64) };
         (mean, coverage)
     }
@@ -629,12 +663,19 @@ impl TsDb {
             t0,
             t1,
             (0.0f64, None::<(f64, f64)>),
+            |_, _| None,
             |(acc, prev), t, v| match prev {
                 Some((pt, pv)) => (acc + pv * (t - pt), Some((t, v))),
                 None => (acc, Some((t, v))),
             },
         );
         (acc, coverage)
+    }
+
+    /// The tier engine, for tests that corrupt what it holds.
+    #[cfg(test)]
+    pub(crate) fn tier_mut(&mut self) -> Option<&mut TierEngine> {
+        self.tier.as_mut()
     }
 
     /// Point-in-time tier occupancy across every series (hot ring

@@ -1,9 +1,12 @@
 //! Tier-1 property suite for the tiered storage engine: codec identity
 //! over arbitrary `f32` bit patterns, encoder bytes identical to the
-//! reference encoder, truncated-decode-is-an-error, a differential
-//! compressed-vs-hot range scan on random windows, 1 s and 1 min
-//! rollups folded from raw points in every tier, and disk-tier crash
-//! recovery.
+//! reference encoder (and its exact-sum certificate true to its
+//! definition), truncated-decode-is-an-error, arbitrary bytes never
+//! panic the decoder, a differential compressed-vs-hot range scan on
+//! random windows, raw means that add whole blocks from their exact-sum
+//! certificates bit-identical to the point-by-point fold, 1 s and 1 min
+//! rollups folded from raw points in every tier, disk-tier crash
+//! recovery, and unreadable disk blocks counted and flagged.
 
 mod reference_codec;
 
@@ -11,6 +14,7 @@ use davide::telemetry::storage::{decode_block_into, encode_block, MAX_BLOCK_POIN
 use davide::telemetry::tsdb::{Point, Resolution, SeriesId, TsDb};
 use davide::telemetry::{DiskTierConfig, RangeQuery, TieringConfig, TsDbConfig};
 use proptest::prelude::*;
+use std::fs::OpenOptions;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -56,10 +60,33 @@ fn rail_series(base: f64, ripple: f64, seed: u64, n: usize) -> Vec<f32> {
 }
 
 /// Encode with the library and with the reference encoder, both
-/// appending to the same non-empty prefix, and require identical bytes.
+/// appending to the same non-empty prefix, and require identical bytes
+/// — and a `BlockSum` that says what its definition says: the
+/// in-order sum from `+0.0`, the largest biased exponent, and the
+/// smallest over nonzero values floored at 1 (254 when all are zero).
 fn same_bytes_as_reference(ts: &[f64], vs: &[f32]) -> Result<(), TestCaseError> {
     let (mut got, mut want) = (vec![0xA5], vec![0xA5]);
-    encode_block(ts, vs, &mut got);
+    let cert = encode_block(ts, vs, &mut got);
+    let sum = vs.iter().fold(0.0, |acc, &v| acc + v as f64);
+    prop_assert!(
+        cert.sum.to_bits() == sum.to_bits() || (cert.sum.is_nan() && sum.is_nan()),
+        "sum {} vs {}",
+        cert.sum,
+        sum
+    );
+    let exponent = |v: &f32| (v.to_bits() >> 23) as u8;
+    let hi = vs.iter().map(exponent).max();
+    let lo = vs
+        .iter()
+        .filter(|v| v.to_bits() << 1 != 0)
+        .map(exponent)
+        .min();
+    prop_assert_eq!(
+        (cert.lo, Some(cert.hi)),
+        (lo.map_or(254, |e| e.max(1)), hi),
+        "exponent bounds of {} values",
+        vs.len()
+    );
     reference_codec::encode_block(ts, vs, &mut want);
     let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
     prop_assert!(
@@ -267,6 +294,25 @@ proptest! {
         );
     }
 
+    /// Arbitrary bytes — behind a small point count, or raw — decode to
+    /// an error or to exactly the declared points, and never panic (a
+    /// value window header claiming more than 32 bits is an error).
+    #[test]
+    fn decoder_never_panics_on_arbitrary_bytes(
+        n in 1u16..64,
+        body in proptest::collection::vec(any::<u8>(), 0..400),
+    ) {
+        let mut bytes = n.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        for input in [&bytes[..], &body[..]] {
+            let (mut dts, mut dvs) = (Vec::new(), Vec::new());
+            if let Ok(got) = decode_block_into(input, &mut dts, &mut dvs) {
+                prop_assert_eq!(got, u16::from_le_bytes([input[0], input[1]]) as usize);
+                prop_assert_eq!((dts.len(), dvs.len()), (got, got));
+            }
+        }
+    }
+
     /// Differential scan: a tiered store (tiny hot tier, everything
     /// else sealed into compressed blocks) answers random range
     /// queries bit-identically to an untiered store holding the same
@@ -329,6 +375,111 @@ proptest! {
             let eh = hot.energy_j_id(hid, w0, w1);
             let et = tiered.energy_j_id(tid, w0, w1);
             prop_assert_eq!(eh.to_bits(), et.to_bits());
+        }
+    }
+}
+
+/// Value sets for the exact-sum certificate: ADC-quantised rails (the
+/// blocks it certifies), arbitrary `f32` bit patterns (NaN, ±inf,
+/// subnormals), 3e38 beside 1e-30, 1e8 beside 1 + ε, and ±0.0 with a
+/// few small values.
+fn certificate_values(kind: u8, seed: u64, n: usize) -> Vec<f32> {
+    const LSB_W: f64 = 4000.0 / 4095.0;
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..n)
+        .map(|i| {
+            let r = next();
+            let sign = if r >> 63 == 0 { 1.0 } else { -1.0 };
+            match kind {
+                0 => {
+                    // 16 ADC codes of a rail with a slow swing, averaged.
+                    let w = 1700.0 + 300.0 * (i as f64 * 0.01).sin();
+                    let codes: f64 = (0..16)
+                        .map(|_| ((w + (next() % 64) as f64 - 32.0) / LSB_W).round())
+                        .sum();
+                    (codes * LSB_W / 16.0) as f32
+                }
+                1 => f32::from_bits(r as u32),
+                2 => sign * [3e38, 1e-30][(r & 1) as usize],
+                3 => sign * [1e8, 1.0 + f32::EPSILON][(r & 1) as usize],
+                _ => sign * [0.0, 0.0, 0.0, 2.25][(r & 3) as usize],
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    /// A raw mean adds whole in-memory blocks from their exact-sum
+    /// certificates when it can, and must still give the bits of the
+    /// plain in-order fold over the same points — the fold behind a
+    /// raw range query — with identical coverage, for any seal size,
+    /// hot tail and window edges.
+    #[test]
+    fn raw_mean_matches_the_in_order_fold(
+        kind in 0u8..5,
+        seed in any::<u64>(),
+        seal_block in 1usize..160,
+        hot_retain in 1usize..160,
+        n in 1usize..4000,
+        wseed in any::<u64>(),
+    ) {
+        let mut db = TsDb::with_config(TsDbConfig {
+            raw_capacity: 4096,
+            tiering: Some(TieringConfig {
+                seal_block,
+                hot_retain: Some(hot_retain),
+                ..TieringConfig::default()
+            }),
+            ..TsDbConfig::default()
+        })
+        .unwrap();
+        let id = db.resolve("rail");
+        let vs = certificate_values(kind, seed, n);
+        let (t0, dt) = (10.0, 0.01);
+        for (f, chunk) in vs.chunks(97).enumerate() {
+            db.append_frame_id(id, t0 + (f * 97) as f64 * dt, dt, chunk);
+            db.compact();
+        }
+        let span = n as f64 * dt;
+        let mut wstate = wseed | 1;
+        let mut unit = move || {
+            wstate ^= wstate << 13;
+            wstate ^= wstate >> 7;
+            wstate ^= wstate << 17;
+            wstate as f64 / u64::MAX as f64
+        };
+        let mut windows = vec![(0.0, 1e18)];
+        for _ in 0..39 {
+            let (a, b) = (unit(), unit());
+            let edge = |u: f64| t0 - 0.05 * span + u * 1.1 * span;
+            windows.push((edge(a.min(b)), edge(a.max(b))));
+        }
+        for (w0, w1) in windows {
+            let rq = db.query_range_id(id, Resolution::Raw, w0, w1);
+            let sum = rq.points.iter().fold(0.0, |acc, p| acc + p.v);
+            let want = (!rq.points.is_empty()).then(|| sum / rq.points.len() as f64);
+            let (got, coverage) = db.mean_id_with_coverage(id, Resolution::Raw, w0, w1);
+            prop_assert_eq!(coverage, rq.coverage, "window [{}, {})", w0, w1);
+            match (want, got) {
+                (Some(w), Some(g)) if w.is_nan() => {
+                    prop_assert!(g.is_nan(), "window [{}, {}): {} vs NaN", w0, w1, g)
+                }
+                _ => prop_assert_eq!(
+                    want.map(f64::to_bits),
+                    got.map(f64::to_bits),
+                    "window [{}, {}): {:?} vs {:?}",
+                    w0,
+                    w1,
+                    want,
+                    got
+                ),
+            }
         }
     }
 }
@@ -571,4 +722,50 @@ fn query_coverage_reports_tier_provenance_and_eviction() {
     let rq2 = db.query_range_id(id, Resolution::Raw, tail_t0, 1e18);
     assert!(rq2.coverage.is_complete(), "{:?}", rq2.coverage);
     assert_eq!(rq2.points.len(), 50);
+}
+
+#[test]
+fn unreadable_disk_blocks_are_counted_and_flag_the_answer() {
+    let dir = test_dir("torn");
+    let mut db = TsDb::with_config(TsDbConfig {
+        raw_capacity: 1000,
+        tiering: Some(TieringConfig {
+            seal_block: 64,
+            hot_retain: Some(64),
+            mem_budget_bytes: 256,
+            disk: Some(DiskTierConfig::new(&dir)),
+        }),
+        ..TsDbConfig::default()
+    })
+    .unwrap();
+    let id = db.resolve("rail");
+    let dt = 2e-5;
+    for f in 0..20 {
+        let vs: Vec<f32> = (0..100)
+            .map(|i| 300.0 + ((f * 100 + i) as f32 * 0.01).sin())
+            .collect();
+        db.append_frame_id(id, 10.0 + (f * 100) as f64 * dt, dt, &vs);
+        db.compact();
+    }
+    let st = db.tier_stats();
+    assert!(st.disk_points > 0, "blocks must have demoted: {st:?}");
+    let intact = db.query_range_id(id, Resolution::Raw, 0.0, 1e18).coverage;
+    assert!(intact.is_complete() && intact.disk > 0, "{intact:?}");
+    assert_eq!(db.tier_stats().io_errors, 0);
+
+    // Tear every segment file in half behind the tier's back.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "bin") {
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            let len = f.metadata().unwrap().len();
+            f.set_len(len / 2).unwrap();
+        }
+    }
+    let (mean, coverage) = db.mean_id_with_coverage(id, Resolution::Raw, 0.0, 1e18);
+    assert!(mean.is_some());
+    assert!(!coverage.is_complete(), "{coverage:?}");
+    assert!(coverage.total() < intact.total(), "{coverage:?}");
+    assert!(db.tier_stats().io_errors >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
