@@ -86,111 +86,94 @@ fn bench_broker_fanout(c: &mut Criterion) {
     g.finish();
 }
 
-/// E30: the sharded hot path against the single-lock layout, per
-/// publish, on the three traffic shapes that stress different parts of
-/// the shard design — exact matches (one shard touched), wildcard-heavy
-/// populations (subscriptions registered on every shard), and retained
-/// replay (the cross-shard merge in `subscribe`).
-fn bench_sharded_fanout(c: &mut Criterion) {
+/// E30: per-publish cost on the three traffic shapes that stress
+/// different parts of the broker — exact matches (one trie path),
+/// wildcard-heavy populations (`+`/`#` branches on every publish), and
+/// retained replay (the topic-sorted snapshot in `subscribe`).
+fn bench_fanout_shapes(c: &mut Criterion) {
     let mut g = c.benchmark_group("e30_fanout");
     g.sample_size(30);
     let payload = Bytes::from(vec![0u8; 64]);
 
     // Exact-match: 256 subscribers, each pinned to one of 64 topics.
-    for &shards in &[1usize, 8] {
-        g.bench_with_input(BenchmarkId::new("exact_match", shards), &shards, |b, &n| {
-            let broker = Broker::with_shards(1 << 16, n);
-            let mut agents: Vec<_> = (0..256)
-                .map(|i| {
-                    let mut cl = broker.connect(format!("a{i}"));
-                    cl.subscribe(
-                        &format!("davide/node{:02}/power/node", i % 64),
-                        QoS::AtMostOnce,
-                    )
-                    .unwrap();
-                    cl
-                })
-                .collect();
-            let publ = broker.connect("gw");
-            let mut k = 0usize;
-            b.iter(|| {
-                k = (k + 1) % 64;
-                publ.publish(
-                    &format!("davide/node{k:02}/power/node"),
-                    payload.clone(),
+    g.bench_function("exact_match", |b| {
+        let broker = Broker::new(1 << 16);
+        let mut agents: Vec<_> = (0..256)
+            .map(|i| {
+                let mut cl = broker.connect(format!("a{i}"));
+                cl.subscribe(
+                    &format!("davide/node{:02}/power/node", i % 64),
                     QoS::AtMostOnce,
-                    false,
                 )
                 .unwrap();
-                for a in &mut agents {
-                    while a.try_recv().is_some() {}
-                }
-            });
+                cl
+            })
+            .collect();
+        let publ = broker.connect("gw");
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 1) % 64;
+            publ.publish(
+                &format!("davide/node{k:02}/power/node"),
+                payload.clone(),
+                QoS::AtMostOnce,
+                false,
+            )
+            .unwrap();
+            for a in &mut agents {
+                while a.try_recv().is_some() {}
+            }
         });
-    }
+    });
 
-    // Wildcard-heavy: every subscriber uses `+`/`#`, so each one is
-    // registered on all shards and still must match exactly once.
-    for &shards in &[1usize, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("wildcard_heavy", shards),
-            &shards,
-            |b, &n| {
-                let broker = Broker::with_shards(1 << 16, n);
-                let mut agents: Vec<_> = (0..64)
-                    .map(|i| {
-                        let mut cl = broker.connect(format!("w{i}"));
-                        cl.subscribe("davide/+/power/#", QoS::AtMostOnce).unwrap();
-                        cl
-                    })
-                    .collect();
-                let publ = broker.connect("gw");
-                b.iter(|| {
-                    publ.publish(
-                        black_box("davide/node07/power/gpu1"),
-                        payload.clone(),
-                        QoS::AtMostOnce,
-                        false,
-                    )
-                    .unwrap();
-                    for a in &mut agents {
-                        while a.try_recv().is_some() {}
-                    }
-                });
-            },
-        );
-    }
+    // Wildcard-heavy: every subscriber uses `+`/`#`.
+    g.bench_function("wildcard_heavy", |b| {
+        let broker = Broker::new(1 << 16);
+        let mut agents: Vec<_> = (0..64)
+            .map(|i| {
+                let mut cl = broker.connect(format!("w{i}"));
+                cl.subscribe("davide/+/power/#", QoS::AtMostOnce).unwrap();
+                cl
+            })
+            .collect();
+        let publ = broker.connect("gw");
+        b.iter(|| {
+            publ.publish(
+                black_box("davide/node07/power/gpu1"),
+                payload.clone(),
+                QoS::AtMostOnce,
+                false,
+            )
+            .unwrap();
+            for a in &mut agents {
+                while a.try_recv().is_some() {}
+            }
+        });
+    });
 
-    // Retained replay: subscribe against a 512-topic retained store —
-    // the sharded path snapshots per shard and merges by topic.
-    for &shards in &[1usize, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("retained_replay", shards),
-            &shards,
-            |b, &n| {
-                let broker = Broker::with_shards(1 << 16, n);
-                let publ = broker.connect("gw");
-                for i in 0..512 {
-                    publ.publish(
-                        &format!("davide/node{:03}/power/node", i),
-                        payload.clone(),
-                        QoS::AtMostOnce,
-                        true,
-                    )
-                    .unwrap();
-                }
-                let mut agent = broker.connect("late");
-                b.iter(|| {
-                    agent
-                        .subscribe(black_box("davide/#"), QoS::AtMostOnce)
-                        .unwrap();
-                    let got = agent.drain();
-                    agent.unsubscribe("davide/#").unwrap();
-                    got
-                });
-            },
-        );
-    }
+    // Retained replay: subscribe against a 512-topic retained store.
+    g.bench_function("retained_replay", |b| {
+        let broker = Broker::new(1 << 16);
+        let publ = broker.connect("gw");
+        for i in 0..512 {
+            publ.publish(
+                &format!("davide/node{:03}/power/node", i),
+                payload.clone(),
+                QoS::AtMostOnce,
+                true,
+            )
+            .unwrap();
+        }
+        let mut agent = broker.connect("late");
+        b.iter(|| {
+            agent
+                .subscribe(black_box("davide/#"), QoS::AtMostOnce)
+                .unwrap();
+            let got = agent.drain();
+            agent.unsubscribe("davide/#").unwrap();
+            got
+        });
+    });
     g.finish();
 }
 
@@ -199,6 +182,6 @@ criterion_group!(
     bench_codec,
     bench_topic_matching,
     bench_broker_fanout,
-    bench_sharded_fanout
+    bench_fanout_shapes
 );
 criterion_main!(mqtt);

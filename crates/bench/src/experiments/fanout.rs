@@ -1,22 +1,14 @@
-//! E30 — sharded broker fan-out under publish-side concurrency.
+//! E30 — broker fan-out under publish-side concurrency.
 //!
-//! The claim: sharding the broker's hot path (topic trie, retained
-//! store, per-client queues split over [`DEFAULT_SHARDS`] locks keyed
-//! by topic-prefix hash) buys real multi-core publish throughput
-//! without changing a single delivered byte. Three phases:
+//! The broker keeps its trie, retained store and obs instruments behind
+//! one lock. Two phases:
 //!
-//! 1. **Throughput** — a 10 000-subscriber fan-out (mixed exact,
+//! 1. **Fan-out** — a 10 000-subscriber population (mixed exact,
 //!    per-node-wildcard and global-wildcard filters) hammered by 16
-//!    concurrent publisher threads, sharded vs `with_shards(.., 1)`
-//!    (the old single-lock broker, bit-for-bit). Gate: ≥ 5× publish
-//!    throughput at 16 threads on a ≥ 16-core machine; the bar scales
-//!    down with `available_parallelism` (a starved CI box can only
-//!    show no-regression, and says so).
-//! 2. **Differential** — single-threaded determinism: the same
-//!    scripted publish/subscribe/retain sequence against 1-shard and
-//!    N-shard brokers must hand every subscriber the identical message
-//!    vector, order included.
-//! 3. **QoS 1** — broker-side tracked delivery: unacked messages
+//!    concurrent publisher threads. Gate: zero drops and exactly the
+//!    delivery count the subscriptions imply, on every run; the
+//!    publish rate is reported with the core count it ran on.
+//! 2. **QoS 1** — broker-side tracked delivery: unacked messages
 //!    redeliver DUP-flagged in packet-id order, the in-flight window
 //!    bounds exposure, and acks settle everything.
 //!
@@ -26,7 +18,7 @@
 use super::smoke;
 use crate::header;
 use bytes::Bytes;
-use davide_mqtt::{Broker, Message, QoS, DEFAULT_SHARDS};
+use davide_mqtt::{Broker, QoS};
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -39,6 +31,12 @@ struct Shape {
     global_wildcards: usize,
     threads: usize,
     publishes_per_thread: usize,
+    /// Deliveries the population implies. Every `(node, channel)` topic
+    /// gets the same number of publishes `k`, so this is
+    /// `k · exact_subs + (k · channels) · node_wildcards + publishes ·
+    /// global_wildcards`: full size 64 · 8 972 + 256 · 1 024 +
+    /// 131 072 · 4, smoke size 32 · 1 740 + 128 · 256 + 16 384 · 4.
+    deliveries: u64,
 }
 
 impl Shape {
@@ -52,6 +50,7 @@ impl Shape {
                 global_wildcards: 4,
                 threads: 4,
                 publishes_per_thread: 4_096,
+                deliveries: 153_984,
             }
         } else {
             Shape {
@@ -62,6 +61,7 @@ impl Shape {
                 global_wildcards: 4,
                 threads: 16,
                 publishes_per_thread: 8_192,
+                deliveries: 1_360_640,
             }
         }
     }
@@ -128,8 +128,7 @@ fn fanout_run(broker: &Broker, shape: &Shape) -> (f64, u64, u64) {
             let shape = &shape;
             s.spawn(move || {
                 let publisher = broker.connect(format!("eg{t}"));
-                // Each thread owns a contiguous node slice, so distinct
-                // threads mostly land on distinct shards.
+                // Each thread owns a contiguous node slice.
                 let lo = t * shape.nodes / shape.threads;
                 let hi = (t + 1) * shape.nodes / shape.threads;
                 let span = (hi - lo).max(1);
@@ -163,60 +162,14 @@ fn fanout_run(broker: &Broker, shape: &Shape) -> (f64, u64, u64) {
     (wall, delivered, dropped)
 }
 
-/// Deterministic phase-2 script: subscriptions (exact, `+`, `#`),
-/// retained publishes, live publishes, a late subscriber that takes
-/// the retained replay. Returns every subscriber's drained inbox.
-fn differential_script(shards: usize) -> Vec<Vec<Message>> {
-    let broker = Broker::with_shards(256, shards);
-    let mut subs = vec![
-        ("davide/node0/power/ch0", broker.connect("s0")),
-        ("davide/node1/power/ch1", broker.connect("s1")),
-        ("davide/+/power/ch0", broker.connect("s2")),
-        ("davide/node2/#", broker.connect("s3")),
-        ("davide/#", broker.connect("s4")),
-        ("fed/+/cap", broker.connect("s5")),
-    ];
-    for (f, c) in subs.iter_mut() {
-        c.subscribe(f, QoS::AtMostOnce).unwrap();
-    }
-    let pubs = broker.connect("pub");
-    // A deterministic interleaving of retained and live traffic over
-    // topics that straddle every shard the filters can reach.
-    let mut x = 0x9e37_79b9_u32;
-    for i in 0..200u32 {
-        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-        let node = x % 5;
-        let ch = (x >> 8) % 3;
-        let retain = i % 7 == 0;
-        let topic = if i % 11 == 0 {
-            format!("fed/rack{:02}/cap", node)
-        } else {
-            format!("davide/node{node}/power/ch{ch}")
-        };
-        pubs.publish(
-            &topic,
-            Bytes::from(format!("v{i}").into_bytes()),
-            QoS::AtMostOnce,
-            retain,
-        )
-        .unwrap();
-    }
-    // Late joiner: retained replay order is part of the contract.
-    let mut late = broker.connect("late");
-    late.subscribe("davide/#", QoS::AtMostOnce).unwrap();
-    let mut out: Vec<Vec<Message>> = subs.into_iter().map(|(_, mut c)| c.drain()).collect();
-    out.push(late.drain());
-    out
-}
-
-/// E30 — sharded fan-out: throughput, determinism, QoS 1 redelivery.
+/// E30 — broker fan-out: exact delivery under 16 publishers, QoS 1
+/// redelivery.
 pub fn e30() {
-    header("e30", "Sharded broker fan-out (10k subscribers, QoS 1)");
+    header("e30", "Broker fan-out (10k subscribers, QoS 1)");
     let shape = Shape::sized(smoke());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let eff = cores.min(shape.threads);
     println!(
         "{} subscribers ({} exact, {} node-wildcard, {} global), {} publisher \
          threads × {} publishes, {} cores available{}",
@@ -230,76 +183,29 @@ pub fn e30() {
         if smoke() { "  [smoke]" } else { "" }
     );
 
-    // ── Phase 1: concurrent publish throughput, sharded vs 1-lock. ──
+    // ── Phase 1: concurrent publishers, exact delivery. ──
     // The broker-default depth only covers the (receive-free) publisher
     // clients; every subscriber sizes its own queue in `fanout_run`.
-    let mut results = Vec::new();
-    for (label, shards) in [("single-lock", 1), ("sharded", DEFAULT_SHARDS)] {
-        // Best of three: each run builds a fresh broker + population,
-        // so the first iteration eats the allocator warm-up for both
-        // configurations alike and the gate compares steady state.
-        let mut best = (0.0f64, 0u64);
-        for _ in 0..3 {
-            let broker = Broker::with_shards(1024, shards);
-            let (wall, delivered, dropped) = fanout_run(&broker, &shape);
-            assert_eq!(dropped, 0, "queues are sized for the whole run");
-            let tput = shape.total_publishes() as f64 / wall;
-            if tput > best.0 {
-                best = (tput, delivered);
-            }
-        }
-        println!(
-            "  {:<12} {} shards: {:>8.0} pub/s  ({} deliveries, best of 3)",
-            label, shards, best.0, best.1
+    // Best of three for the reported rate: each run builds a fresh
+    // broker and population, so the first eats the allocator warm-up.
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let broker = Broker::new(1024);
+        let (wall, delivered, dropped) = fanout_run(&broker, &shape);
+        assert_eq!(dropped, 0, "queues are sized for the whole run");
+        assert_eq!(
+            delivered, shape.deliveries,
+            "every publish reaches exactly its matching subscribers"
         );
-        results.push(best);
+        best = best.max(shape.total_publishes() as f64 / wall);
     }
-    let speedup = results[1].0 / results[0].0;
-    assert_eq!(
-        results[0].1, results[1].1,
-        "same workload must produce the same delivery count"
-    );
-    // The gate scales with what the machine can actually exercise: the
-    // full 5× needs ≥ 16 cores driving 16 threads; below that, lock
-    // contention shrinks with the thread count that really runs in
-    // parallel, down to a plain no-regression bar on 1–2 cores.
-    let required = match eff {
-        e if e >= 16 => 5.0,
-        e if e >= 8 => 3.0,
-        e if e >= 4 => 1.2,
-        _ => 0.8,
-    };
-    if eff < shape.threads {
-        println!(
-            "  note: only {eff} of {} publisher threads can run in parallel here; \
-             gate relaxed to {required:.1}×",
-            shape.threads
-        );
-    }
-    println!("  speedup: {speedup:.2}× (gate ≥ {required:.1}×)");
-    assert!(
-        speedup >= required,
-        "sharded fan-out speedup {speedup:.2}× below the {required:.1}× gate"
-    );
-
-    // ── Phase 2: shard-count differential, single-threaded. ──
-    let single = differential_script(1);
-    let sharded = differential_script(DEFAULT_SHARDS);
-    assert_eq!(
-        single, sharded,
-        "per-subscriber delivery must be shard-invariant"
-    );
-    let msgs: usize = single.iter().map(Vec::len).sum();
     println!(
-        "  differential: {} subscribers × scripted run, {} deliveries \
-         identical at 1 vs {} shards (retained replay included)",
-        single.len(),
-        msgs,
-        DEFAULT_SHARDS
+        "  {best:.0} pub/s on {cores} cores ({} deliveries, 0 drops, best of 3)",
+        shape.deliveries
     );
 
-    // ── Phase 3: QoS 1 tracked delivery and redelivery. ──
-    let broker = Broker::with_shards(256, DEFAULT_SHARDS);
+    // ── Phase 2: QoS 1 tracked delivery and redelivery. ──
+    let broker = Broker::new(256);
     let mut agent = broker.connect("ctl-agent");
     agent
         .subscribe("davide/node0/power/node", QoS::AtLeastOnce)
@@ -337,21 +243,13 @@ pub fn e30() {
         broker.stats().redelivered.load(Relaxed),
         broker.stats().expired.load(Relaxed),
     );
-    println!("\ngates: throughput ≥ {required:.1}× (scaled to {eff} effective cores),");
-    println!("shard-invariant delivery, window-bounded QoS 1 with DUP redelivery — all hold.");
+    println!("\ngates: exact delivery with zero drops, window-bounded QoS 1 with DUP");
+    println!("redelivery — all hold.");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn differential_script_is_shard_invariant() {
-        let one = differential_script(1);
-        for n in [2, 3, 8, 13] {
-            assert_eq!(one, differential_script(n), "{n} shards");
-        }
-    }
 
     #[test]
     fn fanout_run_delivers_everything() {
@@ -363,11 +261,13 @@ mod tests {
             global_wildcards: 2,
             threads: 2,
             publishes_per_thread: 200,
+            // Each thread covers 4 nodes × 2 channels, 25 publishes per
+            // topic: 25 · 40 + 50 · 8 + 400 · 2.
+            deliveries: 2_200,
         };
-        let broker = Broker::with_shards(shape.total_publishes() * 2, DEFAULT_SHARDS);
+        let broker = Broker::new(shape.total_publishes() * 2);
         let (_, delivered, dropped) = fanout_run(&broker, &shape);
         assert_eq!(dropped, 0);
-        // Global wildcards alone see every publish.
-        assert!(delivered >= (shape.total_publishes() * shape.global_wildcards) as u64);
+        assert_eq!(delivered, shape.deliveries);
     }
 }

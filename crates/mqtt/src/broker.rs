@@ -8,33 +8,28 @@
 //! messages, QoS 0/1 and per-subscriber bounded queues with drop
 //! accounting (a slow profiler must not stall the control agents).
 //!
-//! # Sharding
+//! # One lock
 //!
-//! The hot publish path is sharded: the topic trie, the retained store
-//! and the subscription entries are split across [`DEFAULT_SHARDS`]
-//! shards keyed by a hash of the topic's first two levels
-//! ([`crate::topic::shard_of_topic`]). Every topic maps to exactly one
-//! shard, so a publish takes exactly one shard lock; publishers on
-//! topics under different node prefixes never contend. Subscription
-//! filters are registered on every shard they can match
-//! ([`crate::topic::filter_shards`]): a per-node filter like
-//! `davide/node03/#` pins one shard, a cross-node wildcard like
-//! `davide/+/power/#` registers on all of them. Fan-out is still
-//! deterministic — for any one topic, all matching entries live on that
-//! topic's shard and are visited in the same trie order as the old
-//! single-lock broker, and the fault hook remains a single global
-//! sequence point consulted once per publish in submission order.
+//! Everything a publish reads or writes — the subscription trie, the
+//! retained store and the optional [`BrokerObs`] — sits behind one
+//! mutex. A publish (or a whole [`Client::publish_batch`]) takes it
+//! once, after the fault hook has drawn every fate under the hook's own
+//! lock, which is never held together with the state lock. Fan-out is
+//! deterministic: matches are visited in trie order, and the fault hook
+//! sees one call per message in submission order. Connection
+//! bookkeeping and per-subscriber QoS 1 state have locks of their own,
+//! off the publish path.
+//!
+//! [`Client::publish_batch`]: super::client::Client::publish_batch
 
 use crate::codec::QoS;
-use crate::topic::{
-    filter_matches, filter_shards, shard_of_topic, validate_filter, validate_topic, TopicError,
-};
+use crate::topic::{filter_matches, validate_filter, validate_topic, TopicError};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use davide_obs::{frame_trace_id, Counter, Gauge, ObsHub, Stage};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An application message as delivered to subscribers.
@@ -238,19 +233,12 @@ impl TrieNode {
     }
 }
 
-/// One shard: the trie and retained slice for topics that hash here,
-/// plus this shard's observability fork. Lock order within a shard is
-/// always obs before state.
+/// Everything the publish path touches, behind the broker's one lock.
 #[derive(Debug, Default)]
-struct Shard {
-    state: Mutex<ShardState>,
-    obs: Mutex<Option<BrokerObs>>,
-}
-
-#[derive(Debug, Default)]
-struct ShardState {
+struct State {
     trie: TrieNode,
     retained: HashMap<String, Message>,
+    obs: Option<BrokerObs>,
 }
 
 /// Connection-level bookkeeping, off the publish hot path: touched only
@@ -265,7 +253,7 @@ struct ClientInfo {
 /// Delivery statistics, exposed on the `$SYS` topics of a real broker.
 /// Fault-injection counts (injected drops/dups) live in the metrics
 /// registry via [`BrokerObs`], not here. All counters are atomics so
-/// `stats()` reads never race with sharded publishers.
+/// `stats()` reads never take the broker lock.
 #[derive(Debug, Default)]
 pub struct BrokerStats {
     /// PUBLISH packets accepted.
@@ -296,12 +284,8 @@ struct TopicObs {
 /// fault-injection counters, and causal-trace stamps for telemetry
 /// frames — all registered in the [`ObsHub`]'s metrics registry.
 ///
-/// Installed with [`Broker::set_obs`]; brokers without one behave
-/// exactly as before (the hot path checks an atomic flag). Internally
-/// the broker holds one fork per shard — the forks share every global
-/// counter (metric registration is idempotent) while each keeps its own
-/// per-topic map, which is safe because a topic maps to exactly one
-/// shard and therefore to exactly one fork.
+/// Installed with [`Broker::set_obs`]; brokers without one skip every
+/// instrument.
 pub struct BrokerObs {
     hub: ObsHub,
     /// Payload prefix identifying a telemetry `SampleFrame`; only such
@@ -331,22 +315,6 @@ impl BrokerObs {
             injected_drops: r.counter("mqtt_injected_drops_total"),
             injected_dups: r.counter("mqtt_injected_dups_total"),
             retained_total: r.gauge("mqtt_retained_messages"),
-            per_topic: HashMap::new(),
-        }
-    }
-
-    /// A per-shard sibling: shares every global instrument handle but
-    /// starts with an empty per-topic map of its own.
-    fn fork(&self) -> BrokerObs {
-        BrokerObs {
-            hub: self.hub.clone(),
-            frame_magic: self.frame_magic.clone(),
-            published: self.published.clone(),
-            delivered: self.delivered.clone(),
-            dropped: self.dropped.clone(),
-            injected_drops: self.injected_drops.clone(),
-            injected_dups: self.injected_dups.clone(),
-            retained_total: self.retained_total.clone(),
             per_topic: HashMap::new(),
         }
     }
@@ -434,12 +402,9 @@ pub enum PublishFate {
 
 /// A fault-injection hook consulted once per PUBLISH, before any broker
 /// state is touched. Deterministic harnesses install closures driven by
-/// a seeded RNG. The hook is a single global sequence point even on the
-/// sharded broker: it sees one call per publish, in submission order.
+/// a seeded RNG. The hook is a single global sequence point: it sees one
+/// call per publish, in submission order.
 pub type FaultHook = Box<dyn FnMut(&str) -> PublishFate + Send>;
-
-type ObsGuard<'a> = std::sync::MutexGuard<'a, Option<BrokerObs>>;
-type StateGuard<'a> = std::sync::MutexGuard<'a, ShardState>;
 
 /// The broker: cheaply cloneable handle, safe to share across threads.
 ///
@@ -459,18 +424,14 @@ type StateGuard<'a> = std::sync::MutexGuard<'a, ShardState>;
 /// ```
 #[derive(Clone)]
 pub struct Broker {
-    shards: Arc<[Shard]>,
+    state: Arc<Mutex<State>>,
     /// Connection table, off the publish path entirely.
     clients: Arc<Mutex<HashMap<u64, ClientInfo>>>,
     stats: Arc<BrokerStats>,
-    // Kept outside the shards so a hook can never deadlock against a
-    // shard lock, and so the hook sees one global call sequence.
+    // Kept outside the state so a hook can never deadlock against the
+    // state lock, and so the hook sees one global call sequence.
     fault: Arc<Mutex<Option<FaultHook>>>,
     fault_installed: Arc<AtomicBool>,
-    obs_installed: Arc<AtomicBool>,
-    /// Retained messages across all shards, maintained under shard
-    /// locks so the obs gauge sees a consistent total.
-    retained_total: Arc<AtomicUsize>,
     next_client: Arc<AtomicU64>,
     queue_depth: usize,
 }
@@ -479,11 +440,6 @@ pub struct Broker {
 /// EG samples (50 kS/s) so a briefly-stalled agent loses nothing.
 pub const DEFAULT_QUEUE_DEPTH: usize = 65_536;
 
-/// Default shard count: enough that the 16 concurrent publishers of the
-/// E30 workload rarely collide, small enough that all-shard wildcard
-/// subscriptions stay cheap to register.
-pub const DEFAULT_SHARDS: usize = 8;
-
 impl Default for Broker {
     fn default() -> Self {
         Self::new(DEFAULT_QUEUE_DEPTH)
@@ -491,54 +447,24 @@ impl Default for Broker {
 }
 
 impl Broker {
-    /// New broker with the given per-subscriber queue depth and the
-    /// default shard count.
+    /// New broker with the given per-subscriber queue depth.
     pub fn new(queue_depth: usize) -> Self {
-        Self::with_shards(queue_depth, DEFAULT_SHARDS)
-    }
-
-    /// New broker with an explicit shard count (1 reproduces the old
-    /// single-lock broker exactly; differential tests rely on this).
-    pub fn with_shards(queue_depth: usize, shards: usize) -> Self {
         assert!(queue_depth > 0);
-        assert!(shards > 0);
-        let shards: Vec<Shard> = (0..shards).map(|_| Shard::default()).collect();
         Broker {
-            shards: shards.into(),
+            state: Arc::new(Mutex::new(State::default())),
             clients: Arc::new(Mutex::new(HashMap::new())),
             stats: Arc::new(BrokerStats::default()),
             fault: Arc::new(Mutex::new(None)),
             fault_installed: Arc::new(AtomicBool::new(false)),
-            obs_installed: Arc::new(AtomicBool::new(false)),
-            retained_total: Arc::new(AtomicUsize::new(0)),
             next_client: Arc::new(AtomicU64::new(1)),
             queue_depth,
         }
     }
 
-    /// Number of shards the publish path is split across.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Install (or clear) the broker's observability instruments; see
-    /// [`BrokerObs`]. Internally one fork per shard.
+    /// [`BrokerObs`].
     pub fn set_obs(&self, obs: Option<BrokerObs>) {
-        match obs {
-            Some(o) => {
-                for shard in self.shards.iter().skip(1) {
-                    *shard.obs.lock() = Some(o.fork());
-                }
-                *self.shards[0].obs.lock() = Some(o);
-                self.obs_installed.store(true, Ordering::Release);
-            }
-            None => {
-                self.obs_installed.store(false, Ordering::Release);
-                for shard in self.shards.iter() {
-                    *shard.obs.lock() = None;
-                }
-            }
-        }
+        self.state.lock().obs = obs;
     }
 
     /// Install (or clear, with `None`) a fault-injection hook consulted
@@ -556,9 +482,7 @@ impl Broker {
     /// Checkers use this to compare the broker's durable command state
     /// against what the plant actually applied.
     pub fn retained_get(&self, topic: &str) -> Option<Bytes> {
-        let idx = shard_of_topic(topic, self.shards.len());
-        self.shards[idx]
-            .state
+        self.state
             .lock()
             .retained
             .get(topic)
@@ -603,9 +527,9 @@ impl Broker {
         self.clients.lock().len()
     }
 
-    /// Number of retained messages held, across all shards.
+    /// Number of retained messages held.
     pub fn retained_count(&self) -> usize {
-        self.retained_total.load(Ordering::Relaxed)
+        self.state.lock().retained.len()
     }
 
     /// Number of live subscriptions (distinct client/filter pairs).
@@ -615,11 +539,9 @@ impl Broker {
 
     pub(crate) fn disconnect(&self, client: u64) {
         self.clients.lock().remove(&client);
-        // Cold path: sweep every shard rather than replaying the
+        // Cold path: sweep the whole trie rather than replaying the
         // filter list, so stale entries can never survive.
-        for shard in self.shards.iter() {
-            shard.state.lock().trie.remove_client(client);
-        }
+        self.state.lock().trie.remove_client(client);
     }
 
     pub(crate) fn subscribe(&self, client: u64, filter: &str, qos: QoS) -> Result<(), BrokerError> {
@@ -633,14 +555,11 @@ impl Broker {
             (info.sender.clone(), info.qos1.clone())
         };
         let levels: Vec<&str> = filter.split('/').collect();
-        let n = self.shards.len();
-        // Per shard, the trie update and the retained snapshot happen
-        // under one lock hold, so a concurrent retained publish is
-        // either replayed or live-delivered — never both, since each
-        // topic lives on exactly one shard.
-        let mut matches: Vec<Message> = Vec::new();
-        for idx in filter_shards(filter, n).iter(n) {
-            let mut st = self.shards[idx].state.lock();
+        // The trie update and the retained snapshot happen under one
+        // lock hold, so a concurrent retained publish is either replayed
+        // or live-delivered — never both.
+        let mut matches: Vec<Message> = {
+            let mut st = self.state.lock();
             // Replace any existing subscription by this client on the
             // filter.
             st.trie.remove(&levels, client);
@@ -650,20 +569,18 @@ impl Broker {
                     client,
                     qos,
                     sender: sender.clone(),
-                    qos1: qos1.clone(),
+                    qos1,
                 },
             );
-            matches.extend(
-                st.retained
-                    .values()
-                    .filter(|m| filter_matches(filter, &m.topic))
-                    .cloned(),
-            );
-        }
+            st.retained
+                .values()
+                .filter(|m| filter_matches(filter, &m.topic))
+                .cloned()
+                .collect()
+        };
         // Replay retained messages matching the new filter, in topic
-        // order — the per-shard maps iterate in per-process random
-        // order, and replay order must not leak that nondeterminism to
-        // sessions.
+        // order — the map iterates in per-process random order, and
+        // replay order must not leak that nondeterminism to sessions.
         matches.sort_unstable_by(|a, b| a.topic.cmp(&b.topic));
         for mut m in matches {
             m.retain = true;
@@ -686,10 +603,7 @@ impl Broker {
             info.filters.remove(filter);
         }
         let levels: Vec<&str> = filter.split('/').collect();
-        let n = self.shards.len();
-        for idx in filter_shards(filter, n).iter(n) {
-            self.shards[idx].state.lock().trie.remove(&levels, client);
-        }
+        self.state.lock().trie.remove(&levels, client);
         Ok(())
     }
 
@@ -699,13 +613,9 @@ impl Broker {
     ///
     /// Every message gets the full per-publish semantics — topic
     /// validation, the `published` stat, [`BrokerObs::on_publish`], one
-    /// fault-hook fate, retained-store update and fan-out — but lock
-    /// traffic is amortized: the fault hook is locked once for the
-    /// whole batch, and the obs/state locks are handed off only when
-    /// consecutive messages hash to different shards. An EG batch
-    /// carries one node's frames, which share a topic prefix and
-    /// therefore a shard, so the common case is one lock pair per
-    /// batch.
+    /// fault-hook fate, retained-store update and fan-out — but the
+    /// batch takes the fault-hook lock (when a hook is installed) and
+    /// the state lock once each, never both at the same time.
     ///
     /// For QoS 1 the broker "acknowledges" each message by bumping the
     /// `acked` counter once it is fanned out — the in-process
@@ -728,9 +638,8 @@ impl Broker {
             .published
             .fetch_add(msgs.len() as u64, Ordering::Relaxed);
         // Fault injection: decide every packet's fate before touching
-        // any broker state, under one hook lock that is never held
-        // together with a shard lock. The hook sees one call per
-        // message, in submission order.
+        // any broker state, under the hook lock alone. The hook sees
+        // one call per message, in submission order.
         let fates: Vec<PublishFate> = if self.fault_installed.load(Ordering::Acquire) {
             self.fault.lock().as_mut().map_or_else(Vec::new, |hook| {
                 msgs.iter().map(|(topic, _)| hook(topic.as_ref())).collect()
@@ -738,87 +647,59 @@ impl Broker {
         } else {
             Vec::new()
         };
-        let n = self.shards.len();
-        let with_obs = self.obs_installed.load(Ordering::Acquire);
-        // First pass, the all-publishes-then-deliveries order observable
-        // through the frame tracer: count every message as published
-        // before any is fanned out.
-        if with_obs {
-            let mut held: Option<(usize, ObsGuard<'_>)> = None;
+        let mut st = self.state.lock();
+        // The all-publishes-then-deliveries order observable through
+        // the frame tracer: count every message as published before any
+        // is fanned out.
+        if let Some(o) = st.obs.as_mut() {
             for (topic, payload) in msgs {
-                let topic = topic.as_ref();
-                let idx = shard_of_topic(topic, n);
-                if held.as_ref().map(|h| h.0) != Some(idx) {
-                    // Release the previous guard before taking the next
-                    // shard's: never hold two shards at once.
-                    drop(held.take());
-                    held = Some((idx, self.shards[idx].obs.lock()));
-                }
-                if let Some(o) = held.as_mut().and_then(|h| h.1.as_mut()) {
-                    o.on_publish(topic, payload);
-                }
+                o.on_publish(topic.as_ref(), payload);
             }
         }
-        // Second pass: fan out, handing the shard's obs+state lock pair
-        // (obs first) off only when the shard changes.
         let mut reached = 0;
-        let mut held: Option<(usize, Option<ObsGuard<'_>>, StateGuard<'_>)> = None;
-        let mut no_obs = None;
         for (i, (topic, payload)) in msgs.iter().enumerate() {
             let topic = topic.as_ref();
-            let idx = shard_of_topic(topic, n);
-            if held.as_ref().map(|h| h.0) != Some(idx) {
-                // Release the previous pair before taking the next
-                // shard's: never hold two shards at once.
-                drop(held.take());
-                let shard = &self.shards[idx];
-                let obs = with_obs.then(|| shard.obs.lock());
-                held = Some((idx, obs, shard.state.lock()));
-            }
-            let (_, obs_guard, st) = held.as_mut().expect("guard pair just installed");
-            let obs: &mut Option<BrokerObs> = match obs_guard {
-                Some(g) => g,
-                None => &mut no_obs,
-            };
             match fates.get(i).copied().unwrap_or(PublishFate::Deliver) {
                 PublishFate::Deliver => {
-                    reached += self.fan_out_locked(st, obs, topic, payload, qos, retain);
+                    reached += self.fan_out_locked(&mut st, topic, payload, qos, retain);
                 }
                 PublishFate::Drop => {
-                    if let Some(o) = obs.as_mut() {
+                    if let Some(o) = st.obs.as_mut() {
                         o.injected_drops.inc();
                     }
                 }
                 PublishFate::Duplicate => {
-                    if let Some(o) = obs.as_mut() {
+                    if let Some(o) = st.obs.as_mut() {
                         o.injected_dups.inc();
                     }
-                    reached += self.fan_out_locked(st, obs, topic, payload, qos, retain);
-                    self.fan_out_locked(st, obs, topic, payload, qos, retain);
+                    reached += self.fan_out_locked(&mut st, topic, payload, qos, retain);
+                    self.fan_out_locked(&mut st, topic, payload, qos, retain);
                 }
             }
         }
         Ok(reached)
     }
 
-    /// The per-message fan-out body, with the shard's locks held.
+    /// The per-message fan-out body, with the state lock held.
     fn fan_out_locked(
         &self,
-        st: &mut ShardState,
-        obs: &mut Option<BrokerObs>,
+        st: &mut State,
         topic: &str,
         payload: &Bytes,
         qos: QoS,
         retain: bool,
     ) -> usize {
+        let State {
+            trie,
+            retained,
+            obs,
+        } = st;
         if retain {
             if payload.is_empty() {
                 // Empty retained payload clears the retained message.
-                if st.retained.remove(topic).is_some() {
-                    self.retained_total.fetch_sub(1, Ordering::Relaxed);
-                }
+                retained.remove(topic);
             } else {
-                let prev = st.retained.insert(
+                retained.insert(
                     topic.to_string(),
                     Message {
                         topic: topic.to_string(),
@@ -829,16 +710,9 @@ impl Broker {
                         packet_id: None,
                     },
                 );
-                if prev.is_none() {
-                    self.retained_total.fetch_add(1, Ordering::Relaxed);
-                }
             }
             if let Some(o) = obs.as_mut() {
-                o.on_retained(
-                    topic,
-                    !payload.is_empty(),
-                    self.retained_total.load(Ordering::Relaxed),
-                );
+                o.on_retained(topic, !payload.is_empty(), retained.len());
             }
         }
 
@@ -846,60 +720,59 @@ impl Broker {
         // $-topics suppress wildcards at the root level only.
         let skip_wild_at_root = topic.starts_with('$');
         let mut reached = 0;
-        st.trie
-            .for_each_match(&levels, skip_wild_at_root, &mut |s| {
-                // "Retain as published" (the MQTT 5 RAP behaviour):
-                // live deliveries carry the publisher's retain flag so
-                // bridges can preserve retained state downstream.
-                let mut m = Message {
-                    topic: topic.to_string(),
-                    payload: payload.clone(),
-                    qos: qos.min(s.qos),
-                    retain,
-                    dup: false,
-                    packet_id: None,
-                };
-                // QoS 1 delivery tracking: assign a packet id while the
-                // in-flight window has room; past it the delivery degrades
-                // to untracked rather than blocking the publisher.
-                if m.qos == QoS::AtLeastOnce && s.qos1.enabled.load(Ordering::Acquire) {
-                    let mut q = s.qos1.inner.lock();
-                    if q.unacked.len() < q.window {
-                        let id = q.alloc_id();
-                        m.packet_id = Some(id);
-                        q.unacked.insert(
-                            id,
-                            Tracked {
-                                msg: m.clone(),
-                                retries: 0,
-                            },
-                        );
+        trie.for_each_match(&levels, skip_wild_at_root, &mut |s| {
+            // "Retain as published" (the MQTT 5 RAP behaviour):
+            // live deliveries carry the publisher's retain flag so
+            // bridges can preserve retained state downstream.
+            let mut m = Message {
+                topic: topic.to_string(),
+                payload: payload.clone(),
+                qos: qos.min(s.qos),
+                retain,
+                dup: false,
+                packet_id: None,
+            };
+            // QoS 1 delivery tracking: assign a packet id while the
+            // in-flight window has room; past it the delivery degrades
+            // to untracked rather than blocking the publisher.
+            if m.qos == QoS::AtLeastOnce && s.qos1.enabled.load(Ordering::Acquire) {
+                let mut q = s.qos1.inner.lock();
+                if q.unacked.len() < q.window {
+                    let id = q.alloc_id();
+                    m.packet_id = Some(id);
+                    q.unacked.insert(
+                        id,
+                        Tracked {
+                            msg: m.clone(),
+                            retries: 0,
+                        },
+                    );
+                }
+            }
+            match s.sender.try_send(m) {
+                Ok(()) => {
+                    reached += 1;
+                    self.stats.delivered.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = obs.as_mut() {
+                        o.on_deliver(topic, payload);
                     }
                 }
-                match s.sender.try_send(m) {
-                    Ok(()) => {
-                        reached += 1;
-                        self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = obs.as_mut() {
-                            o.on_deliver(topic, payload);
-                        }
+                Err(e) => {
+                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = obs.as_mut() {
+                        o.dropped.inc();
                     }
-                    Err(e) => {
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = obs.as_mut() {
-                            o.dropped.inc();
-                        }
-                        // A full queue keeps the tracked slot (the
-                        // redelivery sweep will retry); a disconnected
-                        // subscriber releases it.
-                        if let TrySendError::Disconnected(m) = e {
-                            if let Some(id) = m.packet_id {
-                                s.qos1.inner.lock().unacked.remove(&id);
-                            }
+                    // A full queue keeps the tracked slot (the
+                    // redelivery sweep will retry); a disconnected
+                    // subscriber releases it.
+                    if let TrySendError::Disconnected(m) = e {
+                        if let Some(id) = m.packet_id {
+                            s.qos1.inner.lock().unacked.remove(&id);
                         }
                     }
                 }
-            });
+            }
+        });
         if qos == QoS::AtLeastOnce {
             self.stats.acked.fetch_add(1, Ordering::Relaxed);
         }
@@ -1421,55 +1294,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 1000);
-    }
-
-    /// Run the same single-threaded pub/sub script against two brokers
-    /// and require bit-identical delivery sequences per subscriber.
-    fn delivery_script(broker: &Broker) -> Vec<Vec<Message>> {
-        let mut exact = broker.connect("exact");
-        let mut per_node = broker.connect("per-node");
-        let mut global = broker.connect("global");
-        let publ = broker.connect("gateway");
-        // Retained state laid down before any subscription.
-        publ.publish("davide/node01/cap", payload("1500"), QoS::AtMostOnce, true)
-            .unwrap();
-        publ.publish("davide/node02/cap", payload("1600"), QoS::AtMostOnce, true)
-            .unwrap();
-        exact
-            .subscribe("davide/node01/power/cpu", QoS::AtMostOnce)
-            .unwrap();
-        per_node
-            .subscribe("davide/node01/#", QoS::AtMostOnce)
-            .unwrap();
-        global.subscribe("davide/+/cap", QoS::AtMostOnce).unwrap();
-        global
-            .subscribe("davide/+/power/#", QoS::AtMostOnce)
-            .unwrap();
-        for i in 0..4 {
-            for node in ["node01", "node02", "node03"] {
-                publ.publish(
-                    &format!("davide/{node}/power/cpu"),
-                    payload(&format!("{i}")),
-                    QoS::AtMostOnce,
-                    false,
-                )
-                .unwrap();
-            }
-        }
-        let batch: Vec<(String, Bytes)> = (0..6)
-            .map(|i| (format!("davide/node0{}/power/gpu", i % 3 + 1), payload("b")))
-            .collect();
-        publ.publish_batch(&batch).unwrap();
-        vec![exact.drain(), per_node.drain(), global.drain()]
-    }
-
-    #[test]
-    fn shard_count_does_not_change_delivery() {
-        let single = delivery_script(&Broker::with_shards(1024, 1));
-        for shards in [2, 3, 8] {
-            let sharded = delivery_script(&Broker::with_shards(1024, shards));
-            assert_eq!(single, sharded, "divergence at {shards} shards");
-        }
     }
 
     #[test]

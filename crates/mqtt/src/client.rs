@@ -44,10 +44,11 @@ impl Client {
         self.broker.publish_batch(&[(topic, payload)], qos, retain)
     }
 
-    /// Publish a batch of non-retained QoS 0 messages with one broker
-    /// lock acquisition for the whole batch — the bulk path for
-    /// telemetry frame fan-in (see `Broker::publish_batch`). Returns
-    /// the total subscriber deliveries across the batch.
+    /// Publish a batch of non-retained QoS 0 messages under one hold of
+    /// the broker's state lock — the bulk path for telemetry frame
+    /// fan-in. An installed fault hook is locked once more, before the
+    /// state lock and never together with it. Returns the total
+    /// subscriber deliveries across the batch.
     pub fn publish_batch(&self, msgs: &[(String, Bytes)]) -> Result<usize, BrokerError> {
         self.broker.publish_batch(msgs, QoS::AtMostOnce, false)
     }

@@ -13,6 +13,8 @@
 //!   handles can round-trip through bytes;
 //! * [`broker`] — topic-trie subscription store, retained messages,
 //!   QoS 0/1 with delivery/drop accounting, bounded per-subscriber queues;
+//!   one lock guards the trie, the retained store and the obs
+//!   instruments, and any thread may publish;
 //! * [`client`] — the publish/subscribe handle used by gateways & agents;
 //! * [`bridge`] — rack→site forwarding with QoS 1 ack-after-forward.
 //!
@@ -30,7 +32,7 @@ pub mod topic;
 pub use bridge::Bridge;
 pub use broker::{
     Broker, BrokerError, BrokerObs, BrokerStats, FaultHook, Message, PublishFate,
-    DEFAULT_QOS1_RETRIES, DEFAULT_QOS1_WINDOW, DEFAULT_SHARDS,
+    DEFAULT_QOS1_RETRIES, DEFAULT_QOS1_WINDOW,
 };
 pub use client::Client;
 pub use codec::{CodecError, Packet, QoS};

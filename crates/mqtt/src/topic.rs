@@ -5,7 +5,6 @@
 //! (broker-internal, e.g. `$SYS/...`) are not matched by filters whose
 //! first level is a wildcard.
 
-use davide_obs::Fnv1a;
 use std::fmt;
 
 /// Errors from topic/filter validation.
@@ -108,98 +107,6 @@ pub fn filter_matches(filter: &str, topic: &str) -> bool {
 /// Split a topic into its levels.
 pub fn levels(topic: &str) -> impl Iterator<Item = &str> {
     topic.split('/')
-}
-
-/// The set of broker shards a subscription filter must be registered on.
-///
-/// A filter whose first two levels are literal maps to exactly one shard
-/// (the shard its matching topics hash to); any wildcard in the first two
-/// levels forces registration on every shard, because matching topics can
-/// hash anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSet {
-    /// Register on every shard.
-    All,
-    /// Register on exactly this shard index.
-    One(usize),
-}
-
-impl ShardSet {
-    /// Does this set contain shard `idx`?
-    pub fn contains(&self, idx: usize) -> bool {
-        match self {
-            ShardSet::All => true,
-            ShardSet::One(i) => *i == idx,
-        }
-    }
-
-    /// Iterate the shard indices in this set, in ascending order.
-    pub fn iter(&self, shard_count: usize) -> impl Iterator<Item = usize> {
-        let (start, end) = match self {
-            ShardSet::All => (0, shard_count),
-            ShardSet::One(i) => (*i, *i + 1),
-        };
-        start..end
-    }
-}
-
-/// FNV-1a over the shard key of a topic: its first two levels joined by a
-/// NUL byte (topics cannot contain NUL, so the key is unambiguous). A
-/// single-level topic hashes just that level.
-///
-/// Two levels — not one — because every telemetry topic in this system
-/// starts with the same site prefix (`davide/...`); hashing only the first
-/// level would put the entire cluster in one shard. The second level is the
-/// node/gateway name, which is exactly the axis concurrent publishers are
-/// disjoint on.
-fn shard_hash(topic: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    let mut iter = topic.split('/');
-    h.write(iter.next().unwrap_or("").as_bytes());
-    if let Some(l1) = iter.next() {
-        // A NUL separator byte, so `ab` and `a/b` cannot collide by
-        // construction.
-        h.write(&[0]);
-        h.write(l1.as_bytes());
-    }
-    h.finish()
-}
-
-/// Which shard (of `shard_count`) does `topic` belong to?
-pub fn shard_of_topic(topic: &str, shard_count: usize) -> usize {
-    debug_assert!(shard_count > 0);
-    (shard_hash(topic) % shard_count as u64) as usize
-}
-
-/// Which shards must `filter` be registered on so every topic it can match
-/// is covered? Guarantee: for any valid topic `t` and filter `f`, if
-/// `filter_matches(f, t)` then `filter_shards(f, n).contains(shard_of_topic(t, n))`.
-pub fn filter_shards(filter: &str, shard_count: usize) -> ShardSet {
-    debug_assert!(shard_count > 0);
-    if shard_count == 1 {
-        return ShardSet::One(0);
-    }
-    let mut iter = filter.split('/');
-    let l0 = iter.next().unwrap_or("");
-    if l0 == "+" || l0 == "#" {
-        return ShardSet::All;
-    }
-    match iter.next() {
-        // Single-level filter: matches only the single-level topic `l0`.
-        None => ShardSet::One(shard_of_topic(l0, shard_count)),
-        Some("#") | Some("+") => {
-            // `a/#` also matches the single-level topic `a`, which hashes
-            // differently from `a/<x>` — so a second-level wildcard spans
-            // every shard.
-            ShardSet::All
-        }
-        Some(_) => {
-            // First two levels literal: every matching topic starts with
-            // them, so all matching topics share one shard. Hash the
-            // filter's own two-level prefix — identical to the topics'.
-            ShardSet::One(shard_of_topic(filter, shard_count))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -311,90 +218,6 @@ mod tests {
         // A cluster-wide `davide/#` firehose does see obs traffic —
         // that is intentional (it asked for everything).
         assert!(filter_matches("davide/#", obs));
-    }
-
-    #[test]
-    fn shard_of_topic_is_stable_and_in_range() {
-        for n in [1usize, 2, 4, 8, 16] {
-            for t in [
-                "davide/node03/power/gpu1",
-                "davide/node03/temp/cpu0",
-                "davide/gw07/power/node",
-                "a",
-                "/leading",
-                "$SYS/broker/load",
-            ] {
-                let s = shard_of_topic(t, n);
-                assert!(s < n, "{t} -> {s} out of range for {n}");
-                assert_eq!(s, shard_of_topic(t, n), "must be deterministic");
-            }
-        }
-        // Topics sharing a two-level prefix land on the same shard.
-        assert_eq!(
-            shard_of_topic("davide/node03/power/gpu1", 8),
-            shard_of_topic("davide/node03/temp/cpu0", 8)
-        );
-    }
-
-    #[test]
-    fn filter_shards_covers_matching_topics() {
-        let topics = [
-            "davide/node03/power/gpu1",
-            "davide/node04/power/gpu1",
-            "davide/node03",
-            "davide",
-            "a/b/c",
-            "a/b",
-            "a",
-            "/x",
-            "$SYS/broker/load",
-        ];
-        let filters = [
-            "#",
-            "+/+",
-            "davide/#",
-            "davide/+/power/#",
-            "davide/node03/#",
-            "davide/node03/power/+",
-            "davide/node03/power/gpu1",
-            "a/b/c",
-            "a/+",
-            "a",
-            "$SYS/#",
-        ];
-        for n in [1usize, 2, 3, 8] {
-            for f in filters {
-                let set = filter_shards(f, n);
-                for t in topics {
-                    if filter_matches(f, t) {
-                        assert!(
-                            set.contains(shard_of_topic(t, n)),
-                            "filter {f} matches {t} but shard set {set:?} \
-                             misses its shard (n={n})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn two_level_literal_filters_pin_one_shard() {
-        // The common case — per-node filters — must not fan out to every
-        // shard, or sharding buys nothing.
-        assert!(matches!(
-            filter_shards("davide/node03/#", 8),
-            ShardSet::One(_)
-        ));
-        assert!(matches!(
-            filter_shards("davide/node03/power/+", 8),
-            ShardSet::One(_)
-        ));
-        assert_eq!(filter_shards("davide/+/power/#", 8), ShardSet::All);
-        assert_eq!(filter_shards("#", 8), ShardSet::All);
-        assert_eq!(filter_shards("davide/#", 8), ShardSet::All);
-        // Single shard degenerates to One(0) for everything.
-        assert_eq!(filter_shards("#", 1), ShardSet::One(0));
     }
 
     #[test]

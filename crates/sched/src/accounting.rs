@@ -111,7 +111,6 @@ impl EnergyLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cap::CapSchedule;
     use crate::job::Job;
     use crate::policy::Fcfs;
     use crate::simulator::{simulate, SimConfig};
@@ -143,11 +142,7 @@ mod tests {
         ];
         let cfg = SimConfig {
             total_nodes: 8,
-            idle_node_power_w: 350.0,
-            cap: CapSchedule::Unlimited,
-            reactive_capping: false,
-            min_speed: 0.35,
-            placement: None,
+            ..SimConfig::davide()
         };
         simulate(&trace, &mut Fcfs, cfg)
     }

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use crate::cap::CapSchedule;
 use crate::job::{Job, JobId};
-use crate::policy::{ClusterView, EasyBackfill, Policy, RunningSummary};
+use crate::policy::{ClusterView, EasyBackfill, Policy, RunningSummary, IDLE_NODE_POWER_W};
 use crate::power_predictor::OnlinePowerPredictor;
 use davide_core::capping::{CapObs, LadderCapController};
 use davide_core::units::{Seconds, Watts};
@@ -79,8 +79,6 @@ impl ControlMode {
     }
 }
 
-/// Idle draw per free node, watts.
-pub const IDLE_NODE_POWER_W: f64 = 350.0;
 /// Hysteresis band of the per-node ladder controller, watts.
 pub const BAND_W: f64 = 40.0;
 /// Sustain time before a ladder move, seconds.
@@ -698,7 +696,6 @@ impl ControlPlane {
             total_nodes: self.cfg.n_nodes,
             running,
             power_cap_w: self.cfg.cap.cap_at(now),
-            idle_node_power_w: IDLE_NODE_POWER_W,
         };
         // Admission sees margin-inflated predictions; the placements
         // report the raw ones.

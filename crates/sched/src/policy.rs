@@ -8,6 +8,10 @@
 
 use crate::job::{Job, JobId};
 
+/// Idle draw per node, watts: the floor the dispatcher budgets around,
+/// and the idle node of the batch simulator and the control plane.
+pub const IDLE_NODE_POWER_W: f64 = 350.0;
+
 /// A running job as policies see it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningSummary {
@@ -34,8 +38,6 @@ pub struct ClusterView {
     pub running: Vec<RunningSummary>,
     /// System power cap (facility envelope), if armed.
     pub power_cap_w: Option<f64>,
-    /// Baseline draw of an idle node (the dispatcher budgets around it).
-    pub idle_node_power_w: f64,
 }
 
 impl ClusterView {
@@ -43,7 +45,7 @@ impl ClusterView {
     /// their predictions plus idle floor for free nodes.
     pub fn predicted_system_power(&self) -> f64 {
         let running: f64 = self.running.iter().map(|r| r.predicted_power_w).sum();
-        running + self.free_nodes as f64 * self.idle_node_power_w
+        running + self.free_nodes as f64 * IDLE_NODE_POWER_W
     }
 
     /// Power headroom under the cap for *additional* load, accounting
@@ -58,7 +60,7 @@ impl ClusterView {
     /// Would starting `job` keep the predicted system power under the
     /// cap? (The job's nodes stop drawing idle power when it starts.)
     pub fn fits_power(&self, job: &Job) -> bool {
-        let extra = job.predicted_total_power() - job.nodes as f64 * self.idle_node_power_w;
+        let extra = job.predicted_total_power() - job.nodes as f64 * IDLE_NODE_POWER_W;
         extra <= self.power_headroom() + 1e-9
     }
 }
@@ -169,11 +171,11 @@ impl Policy for EasyBackfill {
         let mut free = view.free_nodes;
         let mut headroom = view.power_headroom();
         let mut out = Vec::new();
-        let idle_w = view.idle_node_power_w;
 
         let power_ok = |job: &Job, headroom: f64| -> bool {
             !self.power_aware
-                || job.predicted_total_power() - job.nodes as f64 * idle_w <= headroom + 1e-9
+                || job.predicted_total_power() - job.nodes as f64 * IDLE_NODE_POWER_W
+                    <= headroom + 1e-9
         };
 
         // Phase 1: start from the head while everything fits.
@@ -187,7 +189,7 @@ impl Policy for EasyBackfill {
             let machine_empty = out.is_empty() && view.free_nodes == view.total_nodes && idx == 0;
             if job.nodes <= free && (power_ok(job, headroom) || machine_empty) {
                 free -= job.nodes;
-                headroom -= job.predicted_total_power() - job.nodes as f64 * idle_w;
+                headroom -= job.predicted_total_power() - job.nodes as f64 * IDLE_NODE_POWER_W;
                 out.push(job.id);
                 idx += 1;
             } else {
@@ -220,7 +222,7 @@ impl Policy for EasyBackfill {
                 if !finishes_before_shadow {
                     extra -= job.nodes;
                 }
-                headroom -= job.predicted_total_power() - job.nodes as f64 * idle_w;
+                headroom -= job.predicted_total_power() - job.nodes as f64 * IDLE_NODE_POWER_W;
                 out.push(job.id);
             }
         }
@@ -255,7 +257,6 @@ mod tests {
             total_nodes: 16,
             running,
             power_cap_w: cap,
-            idle_node_power_w: 350.0,
         }
     }
 

@@ -11,38 +11,43 @@
 use crate::cap::CapSchedule;
 use crate::job::{Job, JobId, JobState};
 use crate::placement::{NodePool, PlacementStrategy};
-use crate::policy::{ClusterView, Policy, RunningSummary};
+use crate::policy::{ClusterView, Policy, RunningSummary, IDLE_NODE_POWER_W};
 use davide_core::interconnect::FatTree;
 use std::collections::HashMap;
 
-/// Simulator configuration.
+/// Throttle floor of reactive capping (DVFS ladder bottom).
+pub const MIN_SPEED: f64 = 0.35;
+
+/// Simulator configuration. Nodes idle at [`IDLE_NODE_POWER_W`], and
+/// reactive capping throttles no lower than [`MIN_SPEED`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Compute nodes available.
     pub total_nodes: u32,
-    /// Idle draw per node, watts.
+    /// Ignored: the simulator uses [`IDLE_NODE_POWER_W`]. Kept, at that
+    /// value, only because the repository benchmark (`perfbench/`)
+    /// still reads it from [`SimOutcome::config`].
+    #[deprecated(note = "ignored: nodes idle at `IDLE_NODE_POWER_W`")]
     pub idle_node_power_w: f64,
     /// Facility power envelope over time (constant, day/night pair or
     /// piecewise profile).
     pub cap: CapSchedule,
     /// Throttle running jobs when actual power exceeds the cap.
     pub reactive_capping: bool,
-    /// Throttle floor (DVFS ladder bottom).
-    pub min_speed: f64,
     /// Physical node placement on the fat-tree; `None` skips placement
     /// tracking (jobs are just counted).
     pub placement: Option<PlacementStrategy>,
 }
 
 impl SimConfig {
-    /// The D.A.V.I.D.E. pilot: 45 nodes, ~350 W idle nodes.
+    /// The D.A.V.I.D.E. pilot: 45 nodes.
+    #[allow(deprecated)]
     pub fn davide() -> Self {
         SimConfig {
             total_nodes: 45,
-            idle_node_power_w: 350.0,
+            idle_node_power_w: IDLE_NODE_POWER_W,
             cap: CapSchedule::Unlimited,
             reactive_capping: false,
-            min_speed: 0.35,
             placement: None,
         }
     }
@@ -144,12 +149,12 @@ pub fn simulate(trace: &[Job], policy: &mut dyn Policy, config: SimConfig) -> Si
 
     let mut now = 0.0_f64;
     let mut speed = 1.0_f64;
-    let base_idle = config.total_nodes as f64 * config.idle_node_power_w;
+    let base_idle = config.total_nodes as f64 * IDLE_NODE_POWER_W;
 
-    let system_power = |running: &[Running], speed: f64, cfg: &SimConfig| -> f64 {
+    let system_power = |running: &[Running], speed: f64| -> f64 {
         let extra: f64 = running
             .iter()
-            .map(|r| r.job.nodes as f64 * (r.job.true_power_w - cfg.idle_node_power_w))
+            .map(|r| r.job.nodes as f64 * (r.job.true_power_w - IDLE_NODE_POWER_W))
             .sum();
         base_idle + speed * extra.max(0.0)
     };
@@ -157,12 +162,12 @@ pub fn simulate(trace: &[Job], policy: &mut dyn Policy, config: SimConfig) -> Si
     let pick_speed = |running: &[Running], cfg: &SimConfig, now: f64| -> f64 {
         let extra: f64 = running
             .iter()
-            .map(|r| r.job.nodes as f64 * (r.job.true_power_w - cfg.idle_node_power_w))
+            .map(|r| r.job.nodes as f64 * (r.job.true_power_w - IDLE_NODE_POWER_W))
             .sum::<f64>()
             .max(0.0);
         match (cfg.cap.cap_at(now), cfg.reactive_capping) {
             (Some(cap), true) if extra > 0.0 && base_idle + extra > cap => {
-                ((cap - base_idle) / extra).clamp(cfg.min_speed, 1.0)
+                ((cap - base_idle) / extra).clamp(MIN_SPEED, 1.0)
             }
             _ => 1.0,
         }
@@ -197,7 +202,7 @@ pub fn simulate(trace: &[Job], policy: &mut dyn Policy, config: SimConfig) -> Si
         // Advance running work and account energy over [now, t).
         let dt = t - now;
         if dt > 0.0 {
-            let watts = system_power(&running, speed, &config);
+            let watts = system_power(&running, speed);
             timeline.push(PowerSegment {
                 t0: now,
                 t1: t,
@@ -207,8 +212,8 @@ pub fn simulate(trace: &[Job], policy: &mut dyn Policy, config: SimConfig) -> Si
             for r in &mut running {
                 r.remaining_s -= dt * speed;
                 let node_power = r.job.nodes as f64
-                    * (config.idle_node_power_w
-                        + speed * (r.job.true_power_w - config.idle_node_power_w).max(0.0));
+                    * (IDLE_NODE_POWER_W
+                        + speed * (r.job.true_power_w - IDLE_NODE_POWER_W).max(0.0));
                 *job_energy.entry(r.job.id).or_insert(0.0) += node_power * dt;
             }
         }
@@ -251,7 +256,6 @@ pub fn simulate(trace: &[Job], policy: &mut dyn Policy, config: SimConfig) -> Si
                 })
                 .collect(),
             power_cap_w: config.cap.cap_at(now),
-            idle_node_power_w: config.idle_node_power_w,
         };
         let starts = policy.select(&queue, &view);
         if !starts.is_empty() {
@@ -401,11 +405,7 @@ mod tests {
     fn small_config() -> SimConfig {
         SimConfig {
             total_nodes: 8,
-            idle_node_power_w: 350.0,
-            cap: CapSchedule::Unlimited,
-            reactive_capping: false,
-            min_speed: 0.35,
-            placement: None,
+            ..SimConfig::davide()
         }
     }
 

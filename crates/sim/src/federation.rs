@@ -36,7 +36,8 @@ use davide_core::time::{SimDuration, SimTime};
 use davide_core::Watts;
 use davide_mqtt::{Bridge, Broker, Client, QoS};
 use davide_obs::{flight, Fnv1a, GrantStage};
-use davide_sched::controlplane::{BAND_W, IDLE_NODE_POWER_W};
+use davide_sched::controlplane::BAND_W;
+use davide_sched::policy::IDLE_NODE_POWER_W;
 use davide_telemetry::gateway::parse_node_topic;
 use davide_telemetry::{FrameIngestor, TsDbConfig};
 

@@ -46,7 +46,7 @@ use davide_core::time::{SimDuration, SimTime};
 use davide_mqtt::{Broker, BrokerObs, Client, PublishFate, QoS};
 use davide_obs::{flight, GrantStage, ManualClock, ObsHub};
 use davide_predictor::ModelKind;
-use davide_sched::controlplane::IDLE_NODE_POWER_W;
+use davide_sched::policy::IDLE_NODE_POWER_W;
 use davide_sched::{
     CapSchedule, ControlPlane, ControlPlaneConfig, ControlPlaneReport, JobId, OnlinePowerPredictor,
     PowerPredictor, WorkloadConfig, WorkloadGenerator,
@@ -352,10 +352,7 @@ impl RackSim {
         } else {
             cfg.telemetry_deadline_s = sc.deadline_s;
         }
-        let broker = match sc.broker_shards {
-            Some(n) => Broker::with_shards(1 << 16, n),
-            None => Broker::new(1 << 16),
-        };
+        let broker = Broker::new(1 << 16);
         let db = TsDb::with_config(db_cfg).expect("telemetry store (disk tier open)");
         // Self-instrumentation is always armed: every stamp reads the
         // virtual clock, and nothing here draws RNG or touches the event

@@ -156,10 +156,6 @@ pub struct Scenario {
     /// infinite) while the checker still audits against `deadline_s`.
     /// A healthy loop never sets this.
     pub disable_stale_fallback: bool,
-    /// Broker shard count override; `None` uses the broker default.
-    /// Digests are shard-invariant, so this only exists to let tests
-    /// pin both extremes and prove it.
-    pub broker_shards: Option<usize>,
 }
 
 impl Scenario {
@@ -186,7 +182,6 @@ impl Scenario {
             deadline_s: 30.0,
             cap_grace_s: 240.0,
             disable_stale_fallback: false,
-            broker_shards: None,
         }
     }
 }

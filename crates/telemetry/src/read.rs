@@ -101,6 +101,17 @@ pub trait SeriesRead {
     }
 }
 
+impl TsDb {
+    /// Coverage of an answer for a series the store does not know: a
+    /// segment skipped at open may have held it.
+    fn missing_series_coverage(&self) -> QueryCoverage {
+        QueryCoverage {
+            evicted: self.lost_segment(),
+            ..QueryCoverage::default()
+        }
+    }
+}
+
 impl SeriesRead for TsDb {
     fn series_names(&self) -> Vec<String> {
         self.keys()
@@ -117,7 +128,10 @@ impl SeriesRead for TsDb {
     fn series_range(&self, key: &str, res: Resolution, t0: f64, t1: f64) -> RangeQuery {
         match self.lookup(key) {
             Some(id) => self.query_range_id(id, res, t0, t1),
-            None => RangeQuery::default(),
+            None => RangeQuery {
+                coverage: self.missing_series_coverage(),
+                ..RangeQuery::default()
+            },
         }
     }
 
@@ -130,14 +144,14 @@ impl SeriesRead for TsDb {
     ) -> (Option<f64>, QueryCoverage) {
         match self.lookup(key) {
             Some(id) => self.mean_id_with_coverage(id, res, t0, t1),
-            None => (None, QueryCoverage::default()),
+            None => (None, self.missing_series_coverage()),
         }
     }
 
     fn series_energy_j(&self, key: &str, t0: f64, t1: f64) -> (f64, QueryCoverage) {
         match self.lookup(key) {
             Some(id) => self.energy_j_id_with_coverage(id, t0, t1),
-            None => (0.0, QueryCoverage::default()),
+            None => (0.0, self.missing_series_coverage()),
         }
     }
 

@@ -91,13 +91,17 @@ pub struct DiskTier {
     total_bytes: u64,
     total_points: u64,
     total_blocks: u64,
+    /// Segment files `open` found but could not read or validate.
+    skipped: u64,
 }
 
 impl DiskTier {
     /// Open (or create) the tier directory, delete crash orphans
     /// (`*.tmp`), and rebuild the index from every valid segment file.
-    /// `resolve` maps a recovered series name to its in-memory series
-    /// index (interning it on first sight).
+    /// A segment that fails validation is left in place, unindexed, and
+    /// counted in [`DiskTier::skipped_segments`]. `resolve` maps a
+    /// recovered series name to its in-memory series index (interning
+    /// it on first sight).
     pub fn open(
         cfg: &DiskTierConfig,
         mut resolve: impl FnMut(&str) -> u32,
@@ -128,13 +132,23 @@ impl DiskTier {
             total_bytes: 0,
             total_points: 0,
             total_blocks: 0,
+            skipped: 0,
         };
         for (_, path) in segs {
-            // A segment that fails validation (torn by a crashed rename
-            // or bit rot) is skipped, not trusted.
-            let _ = tier.recover_segment(path, &mut resolve);
+            // A segment that fails validation (torn, or with corrupt
+            // framing) is skipped, not trusted — and counted, because
+            // its history is gone.
+            if tier.recover_segment(path, &mut resolve).is_err() {
+                tier.skipped += 1;
+            }
         }
         Ok(tier)
+    }
+
+    /// Segment files [`DiskTier::open`] skipped because they could not
+    /// be read or validated. Their series and time spans are unknown.
+    pub fn skipped_segments(&self) -> u64 {
+        self.skipped
     }
 
     fn recover_segment(

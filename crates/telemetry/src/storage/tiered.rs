@@ -68,7 +68,9 @@ pub struct QueryCoverage {
     /// The window starts before the earliest retained point AND this
     /// series has dropped points (ring overwrite before tiering, budget
     /// eviction, or a dropped segment file) — or the scan skipped a
-    /// block it could not read or decode.
+    /// block it could not read or decode, or the store skipped a
+    /// segment file it could not validate when it opened (that loss is
+    /// store-wide: the segment's series and span are unknown).
     pub evicted: bool,
 }
 
@@ -131,7 +133,8 @@ pub struct TierStats {
     pub sealed_points: u64,
     /// Points dropped from the store since open (monotonic).
     pub evicted_points: u64,
-    /// Demotion/scan I/O or decode failures since open (monotonic).
+    /// Segment files skipped at open, plus demotion/scan I/O or decode
+    /// failures since open (monotonic).
     pub io_errors: u64,
 }
 
@@ -315,6 +318,13 @@ impl TierEngine {
         &self.io_errors
     }
 
+    /// Whether opening the disk tier skipped a segment: that history is
+    /// lost, and since its series and span are unknown, any answer may
+    /// be missing part of it.
+    pub(crate) fn lost_segment(&self) -> bool {
+        self.disk.as_ref().is_some_and(|d| d.skipped_segments() > 0)
+    }
+
     /// Points this series has lost to budget eviction (compressed or
     /// disk tier).
     pub(crate) fn lost_points(&self, series: usize) -> u64 {
@@ -336,7 +346,8 @@ impl TierEngine {
             compressed_bytes: self.mem_bytes as u64,
             sealed_points: self.sealed_points,
             evicted_points: self.evicted.iter().sum(),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
+            io_errors: self.io_errors.load(Ordering::Relaxed)
+                + self.disk.as_ref().map_or(0, DiskTier::skipped_segments),
             ..TierStats::default()
         };
         for s in &self.mem {

@@ -496,9 +496,18 @@ impl TsDb {
         TieredScan::new(t0, t1, disk, mem, hot_ts, hot_vs, io_errors)
     }
 
+    /// Did opening the disk tier skip a segment it could not validate?
+    /// Then every answer may miss history (see [`QueryCoverage::evicted`]).
+    pub(crate) fn lost_segment(&self) -> bool {
+        self.tier.as_ref().is_some_and(TierEngine::lost_segment)
+    }
+
     /// Has this series lost history that a window starting at `t0`
     /// could have included?
     fn evicted_before(&self, idx: usize, t0: f64) -> bool {
+        if self.lost_segment() {
+            return true;
+        }
         let s = &self.series[idx];
         let lost = s.evicted + self.tier.as_ref().map_or(0, |e| e.lost_points(idx));
         if lost == 0 {

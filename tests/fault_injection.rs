@@ -55,30 +55,6 @@ fn tiering_leaves_every_canned_digest_unchanged() {
 }
 
 #[test]
-fn broker_shard_count_leaves_every_canned_digest_unchanged() {
-    // The sharding determinism contract: every subscription that can
-    // match a topic lives on that topic's shard, trie traversal order
-    // inside a shard is the old global order, and the fault hook stays
-    // a single global sequence point — so the event log cannot tell an
-    // 8-shard broker from a single-lock one.
-    for sc in canned(2026) {
-        let mut single = sc.clone();
-        single.broker_shards = Some(1);
-        let mut sharded = sc.clone();
-        sharded.broker_shards = Some(8);
-        let a = run(&single);
-        let b = run(&sharded);
-        assert_eq!(
-            a.log.digest(),
-            b.log.digest(),
-            "{}: shard count must not change the event log",
-            sc.name
-        );
-        assert_eq!(a.log, b.log, "{}", sc.name);
-    }
-}
-
-#[test]
 fn same_seed_is_bit_identical_and_seeds_diverge() {
     let sc = canned(7).remove(1); // gateway_dropout
     let a = run(&sc);

@@ -6,13 +6,14 @@
 //! random windows, raw means that add whole blocks from their exact-sum
 //! certificates bit-identical to the point-by-point fold, 1 s and 1 min
 //! rollups folded from raw points in every tier, disk-tier crash
-//! recovery, and unreadable disk blocks counted and flagged.
+//! recovery, unreadable disk blocks counted and flagged, and a segment
+//! torn at every byte offset skipped, counted and flagged on reopen.
 
 mod reference_codec;
 
 use davide::telemetry::storage::{decode_block_into, encode_block, MAX_BLOCK_POINTS};
 use davide::telemetry::tsdb::{Point, Resolution, SeriesId, TsDb};
-use davide::telemetry::{DiskTierConfig, RangeQuery, TieringConfig, TsDbConfig};
+use davide::telemetry::{DiskTierConfig, RangeQuery, SeriesRead, TieringConfig, TsDbConfig};
 use proptest::prelude::*;
 use std::fs::OpenOptions;
 use std::path::PathBuf;
@@ -767,5 +768,88 @@ fn unreadable_disk_blocks_are_counted_and_flag_the_answer() {
     assert!(!coverage.is_complete(), "{coverage:?}");
     assert!(coverage.total() < intact.total(), "{coverage:?}");
     assert!(db.tier_stats().io_errors >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_segment_is_skipped_counted_and_flags_every_answer() {
+    let dir = test_dir("torn-offsets");
+    let cfg = TsDbConfig {
+        raw_capacity: 1000,
+        tiering: Some(TieringConfig {
+            seal_block: 16,
+            hot_retain: Some(16),
+            mem_budget_bytes: 64,
+            disk: Some(DiskTierConfig::new(&dir)),
+        }),
+        ..TsDbConfig::default()
+    };
+    {
+        let mut db = TsDb::with_config(cfg.clone()).unwrap();
+        let id = db.resolve("rail");
+        let dt = 2e-5;
+        for f in 0..8 {
+            let vs: Vec<f32> = (0..32)
+                .map(|i| 300.0 + ((f * 32 + i) as f32 * 0.01).sin())
+                .collect();
+            db.append_frame_id(id, 10.0 + (f * 32) as f64 * dt, dt, &vs);
+            db.compact();
+        }
+    }
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
+        .collect();
+    segments.sort();
+    assert!(segments.len() >= 4, "{} segments", segments.len());
+
+    // Every answer of one reopen: (tier stats, full-history raw query,
+    // coverage of a series the store never held).
+    let reopen = || {
+        let db = TsDb::with_config(cfg.clone()).unwrap();
+        let rq = db.series_range("rail", Resolution::Raw, 0.0, 1e18);
+        let (_, unknown) = db.series_mean("never-written", Resolution::Raw, 0.0, 1e18);
+        (db.tier_stats(), rq, unknown)
+    };
+    let (intact, full, unknown) = reopen();
+    assert_eq!(intact.disk_segments, segments.len() as u64);
+    assert_eq!(intact.io_errors, 0);
+    assert!(full.coverage.is_complete(), "{:?}", full.coverage);
+    assert!(unknown.is_complete());
+    assert_eq!(full.points.len() as u64, intact.disk_points);
+
+    for seg in &segments {
+        let image = std::fs::read(seg).unwrap();
+        let mut lost = None;
+        for cut in 0..image.len() {
+            std::fs::write(seg, &image[..cut]).unwrap();
+            let (st, rq, unknown) = reopen();
+            let at = format!("{} cut at {cut}/{}", seg.display(), image.len());
+            assert_eq!(st.disk_segments, intact.disk_segments - 1, "{at}");
+            assert_eq!(st.io_errors, 1, "{at}");
+            assert_eq!(st.evicted_points, 0, "{at}");
+            assert!(rq.coverage.evicted, "{at}");
+            assert!(unknown.evicted, "{at}");
+            // The torn segment goes whole at every offset: no partial
+            // salvage, and every other segment is recovered.
+            let lost_now = intact.disk_points - st.disk_points;
+            assert!(lost_now > 0, "{at}");
+            assert_eq!(*lost.get_or_insert(lost_now), lost_now, "{at}");
+            assert_eq!(rq.points.len() as u64, st.disk_points, "{at}");
+            assert!(
+                rq.points.iter().all(|p| full
+                    .points
+                    .binary_search_by(|q| q.t.total_cmp(&p.t))
+                    .is_ok_and(|i| full.points[i] == *p)),
+                "{at}: only recovered history is served"
+            );
+        }
+        std::fs::write(seg, &image).unwrap();
+    }
+    let (restored, full_again, unknown) = reopen();
+    assert_eq!(restored.io_errors, 0);
+    assert!(full_again.coverage.is_complete() && unknown.is_complete());
+    assert_eq!(full_again.points, full.points);
     let _ = std::fs::remove_dir_all(&dir);
 }
