@@ -41,14 +41,6 @@ impl HttpClient {
         self.read_response()
     }
 
-    /// Write raw bytes to the socket (for conformance tests that need
-    /// to send malformed traffic) and attempt to read one response.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<(u16, String)> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()?;
-        self.read_response()
-    }
-
     fn fill(&mut self) -> io::Result<bool> {
         let mut chunk = [0u8; 4096];
         let n = self.stream.read(&mut chunk)?;

@@ -3,7 +3,7 @@
 //! simulator itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use davide_core::budget::{split_budget, SharingPolicy};
+use davide_core::budget::split_budget;
 use davide_core::capping::PiCapController;
 use davide_core::node::{ComputeNode, NodeLoad};
 use davide_core::units::{Seconds, Watts};
@@ -103,14 +103,7 @@ fn bench_budget_and_forest(c: &mut Criterion) {
         .map(|i| Watts(400.0 + (i * 37 % 1600) as f64))
         .collect();
     g.bench_function("split_45_nodes_proportional", |b| {
-        b.iter(|| {
-            split_budget(
-                Watts(70_000.0),
-                black_box(&demands),
-                Watts(550.0),
-                SharingPolicy::DemandProportional,
-            )
-        });
+        b.iter(|| split_budget(Watts(70_000.0), black_box(&demands), Watts(550.0)));
     });
     g.finish();
 

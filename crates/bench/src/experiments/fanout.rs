@@ -1,19 +1,14 @@
 //! E30 — broker fan-out under publish-side concurrency.
 //!
 //! The broker keeps its trie, retained store and obs instruments behind
-//! one lock. Two phases:
+//! one lock. A 10 000-subscriber population (mixed exact,
+//! per-node-wildcard and global-wildcard filters) is hammered by 16
+//! concurrent publisher threads. Gate: zero drops and exactly the
+//! delivery count the subscriptions imply, on every run; the publish
+//! rate is reported with the core count it ran on.
 //!
-//! 1. **Fan-out** — a 10 000-subscriber population (mixed exact,
-//!    per-node-wildcard and global-wildcard filters) hammered by 16
-//!    concurrent publisher threads. Gate: zero drops and exactly the
-//!    delivery count the subscriptions imply, on every run; the
-//!    publish rate is reported with the core count it ran on.
-//! 2. **QoS 1** — broker-side tracked delivery: unacked messages
-//!    redeliver DUP-flagged in packet-id order, the in-flight window
-//!    bounds exposure, and acks settle everything.
-//!
-//! `--smoke` shrinks phase 1 to 2000 subscribers / 4 threads for CI;
-//! the gates are the same shape.
+//! `--smoke` shrinks the run to 2000 subscribers / 4 threads; the gates
+//! are the same shape.
 
 use super::smoke;
 use crate::header;
@@ -22,7 +17,7 @@ use davide_mqtt::{Broker, QoS};
 use std::sync::Barrier;
 use std::time::Instant;
 
-/// Phase-1 workload shape.
+/// Workload shape.
 struct Shape {
     nodes: usize,
     channels: usize,
@@ -162,10 +157,9 @@ fn fanout_run(broker: &Broker, shape: &Shape) -> (f64, u64, u64) {
     (wall, delivered, dropped)
 }
 
-/// E30 — broker fan-out: exact delivery under 16 publishers, QoS 1
-/// redelivery.
+/// E30 — broker fan-out: exact delivery under 16 publishers.
 pub fn e30() {
-    header("e30", "Broker fan-out (10k subscribers, QoS 1)");
+    header("e30", "Broker fan-out (10k subscribers)");
     let shape = Shape::sized(smoke());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -183,7 +177,6 @@ pub fn e30() {
         if smoke() { "  [smoke]" } else { "" }
     );
 
-    // ── Phase 1: concurrent publishers, exact delivery. ──
     // The broker-default depth only covers the (receive-free) publisher
     // clients; every subscriber sizes its own queue in `fanout_run`.
     // Best of three for the reported rate: each run builds a fresh
@@ -204,47 +197,7 @@ pub fn e30() {
         shape.deliveries
     );
 
-    // ── Phase 2: QoS 1 tracked delivery and redelivery. ──
-    let broker = Broker::new(256);
-    let mut agent = broker.connect("ctl-agent");
-    agent
-        .subscribe("davide/node0/power/node", QoS::AtLeastOnce)
-        .unwrap();
-    agent.enable_qos1_tracking(8, 3);
-    let gw = broker.connect("eg0");
-    for i in 0..12 {
-        gw.publish(
-            "davide/node0/power/node",
-            Bytes::from(format!("{i}").into_bytes()),
-            QoS::AtLeastOnce,
-            false,
-        )
-        .unwrap();
-    }
-    let first = agent.drain();
-    assert_eq!(first.len(), 12, "window bounds tracking, not delivery");
-    let tracked = first.iter().filter(|m| m.packet_id.is_some()).count();
-    assert_eq!(tracked, 8, "in-flight window caps tracked exposure");
-    // The agent crashes before acking: everything tracked comes back
-    // DUP-flagged, in packet-id order.
-    let resent = agent.redeliver_unacked();
-    assert_eq!(resent, 8);
-    let again = agent.drain();
-    assert!(again.iter().all(|m| m.dup && m.packet_id.is_some()));
-    for m in &again {
-        assert!(agent.ack(m.packet_id.unwrap()), "ack clears the slot");
-    }
-    assert_eq!(agent.unacked_count(), 0);
-    use std::sync::atomic::Ordering::Relaxed;
-    println!(
-        "  qos1: 12 published, window 8 tracked, {} redelivered DUP, all acked \
-         (broker stats: redelivered={}, expired={})",
-        resent,
-        broker.stats().redelivered.load(Relaxed),
-        broker.stats().expired.load(Relaxed),
-    );
-    println!("\ngates: exact delivery with zero drops, window-bounded QoS 1 with DUP");
-    println!("redelivery — all hold.");
+    println!("\ngate: exact delivery with zero drops on every run — holds.");
 }
 
 #[cfg(test)]

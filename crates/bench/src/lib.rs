@@ -173,7 +173,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "e30",
-            title: "Broker fan-out (10k subscribers, QoS 1 end-to-end)",
+            title: "Broker fan-out (10k subscribers)",
             run: fanout::e30,
         },
         Experiment {

@@ -3,35 +3,23 @@
 //!
 //! §III-A2 caps the total system power; \[34\] (Ellsworth et al., "Dynamic
 //! Power Sharing for Higher Job Throughput") shows that *how* the budget
-//! is split across nodes decides the QoS. Two splitters are provided:
-//! uniform (every node gets the same slice) and demand-proportional
-//! (idle nodes donate headroom to busy ones), both with a per-node floor
-//! so no node is starved below its idle draw.
+//! is split across nodes decides the QoS. The split here is
+//! demand-proportional (idle nodes donate headroom to busy ones) above a
+//! per-node floor, so no node is starved below its idle draw; when no
+//! node demands more than the floor, every node gets the same slice.
 
 use crate::units::Watts;
 
-/// Budget-splitting strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SharingPolicy {
-    /// Equal slice per node.
-    Uniform,
-    /// Slices proportional to measured demand, above a common floor.
-    DemandProportional,
-}
-
 /// Split `total` across nodes with measured `demands` (watts each node
-/// would draw uncapped), honouring a per-node `floor`.
+/// would draw uncapped), honouring a per-node `floor`: each node gets
+/// the floor plus a share of the rest proportional to its demand above
+/// the floor, or an equal share when no node has such demand.
 ///
 /// Returns one cap per node; the caps sum to `total` (within float
 /// rounding) unless the floors alone exceed it, in which case every
 /// node gets exactly the floor (the cap is infeasible and the caller
 /// must shed load).
-pub fn split_budget(
-    total: Watts,
-    demands: &[Watts],
-    floor: Watts,
-    policy: SharingPolicy,
-) -> Vec<Watts> {
+pub fn split_budget(total: Watts, demands: &[Watts], floor: Watts) -> Vec<Watts> {
     let n = demands.len();
     assert!(n > 0, "no nodes to budget");
     let floor_total = floor.0 * n as f64;
@@ -39,51 +27,23 @@ pub fn split_budget(
         return vec![floor; n];
     }
     let distributable = total.0 - floor_total;
-    match policy {
-        SharingPolicy::Uniform => {
-            let share = distributable / n as f64;
-            vec![Watts(floor.0 + share); n]
-        }
-        SharingPolicy::DemandProportional => {
-            // Weight by demand above the floor; a node without excess
-            // demand keeps only its floor.
-            let excess: Vec<f64> = demands.iter().map(|d| (d.0 - floor.0).max(0.0)).collect();
-            let total_excess: f64 = excess.iter().sum();
-            if total_excess <= 1e-9 {
-                let share = distributable / n as f64;
-                return vec![Watts(floor.0 + share); n];
-            }
-            excess
-                .iter()
-                .map(|e| {
-                    // No node needs more than its demand: cap the grant
-                    // and let the remainder stay at the site level
-                    // (a real controller iterates; one pass is enough
-                    // for the experiments' accuracy).
-                    Watts(floor.0 + distributable * e / total_excess)
-                })
-                .collect()
-        }
+    // Weight by demand above the floor; a node without excess demand
+    // keeps only its floor.
+    let excess: Vec<f64> = demands.iter().map(|d| (d.0 - floor.0).max(0.0)).collect();
+    let total_excess: f64 = excess.iter().sum();
+    if total_excess <= 1e-9 {
+        let share = distributable / n as f64;
+        return vec![Watts(floor.0 + share); n];
     }
+    excess
+        .iter()
+        .map(|e| Watts(floor.0 + distributable * e / total_excess))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn uniform_split_sums_to_total() {
-        let demands = vec![Watts(2000.0); 10];
-        let caps = split_budget(
-            Watts(15_000.0),
-            &demands,
-            Watts(400.0),
-            SharingPolicy::Uniform,
-        );
-        let sum: f64 = caps.iter().map(|c| c.0).sum();
-        assert!((sum - 15_000.0).abs() < 1e-6);
-        assert!(caps.iter().all(|c| (c.0 - 1500.0).abs() < 1e-9));
-    }
 
     #[test]
     fn proportional_gives_busy_nodes_more() {
@@ -93,12 +53,7 @@ mod tests {
             Watts(400.0), // idle node
             Watts(400.0),
         ];
-        let caps = split_budget(
-            Watts(4_000.0),
-            &demands,
-            Watts(400.0),
-            SharingPolicy::DemandProportional,
-        );
+        let caps = split_budget(Watts(4_000.0), &demands, Watts(400.0));
         let sum: f64 = caps.iter().map(|c| c.0).sum();
         assert!((sum - 4_000.0).abs() < 1e-6);
         assert!(caps[0] > caps[2], "busy beats idle: {caps:?}");
@@ -110,24 +65,14 @@ mod tests {
     #[test]
     fn infeasible_budget_returns_floors() {
         let demands = vec![Watts(2000.0); 4];
-        let caps = split_budget(
-            Watts(1_000.0),
-            &demands,
-            Watts(400.0),
-            SharingPolicy::Uniform,
-        );
+        let caps = split_budget(Watts(1_000.0), &demands, Watts(400.0));
         assert!(caps.iter().all(|c| *c == Watts(400.0)));
     }
 
     #[test]
     fn no_excess_demand_falls_back_to_uniform() {
         let demands = vec![Watts(300.0); 5]; // all below floor
-        let caps = split_budget(
-            Watts(5_000.0),
-            &demands,
-            Watts(400.0),
-            SharingPolicy::DemandProportional,
-        );
+        let caps = split_budget(Watts(5_000.0), &demands, Watts(400.0));
         let first = caps[0];
         assert!(caps.iter().all(|c| *c == first));
         let sum: f64 = caps.iter().map(|c| c.0).sum();
@@ -137,6 +82,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no nodes")]
     fn empty_split_panics() {
-        split_budget(Watts(100.0), &[], Watts(1.0), SharingPolicy::Uniform);
+        split_budget(Watts(100.0), &[], Watts(1.0));
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The discrete-event engine counts time in integer nanoseconds so that
 //! event ordering is exact and runs are bit-reproducible; conversions to
-//! [`Seconds`] are provided at the edges.
+//! fractional seconds are provided at the edges.
 
-use crate::units::Seconds;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -56,12 +55,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Value as a [`Seconds`] quantity.
-    #[inline]
-    pub fn as_seconds(self) -> Seconds {
-        Seconds(self.as_secs_f64())
-    }
-
     /// Duration since an earlier instant; saturates at zero.
     #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
@@ -108,12 +101,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Value as a [`Seconds`] quantity.
-    #[inline]
-    pub fn as_seconds(self) -> Seconds {
-        Seconds(self.as_secs_f64())
     }
 
     /// Scale by a dimensionless factor (rounded to the nearest ns).

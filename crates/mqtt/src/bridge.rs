@@ -13,10 +13,15 @@
 //! retained status value crosses the bridge **exactly once** no matter
 //! how many reconnects happen in between.
 //!
+//! That dedup, over the source's retained store, is how cap state
+//! survives a restart; the bridge keeps no acknowledgement or
+//! retransmission state. A non-retained message queued when the source
+//! session drops is lost with it.
+//!
 //! [`disconnect_source`]: Bridge::disconnect_source
 //! [`reconnect_source`]: Bridge::reconnect_source
 
-use crate::broker::{Broker, BrokerError, DEFAULT_QOS1_RETRIES, DEFAULT_QOS1_WINDOW};
+use crate::broker::{Broker, BrokerError};
 use crate::client::Client;
 use crate::codec::QoS;
 use crate::topic::validate_filter;
@@ -71,11 +76,9 @@ impl Bridge {
             validate_filter(f)?;
         }
         let mut src_client = source.connect(format!("bridge-{name}-in"));
-        // The uplink is the reliability-critical hop: QoS 1 tracking
-        // means the source broker holds each delivery until the pump
-        // acknowledges it, and can re-send what a crashed pump left
-        // behind.
-        src_client.enable_qos1_tracking(DEFAULT_QOS1_WINDOW, DEFAULT_QOS1_RETRIES);
+        // Delivery is at min(publish, subscription) QoS, so a QoS 1
+        // subscription hands the pump each message at the QoS it was
+        // published with, and the forward keeps it.
         for f in filters {
             src_client.subscribe(f, QoS::AtLeastOnce)?;
         }
@@ -137,7 +140,6 @@ impl Bridge {
         let mut src = self
             .source_broker
             .connect(format!("bridge-{}-in", self.name));
-        src.enable_qos1_tracking(DEFAULT_QOS1_WINDOW, DEFAULT_QOS1_RETRIES);
         for f in &self.filters {
             src.subscribe(f, QoS::AtLeastOnce)?;
         }
@@ -159,20 +161,11 @@ impl Bridge {
         }
         let mut n = 0;
         while let Some(msg) = self.source.try_recv() {
-            // The source broker tracks QoS 1 deliveries to the bridge;
-            // every drained message is acknowledged — after the forward
-            // (so a pump that dies mid-loop leaves the message in
-            // flight for redelivery), or immediately when dedup decides
-            // the state already crossed.
-            let ack_id = msg.packet_id;
             if msg.retain {
                 // Exactly-once for retained state: skip a value we
                 // already forwarded (retained replays repeat the last
                 // value per topic on every resubscribe).
                 if self.retained_seen.get(&msg.topic) == Some(&msg.payload) {
-                    if let Some(id) = ack_id {
-                        let _ = self.source.ack(id);
-                    }
                     continue;
                 }
                 self.retained_seen
@@ -199,34 +192,10 @@ impl Bridge {
             let _ = self
                 .destination
                 .publish(topic, msg.payload, msg.qos, msg.retain);
-            if let Some(id) = ack_id {
-                let _ = self.source.ack(id);
-            }
             n += 1;
         }
         self.forwarded += n as u64;
         n
-    }
-
-    /// Re-request every source-side QoS 1 delivery still awaiting the
-    /// pump's acknowledgement: the bridge's retransmission tick, run
-    /// when a pump cycle may have died between receive and forward.
-    /// Redeliveries arrive DUP-flagged and cross downstream again —
-    /// at-least-once, by design. Returns the number re-queued.
-    pub fn poll_redelivery(&mut self) -> usize {
-        if !self.source_connected {
-            return 0;
-        }
-        self.source.redeliver_unacked()
-    }
-
-    /// QoS 1 deliveries the source broker still holds against this
-    /// bridge (unacknowledged by the pump).
-    pub fn source_unacked(&self) -> usize {
-        if !self.source_connected {
-            return 0;
-        }
-        self.source.unacked_count()
     }
 }
 
@@ -347,64 +316,9 @@ mod tests {
     }
 
     #[test]
-    fn pump_acks_tracked_deliveries() {
-        let rack = Broker::default();
-        let site = Broker::default();
-        let mut bridge = Bridge::connect(&rack, &site, "r0", &["davide/#"], None).unwrap();
-        let gw = rack.connect("eg");
-        for i in 0..3 {
-            gw.publish(
-                &format!("davide/n0/s{i}"),
-                payload("x"),
-                QoS::AtLeastOnce,
-                false,
-            )
-            .unwrap();
-        }
-        assert_eq!(bridge.source_unacked(), 3, "held until the pump acks");
-        assert_eq!(bridge.pump(), 3);
-        assert_eq!(bridge.source_unacked(), 0, "pump acknowledged all");
-        assert_eq!(bridge.poll_redelivery(), 0, "nothing left to re-send");
-    }
-
-    #[test]
-    fn unpumped_deliveries_redeliver_with_dup_and_cross_again() {
-        // A pump that died between receive and forward: the messages
-        // sit unacked at the source broker. The redelivery tick re-
-        // queues them DUP-flagged, and the next pump forwards them —
-        // at-least-once across the bridge.
-        let rack = Broker::default();
-        let site = Broker::default();
-        let mut bridge = Bridge::connect(&rack, &site, "r0", &["davide/#"], None).unwrap();
-        let mut down = site.connect("down");
-        down.subscribe("davide/#", QoS::AtMostOnce).unwrap();
-
-        let gw = rack.connect("eg");
-        gw.publish("davide/n0/x", payload("44"), QoS::AtLeastOnce, false)
-            .unwrap();
-        assert_eq!(bridge.source_unacked(), 1);
-        // Simulate the lost pump cycle: redeliver without having
-        // drained the original.
-        assert_eq!(bridge.poll_redelivery(), 1);
-        assert_eq!(
-            rack.stats()
-                .redelivered
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
-        // Original + DUP redelivery both cross: at-least-once.
-        assert_eq!(bridge.pump(), 2);
-        assert_eq!(bridge.source_unacked(), 0);
-        let got = down.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(&got[0].payload[..], b"44");
-        assert_eq!(&got[1].payload[..], b"44");
-    }
-
-    #[test]
     fn dedup_skip_still_acknowledges() {
-        // A retained replay the dedup drops must still be acked, or it
-        // would sit in the in-flight window forever and leak slots.
+        // A live republish of the retained value that already crossed is
+        // dropped by the pump, not only the replay after a restart.
         let rack = Broker::default();
         let site = Broker::default();
         let mut bridge = Bridge::connect(&rack, &site, "caps", &["fed/+/cap"], None).unwrap();
@@ -412,13 +326,9 @@ mod tests {
         fed.publish("fed/rack00/cap", payload("7200"), QoS::AtLeastOnce, true)
             .unwrap();
         assert_eq!(bridge.pump(), 1);
-        // Republish the identical retained value: tracked delivery,
-        // deduplicated by the pump — but acknowledged.
         fed.publish("fed/rack00/cap", payload("7200"), QoS::AtLeastOnce, true)
             .unwrap();
-        assert_eq!(bridge.source_unacked(), 1);
         assert_eq!(bridge.pump(), 0, "identical retained value deduped");
-        assert_eq!(bridge.source_unacked(), 0, "but still acknowledged");
     }
 
     #[test]

@@ -5,8 +5,18 @@
 //! profilers and accounting — can consume the same stream with low
 //! latency (§III-A1). This broker provides those semantics in-process:
 //! a topic-trie subscription store with `+`/`#` wildcards, retained
-//! messages, QoS 0/1 and per-subscriber bounded queues with drop
-//! accounting (a slow profiler must not stall the control agents).
+//! messages and per-subscriber bounded queues with drop accounting (a
+//! slow profiler must not stall the control agents).
+//!
+//! # One delivery mode
+//!
+//! Every delivery is a single enqueue. A message carries the QoS it was
+//! delivered at — the minimum of the publish and subscription QoS — but
+//! the broker keeps no packet ids, in-flight window or retransmission
+//! state: a message a full queue cannot take is dropped and counted.
+//! State that must outlive a lost delivery or a broker restart (cap
+//! grants, control set-points) is published retained, and a
+//! (re)subscribe replays it.
 //!
 //! # One lock
 //!
@@ -17,18 +27,17 @@
 //! lock, which is never held together with the state lock. Fan-out is
 //! deterministic: matches are visited in trie order, and the fault hook
 //! sees one call per message in submission order. Connection
-//! bookkeeping and per-subscriber QoS 1 state have locks of their own,
-//! off the publish path.
+//! bookkeeping has a lock of its own, off the publish path.
 //!
 //! [`Client::publish_batch`]: super::client::Client::publish_batch
 
 use crate::codec::QoS;
 use crate::topic::{filter_matches, validate_filter, validate_topic, TopicError};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use davide_obs::{frame_trace_id, Counter, Gauge, ObsHub, Stage};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,13 +52,6 @@ pub struct Message {
     pub qos: QoS,
     /// True when replayed from the retained store.
     pub retain: bool,
-    /// True when this is a QoS 1 redelivery of an unacknowledged
-    /// message (maps to the wire DUP flag).
-    pub dup: bool,
-    /// Broker-assigned packet id when the subscriber has QoS 1
-    /// delivery tracking enabled; the subscriber acknowledges it with
-    /// [`super::client::Client::ack`]. `None` for untracked delivery.
-    pub packet_id: Option<u16>,
 }
 
 /// Broker-side errors.
@@ -78,64 +80,6 @@ impl From<TopicError> for BrokerError {
     }
 }
 
-/// Default QoS 1 in-flight window per subscriber: deliveries beyond it
-/// are downgraded to untracked until acknowledgements free slots.
-pub const DEFAULT_QOS1_WINDOW: usize = 32;
-
-/// Default redelivery attempts before a tracked message is expired.
-pub const DEFAULT_QOS1_RETRIES: u32 = 3;
-
-/// Per-subscriber QoS 1 delivery tracking: the broker-side half of the
-/// PUBACK handshake. Disabled by default (zero overhead on the QoS 0
-/// telemetry path); a subscriber that wants at-least-once opts in via
-/// [`super::client::Client::enable_qos1_tracking`].
-#[derive(Debug, Default)]
-pub(crate) struct Qos1State {
-    enabled: AtomicBool,
-    inner: Mutex<Qos1Inner>,
-}
-
-#[derive(Debug)]
-struct Qos1Inner {
-    next_id: u16,
-    window: usize,
-    max_retries: u32,
-    /// In-flight messages keyed by packet id. A `BTreeMap` so
-    /// redelivery sweeps walk ids in a deterministic order.
-    unacked: BTreeMap<u16, Tracked>,
-}
-
-#[derive(Debug)]
-struct Tracked {
-    msg: Message,
-    retries: u32,
-}
-
-impl Default for Qos1Inner {
-    fn default() -> Self {
-        Qos1Inner {
-            next_id: 1,
-            window: DEFAULT_QOS1_WINDOW,
-            max_retries: DEFAULT_QOS1_RETRIES,
-            unacked: BTreeMap::new(),
-        }
-    }
-}
-
-impl Qos1Inner {
-    /// Next free non-zero packet id (wrapping; skips ids still in
-    /// flight — the window is far below 65535, so this terminates).
-    fn alloc_id(&mut self) -> u16 {
-        loop {
-            let id = self.next_id;
-            self.next_id = if id == u16::MAX { 1 } else { id + 1 };
-            if !self.unacked.contains_key(&id) {
-                return id;
-            }
-        }
-    }
-}
-
 #[derive(Debug)]
 struct SubEntry {
     client: u64,
@@ -143,7 +87,6 @@ struct SubEntry {
     /// The subscriber's queue, stored in the trie entry so fan-out
     /// never has to consult a global client table.
     sender: Sender<Message>,
-    qos1: Arc<Qos1State>,
 }
 
 /// Subscription trie node: one level of the topic hierarchy.
@@ -242,12 +185,11 @@ struct State {
 }
 
 /// Connection-level bookkeeping, off the publish hot path: touched only
-/// by connect/disconnect/subscribe and the QoS 1 control surface.
+/// by connect, disconnect, subscribe and unsubscribe.
 #[derive(Debug)]
 struct ClientInfo {
     sender: Sender<Message>,
     filters: HashSet<String>,
-    qos1: Arc<Qos1State>,
 }
 
 /// Delivery statistics, exposed on the `$SYS` topics of a real broker.
@@ -262,12 +204,6 @@ pub struct BrokerStats {
     pub delivered: AtomicU64,
     /// Messages dropped because a subscriber queue was full.
     pub dropped: AtomicU64,
-    /// QoS 1 PUBLISHes acknowledged.
-    pub acked: AtomicU64,
-    /// QoS 1 tracked messages re-sent with the DUP flag.
-    pub redelivered: AtomicU64,
-    /// QoS 1 tracked messages given up on after `max_retries`.
-    pub expired: AtomicU64,
 }
 
 /// Per-topic delivery instruments, registered lazily on first sight of
@@ -511,7 +447,6 @@ impl Broker {
             ClientInfo {
                 sender: tx,
                 filters: HashSet::new(),
-                qos1: Arc::new(Qos1State::default()),
             },
         );
         super::client::Client::new(self.clone(), id, client_id.into(), rx)
@@ -546,13 +481,13 @@ impl Broker {
 
     pub(crate) fn subscribe(&self, client: u64, filter: &str, qos: QoS) -> Result<(), BrokerError> {
         validate_filter(filter)?;
-        let (sender, qos1) = {
+        let sender = {
             let mut cl = self.clients.lock();
             let info = cl
                 .get_mut(&client)
                 .ok_or(BrokerError::UnknownClient(client))?;
             info.filters.insert(filter.to_string());
-            (info.sender.clone(), info.qos1.clone())
+            info.sender.clone()
         };
         let levels: Vec<&str> = filter.split('/').collect();
         // The trie update and the retained snapshot happen under one
@@ -569,7 +504,6 @@ impl Broker {
                     client,
                     qos,
                     sender: sender.clone(),
-                    qos1,
                 },
             );
             st.retained
@@ -615,13 +549,11 @@ impl Broker {
     /// validation, the `published` stat, [`BrokerObs::on_publish`], one
     /// fault-hook fate, retained-store update and fan-out — but the
     /// batch takes the fault-hook lock (when a hook is installed) and
-    /// the state lock once each, never both at the same time.
-    ///
-    /// For QoS 1 the broker "acknowledges" each message by bumping the
-    /// `acked` counter once it is fanned out — the in-process
-    /// equivalent of PUBACK. Subscribers that enabled QoS 1 tracking
-    /// additionally get a packet id they must
-    /// [ack](super::client::Client::ack).
+    /// the state lock once each, never both at the same time. The order
+    /// is fixed: validate every topic, draw every fate, call every
+    /// `on_publish`, then fan each message out in trie order. A
+    /// delivery is one enqueue at `min(qos, subscription QoS)`; nothing
+    /// about it is kept once it is queued or dropped.
     ///
     /// Errors on the first invalid topic, before any message is
     /// published.
@@ -706,8 +638,6 @@ impl Broker {
                         payload: payload.clone(),
                         qos,
                         retain: true,
-                        dup: false,
-                        packet_id: None,
                     },
                 );
             }
@@ -724,31 +654,12 @@ impl Broker {
             // "Retain as published" (the MQTT 5 RAP behaviour):
             // live deliveries carry the publisher's retain flag so
             // bridges can preserve retained state downstream.
-            let mut m = Message {
+            let m = Message {
                 topic: topic.to_string(),
                 payload: payload.clone(),
                 qos: qos.min(s.qos),
                 retain,
-                dup: false,
-                packet_id: None,
             };
-            // QoS 1 delivery tracking: assign a packet id while the
-            // in-flight window has room; past it the delivery degrades
-            // to untracked rather than blocking the publisher.
-            if m.qos == QoS::AtLeastOnce && s.qos1.enabled.load(Ordering::Acquire) {
-                let mut q = s.qos1.inner.lock();
-                if q.unacked.len() < q.window {
-                    let id = q.alloc_id();
-                    m.packet_id = Some(id);
-                    q.unacked.insert(
-                        id,
-                        Tracked {
-                            msg: m.clone(),
-                            retries: 0,
-                        },
-                    );
-                }
-            }
             match s.sender.try_send(m) {
                 Ok(()) => {
                     reached += 1;
@@ -757,119 +668,15 @@ impl Broker {
                         o.on_deliver(topic, payload);
                     }
                 }
-                Err(e) => {
+                Err(_) => {
                     self.stats.dropped.fetch_add(1, Ordering::Relaxed);
                     if let Some(o) = obs.as_mut() {
                         o.dropped.inc();
                     }
-                    // A full queue keeps the tracked slot (the
-                    // redelivery sweep will retry); a disconnected
-                    // subscriber releases it.
-                    if let TrySendError::Disconnected(m) = e {
-                        if let Some(id) = m.packet_id {
-                            s.qos1.inner.lock().unacked.remove(&id);
-                        }
-                    }
                 }
             }
         });
-        if qos == QoS::AtLeastOnce {
-            self.stats.acked.fetch_add(1, Ordering::Relaxed);
-        }
         reached
-    }
-
-    /// Turn on QoS 1 delivery tracking for a subscriber; see
-    /// [`super::client::Client::enable_qos1_tracking`].
-    pub(crate) fn qos1_enable(&self, client: u64, window: usize, max_retries: u32) -> bool {
-        let cl = self.clients.lock();
-        match cl.get(&client) {
-            Some(info) => {
-                {
-                    let mut q = info.qos1.inner.lock();
-                    q.window = window.max(1);
-                    q.max_retries = max_retries;
-                }
-                info.qos1.enabled.store(true, Ordering::Release);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Acknowledge a tracked delivery; returns whether the id was in
-    /// flight.
-    pub(crate) fn qos1_ack(&self, client: u64, packet_id: u16) -> bool {
-        let cl = self.clients.lock();
-        match cl.get(&client) {
-            Some(info) => info.qos1.inner.lock().unacked.remove(&packet_id).is_some(),
-            None => false,
-        }
-    }
-
-    /// Number of tracked deliveries awaiting acknowledgement.
-    pub(crate) fn qos1_unacked(&self, client: u64) -> usize {
-        let cl = self.clients.lock();
-        match cl.get(&client) {
-            Some(info) => info.qos1.inner.lock().unacked.len(),
-            None => 0,
-        }
-    }
-
-    /// Re-send every unacknowledged tracked message to the subscriber
-    /// with the DUP flag, in packet-id order. Messages past their retry
-    /// budget are expired instead. Returns the number re-sent.
-    pub(crate) fn qos1_redeliver(&self, client: u64) -> usize {
-        let (sender, qos1) = {
-            let cl = self.clients.lock();
-            match cl.get(&client) {
-                Some(info) => (info.sender.clone(), info.qos1.clone()),
-                None => return 0,
-            }
-        };
-        let mut q = qos1.inner.lock();
-        let max = q.max_retries;
-        let ids: Vec<u16> = q.unacked.keys().copied().collect();
-        let mut resent = 0;
-        for id in ids {
-            enum Fate {
-                Kept,
-                Expired,
-                Gone,
-            }
-            let fate = {
-                let t = q.unacked.get_mut(&id).expect("id snapshot just taken");
-                if t.retries >= max {
-                    Fate::Expired
-                } else {
-                    let mut m = t.msg.clone();
-                    m.dup = true;
-                    match sender.try_send(m) {
-                        Ok(()) => {
-                            t.retries += 1;
-                            resent += 1;
-                            self.stats.redelivered.fetch_add(1, Ordering::Relaxed);
-                            Fate::Kept
-                        }
-                        // Queue full: leave the slot untouched for the
-                        // next sweep; no retry is charged.
-                        Err(TrySendError::Full(_)) => Fate::Kept,
-                        Err(TrySendError::Disconnected(_)) => Fate::Gone,
-                    }
-                }
-            };
-            match fate {
-                Fate::Kept => {}
-                Fate::Expired => {
-                    q.unacked.remove(&id);
-                    self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                }
-                Fate::Gone => {
-                    q.unacked.remove(&id);
-                }
-            }
-        }
-        resent
     }
 }
 
@@ -1020,7 +827,6 @@ mod tests {
             .unwrap();
         let m = sub.try_recv().unwrap();
         assert_eq!(m.qos, QoS::AtMostOnce, "min(pub, sub)");
-        assert_eq!(broker.stats().acked.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1294,87 +1100,5 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 1000);
-    }
-
-    #[test]
-    fn qos1_tracked_delivery_ack_and_redeliver() {
-        let broker = Broker::default();
-        let mut sub = broker.connect("bridge");
-        sub.enable_qos1_tracking(DEFAULT_QOS1_WINDOW, DEFAULT_QOS1_RETRIES);
-        sub.subscribe("davide/site/#", QoS::AtLeastOnce).unwrap();
-        let publ = broker.connect("gateway");
-        publ.publish("davide/site/agg", payload("x"), QoS::AtLeastOnce, false)
-            .unwrap();
-        let m = sub.try_recv().unwrap();
-        let id = m.packet_id.expect("tracked delivery carries an id");
-        assert!(!m.dup);
-        assert_eq!(sub.unacked_count(), 1);
-        // Redelivery re-sends the same message with DUP set.
-        assert_eq!(sub.redeliver_unacked(), 1);
-        let dup = sub.try_recv().unwrap();
-        assert!(dup.dup);
-        assert_eq!(dup.packet_id, Some(id));
-        assert_eq!(dup.payload, m.payload);
-        assert_eq!(broker.stats().redelivered.load(Ordering::Relaxed), 1);
-        // A (late) ack clears the slot; nothing left to redeliver.
-        assert!(sub.ack(id));
-        assert_eq!(sub.unacked_count(), 0);
-        assert_eq!(sub.redeliver_unacked(), 0);
-        assert!(!sub.ack(id), "double-ack is a no-op");
-    }
-
-    #[test]
-    fn qos1_window_bounds_in_flight() {
-        let broker = Broker::default();
-        let mut sub = broker.connect("bridge");
-        sub.enable_qos1_tracking(2, DEFAULT_QOS1_RETRIES);
-        sub.subscribe("t/#", QoS::AtLeastOnce).unwrap();
-        let publ = broker.connect("gw");
-        for i in 0..4 {
-            publ.publish(&format!("t/{i}"), payload("x"), QoS::AtLeastOnce, false)
-                .unwrap();
-        }
-        let got = sub.drain();
-        assert_eq!(got.len(), 4, "overflow degrades, never blocks");
-        let tracked: Vec<_> = got.iter().filter(|m| m.packet_id.is_some()).collect();
-        assert_eq!(tracked.len(), 2, "window caps tracked deliveries");
-        assert_eq!(sub.unacked_count(), 2);
-        // Acking frees slots for new tracked deliveries.
-        for m in tracked {
-            assert!(sub.ack(m.packet_id.unwrap()));
-        }
-        publ.publish("t/5", payload("x"), QoS::AtLeastOnce, false)
-            .unwrap();
-        assert!(sub.try_recv().unwrap().packet_id.is_some());
-    }
-
-    #[test]
-    fn qos1_expiry_after_max_retries() {
-        let broker = Broker::default();
-        let mut sub = broker.connect("bridge");
-        sub.enable_qos1_tracking(8, 1);
-        sub.subscribe("t", QoS::AtLeastOnce).unwrap();
-        let publ = broker.connect("gw");
-        publ.publish("t", payload("x"), QoS::AtLeastOnce, false)
-            .unwrap();
-        assert_eq!(sub.redeliver_unacked(), 1, "first retry allowed");
-        assert_eq!(sub.redeliver_unacked(), 0, "budget spent: expired");
-        assert_eq!(sub.unacked_count(), 0);
-        assert_eq!(broker.stats().expired.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn qos0_subscriber_never_tracked() {
-        let broker = Broker::default();
-        let mut sub = broker.connect("agent");
-        sub.enable_qos1_tracking(8, 3);
-        sub.subscribe("t", QoS::AtMostOnce).unwrap();
-        let publ = broker.connect("gw");
-        publ.publish("t", payload("x"), QoS::AtLeastOnce, false)
-            .unwrap();
-        let m = sub.try_recv().unwrap();
-        assert_eq!(m.qos, QoS::AtMostOnce);
-        assert_eq!(m.packet_id, None, "QoS 0 delivery is untracked");
-        assert_eq!(sub.unacked_count(), 0);
     }
 }

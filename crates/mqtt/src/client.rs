@@ -102,34 +102,6 @@ impl Client {
         self.rx.len()
     }
 
-    /// Opt this subscriber into QoS 1 delivery tracking: QoS 1
-    /// deliveries get a broker-assigned packet id (up to `window` in
-    /// flight) which must be confirmed with [`Client::ack`]; unacked
-    /// messages can be re-sent with [`Client::redeliver_unacked`] up to
-    /// `max_retries` times before they are expired.
-    pub fn enable_qos1_tracking(&mut self, window: usize, max_retries: u32) {
-        self.broker.qos1_enable(self.id, window, max_retries);
-    }
-
-    /// Acknowledge a tracked QoS 1 delivery (the in-process PUBACK).
-    /// Returns whether the packet id was actually in flight.
-    pub fn ack(&mut self, packet_id: u16) -> bool {
-        self.broker.qos1_ack(self.id, packet_id)
-    }
-
-    /// Tracked deliveries not yet acknowledged.
-    pub fn unacked_count(&self) -> usize {
-        self.broker.qos1_unacked(self.id)
-    }
-
-    /// Re-send every unacknowledged tracked message with the DUP flag,
-    /// expiring those past their retry budget. Returns the number
-    /// re-sent. Callers decide the cadence (the bridge ties it to its
-    /// retransmission timeout).
-    pub fn redeliver_unacked(&mut self) -> usize {
-        self.broker.qos1_redeliver(self.id)
-    }
-
     /// Explicit disconnect (also happens on drop).
     pub fn disconnect(&mut self) {
         if self.connected {

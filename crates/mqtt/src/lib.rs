@@ -12,14 +12,18 @@
 //!   remaining-length, length-prefixed UTF-8), so every packet the broker
 //!   handles can round-trip through bytes;
 //! * [`broker`] — topic-trie subscription store, retained messages,
-//!   QoS 0/1 with delivery/drop accounting, bounded per-subscriber queues;
-//!   one lock guards the trie, the retained store and the obs
-//!   instruments, and any thread may publish;
+//!   bounded per-subscriber queues with delivery/drop accounting; one
+//!   lock guards the trie, the retained store and the obs instruments,
+//!   and any thread may publish;
 //! * [`client`] — the publish/subscribe handle used by gateways & agents;
-//! * [`bridge`] — rack→site forwarding with QoS 1 ack-after-forward.
+//! * [`bridge`] — rack→site forwarding that passes each distinct
+//!   retained value across a source restart exactly once.
 //!
-//! QoS 1 state is tracked broker-side ([`Client::enable_qos1_tracking`]);
-//! nothing here drives the protocol over a socket.
+//! Delivery has one mode: a message is enqueued once, at the minimum of
+//! its publish and subscription QoS, and nothing is acknowledged or
+//! re-sent. State that must survive a lost message or a restart is
+//! published retained. Nothing here drives the protocol over a socket;
+//! [`codec`] keeps the full wire format, PUBACK included.
 
 #![warn(missing_docs)]
 
@@ -30,9 +34,6 @@ pub mod codec;
 pub mod topic;
 
 pub use bridge::Bridge;
-pub use broker::{
-    Broker, BrokerError, BrokerObs, BrokerStats, FaultHook, Message, PublishFate,
-    DEFAULT_QOS1_RETRIES, DEFAULT_QOS1_WINDOW,
-};
+pub use broker::{Broker, BrokerError, BrokerObs, BrokerStats, FaultHook, Message, PublishFate};
 pub use client::Client;
 pub use codec::{CodecError, Packet, QoS};

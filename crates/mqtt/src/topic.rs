@@ -104,11 +104,6 @@ pub fn filter_matches(filter: &str, topic: &str) -> bool {
     }
 }
 
-/// Split a topic into its levels.
-pub fn levels(topic: &str) -> impl Iterator<Item = &str> {
-    topic.split('/')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@
 //! federation log, summarised in one [`FedOutcome::digest`].
 
 use bytes::Bytes;
-use davide_core::budget::{split_budget, SharingPolicy};
+use davide_core::budget::split_budget;
 use davide_core::rng::Rng;
 use davide_core::time::{SimDuration, SimTime};
 use davide_core::Watts;
@@ -49,7 +49,7 @@ use crate::scenario::{Fault, Scenario};
 
 /// A federated scenario: one rack template stamped out `n_racks` times
 /// (each with its own derived seed and, optionally, its own fault
-/// script), plus the site-level budget policy.
+/// script), plus the site-level budget, floor and rebalance period.
 #[derive(Debug, Clone)]
 pub struct FedScenario {
     /// Scenario name, for reports.
@@ -73,8 +73,6 @@ pub struct FedScenario {
     /// Rebalance period, seconds. Must be a whole multiple of the rack
     /// control period.
     pub rebalance_s: f64,
-    /// How the budget is split.
-    pub policy: SharingPolicy,
 }
 
 impl FedScenario {
@@ -91,7 +89,6 @@ impl FedScenario {
             global_budget_w: 8_100.0 * n_racks as f64,
             floor_w: 2_500.0,
             rebalance_s: 60.0,
-            policy: SharingPolicy::DemandProportional,
         }
     }
 
@@ -126,7 +123,6 @@ impl FedScenario {
             global_budget_w: 1_200.0 * (nodes_per_rack as f64) * n_racks as f64,
             floor_w: 400.0 * nodes_per_rack as f64,
             rebalance_s: 120.0,
-            policy: SharingPolicy::DemandProportional,
         }
     }
 
@@ -234,7 +230,6 @@ pub(crate) struct Federator {
     rebalance_ns: u64,
     budget_w: f64,
     floor_w: f64,
-    policy: SharingPolicy,
     grace_s: f64,
     log: EventLog,
     violations: Vec<Violation>,
@@ -319,7 +314,6 @@ impl Federator {
             rebalance_ns,
             budget_w: fs.global_budget_w,
             floor_w: fs.floor_w,
-            policy: fs.policy,
             grace_s: fs.rack.cap_grace_s,
             log: EventLog::new(),
             violations: Vec::new(),
@@ -374,12 +368,7 @@ impl Federator {
                 .iter()
                 .map(|nodes| Watts(nodes.iter().sum()))
                 .collect();
-            let grants = split_budget(
-                Watts(self.budget_w),
-                &demands,
-                Watts(self.floor_w),
-                self.policy,
-            );
+            let grants = split_budget(Watts(self.budget_w), &demands, Watts(self.floor_w));
             let granted: f64 = grants.iter().map(|g| g.0).sum();
             if granted > self.budget_w + 1e-6 {
                 self.violations.push(Violation {

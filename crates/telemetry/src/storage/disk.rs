@@ -10,13 +10,19 @@
 //! File layout:
 //!
 //! ```text
-//! magic  "DVSEG01\n"                      8 bytes
+//! magic  "DVSEG02\n"                      8 bytes
 //! count  u32 LE                           record count
 //! record × count:
 //!   name_len u16 LE | name utf-8 | n u32 | t_min f64 | t_max f64
 //!   payload_len u32 | payload (codec bitstream)
+//! check  u64 LE                           FNV-1a-64 of every byte above
 //! footer "DVSEGEND"                       8 bytes, must land exactly at EOF
 //! ```
+//!
+//! [`DiskTier::open`] reads each whole file and skips (and counts) one
+//! whose checksum or framing does not hold, so a torn file or a flipped
+//! bit is never indexed. The check runs at open only: a payload
+//! corrupted on disk after that is read as data by scans.
 //!
 //! Reads are mmap-free buffered `read_exact_at` calls straight into the
 //! caller's scan scratch — no page-cache pinning, no per-block
@@ -29,9 +35,11 @@ use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
+use davide_obs::fnv1a;
+
 use super::block::SealedBlock;
 
-const SEG_MAGIC: &[u8; 8] = b"DVSEG01\n";
+const SEG_MAGIC: &[u8; 8] = b"DVSEG02\n";
 const SEG_FOOTER: &[u8; 8] = b"DVSEGEND";
 
 /// Where and how big the cold tier is allowed to be.
@@ -225,6 +233,8 @@ impl DiskTier {
                 },
             ));
         }
+        let check = fnv1a(&buf);
+        buf.extend_from_slice(&check.to_le_bytes());
         buf.extend_from_slice(SEG_FOOTER);
 
         // tmp → fsync → rename: the published name is always complete.
@@ -364,12 +374,15 @@ impl DiskScan<'_> {
     }
 }
 
-/// Validate and index one segment image; `None` if torn or corrupt.
+/// Validate and index one segment image; `None` if torn, if its framing
+/// is corrupt, or if its checksum does not match its bytes.
 fn parse_segment(buf: &[u8], file_idx: u32) -> Option<Vec<(String, BlockRef)>> {
-    let body = buf.strip_prefix(SEG_MAGIC.as_slice())?;
-    if buf.len() < 8 + 4 + 8 {
+    let (buf, tail) = buf.split_at(buf.len().checked_sub(8 + SEG_FOOTER.len())?);
+    let (check, footer) = tail.split_at(8);
+    if footer != SEG_FOOTER || fnv1a(buf) != u64::from_le_bytes(check.try_into().ok()?) {
         return None;
     }
+    let body = buf.strip_prefix(SEG_MAGIC.as_slice())?;
     let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
     let mut pos = 8 + 4;
     let mut out = Vec::with_capacity(count);
@@ -401,10 +414,7 @@ fn parse_segment(buf: &[u8], file_idx: u32) -> Option<Vec<(String, BlockRef)>> {
             },
         ));
     }
-    if buf.get(pos..) != Some(SEG_FOOTER.as_slice()) {
-        return None;
-    }
-    Some(out)
+    (pos == buf.len()).then_some(out)
 }
 
 #[cfg(test)]
@@ -470,7 +480,7 @@ mod tests {
         }
         // Crash artifacts: a torn tmp and a corrupt published segment.
         fs::write(dir.join("seg-9999999999.tmp"), b"torn").unwrap();
-        fs::write(dir.join("seg-0000009998.bin"), b"DVSEG01\ngarbage").unwrap();
+        fs::write(dir.join("seg-0000009998.bin"), b"DVSEG02\ngarbage").unwrap();
 
         let mut name_map: Vec<String> = Vec::new();
         let mut tier = DiskTier::open(&cfg, |name| {

@@ -4,7 +4,9 @@
 //! Conformance: hostile traffic — malformed request lines, oversized
 //! headers/bodies, truncated requests, bad UTF-8 — never panics a
 //! worker, always maps to the documented 4xx (or a silent drop), and
-//! keep-alive vs `Connection: close` semantics hold.
+//! keep-alive vs `Connection: close` semantics hold. A fuzz property
+//! sends random bytes, and valid requests with bytes spliced in or cut
+//! off, to a one-worker server with the same expectations.
 //!
 //! Differential: every `/v1/*` and `/health` response body over the
 //! real socket is bit-identical to serialising the same
@@ -37,6 +39,10 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
+    fixture_with(ApiServerConfig::default())
+}
+
+fn fixture_with(cfg: ApiServerConfig) -> Fixture {
     let hub = ObsHub::monotonic();
     let svc = QueryService::over_store(
         ShardedTsDb::new(4, 1 << 16, 1 << 12),
@@ -69,7 +75,7 @@ fn fixture() -> Fixture {
         }
     }
     let series = power_topic(outcome.placements[&job.id][0], "node");
-    let server = ApiServer::start(svc.clone(), ApiServerConfig::default()).expect("server start");
+    let server = ApiServer::start(svc.clone(), cfg).expect("server start");
     Fixture {
         svc,
         server,
@@ -498,6 +504,121 @@ fn connection_close_and_http10_semantics_hold() {
         c.request("GET", "/health", "").is_err(),
         "400 must close the connection"
     );
+}
+
+// ------------------------------------------------------------------ //
+// Fuzz: whatever the bytes, a documented status or a silent drop.     //
+// ------------------------------------------------------------------ //
+
+/// Every status the server documents.
+const DOCUMENTED: [u16; 6] = [200, 400, 404, 405, 413, 431];
+
+/// HTTP syntax mixed into the random inputs, so that random bytes reach
+/// the header and body parsers instead of all ending at a missing
+/// blank line.
+const TOKENS: [&[u8]; 10] = [
+    b"GET ",
+    b"POST ",
+    b"/health",
+    b"/v1/query",
+    b" HTTP/1.1",
+    b" HTTP/1.0",
+    b"\r\n",
+    b"\r\n\r\n",
+    b"Content-Length: ",
+    b"Connection: close",
+];
+
+/// Input pieces: a value below 256 is that byte, the rest index
+/// [`TOKENS`].
+fn fuzz_bytes(pieces: &[u16]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &p in pieces {
+        match TOKENS.get(usize::from(p).wrapping_sub(256)) {
+            Some(token) => out.extend_from_slice(token),
+            None => out.push(p as u8),
+        }
+    }
+    out
+}
+
+/// The status of every response in `answer`, walking their
+/// `Content-Length` framing; `None` unless the whole answer is a run
+/// of complete responses.
+fn statuses(answer: &str) -> Option<Vec<u16>> {
+    let mut out = Vec::new();
+    let mut rest = answer;
+    while !rest.is_empty() {
+        let (head, tail) = rest.split_once("\r\n\r\n")?;
+        if !head.starts_with("HTTP/1.") {
+            return None;
+        }
+        out.push(status_of(head)?);
+        let len = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))?
+            .parse()
+            .ok()?;
+        rest = tail.get(len..)?;
+    }
+    Some(out)
+}
+
+#[test]
+fn fuzzed_requests_get_documented_statuses_and_never_kill_the_worker() {
+    use proptest::prelude::*;
+    // One worker: a panic in it would leave nobody to serve the health
+    // check at the end.
+    let fx = fixture_with(ApiServerConfig {
+        workers: 1,
+        ..ApiServerConfig::default()
+    });
+    let (t0, t1) = fx.window;
+    let query = QueryRequest::series(QueryOp::Mean, &fx.series, Resolution::Raw, t0, t1);
+    let rollup = JobRollupRequest {
+        job_id: fx.job_id,
+        measured: true,
+    };
+    let post = |path: &str, body: String| {
+        format!(
+            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let valid: Vec<Vec<u8>> = [
+        "GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n".to_string(),
+        "GET /metrics HTTP/1.0\r\n\r\n".to_string(),
+        post("/v1/query", serde_json::to_string(&query.to_value())),
+        post("/v1/rollup/job", serde_json::to_string(&rollup.to_value())),
+    ]
+    .map(String::into_bytes)
+    .into();
+
+    let pieces = proptest::collection::vec(0..256 + TOKENS.len() as u16, 0..160);
+    let splice = proptest::collection::vec(any::<u8>(), 1..9);
+    proptest::run_cases("http_fuzz", |rng| {
+        let mut inputs = vec![fuzz_bytes(&pieces.generate(rng))];
+        for request in &valid {
+            let at = rng.below(request.len() as u64 + 1) as usize;
+            let mut spliced = request.clone();
+            spliced.splice(at..at, splice.generate(rng));
+            inputs.push(spliced);
+            inputs.push(request[..at].to_vec());
+        }
+        for input in &inputs {
+            let answer = raw_exchange(&fx, input);
+            prop_assert!(
+                statuses(&answer).is_some_and(|got| got.iter().all(|s| DOCUMENTED.contains(s))),
+                "{:?} → {answer:?}: not a run of responses with documented statuses",
+                String::from_utf8_lossy(input)
+            );
+        }
+        Ok(())
+    });
+
+    let mut c = HttpClient::connect(fx.server.addr()).expect("connect");
+    let (status, _) = c.request("GET", "/health", "").expect("health");
+    assert_eq!(status, 200, "the one worker survived the fuzz");
 }
 
 // ------------------------------------------------------------------ //

@@ -7,7 +7,8 @@
 //! certificates bit-identical to the point-by-point fold, 1 s and 1 min
 //! rollups folded from raw points in every tier, disk-tier crash
 //! recovery, unreadable disk blocks counted and flagged, and a segment
-//! torn at every byte offset skipped, counted and flagged on reopen.
+//! torn at every byte offset, or with the low bit of any one byte
+//! flipped, skipped, counted and flagged on reopen.
 
 mod reference_codec;
 
@@ -821,18 +822,26 @@ fn torn_segment_is_skipped_counted_and_flags_every_answer() {
 
     for seg in &segments {
         let image = std::fs::read(seg).unwrap();
+        // Two kinds of damage, one per reopen: the file cut at every
+        // offset, and the low bit of every byte flipped in place.
+        let cuts = (0..image.len()).map(|cut| (format!("cut at {cut}"), image[..cut].to_vec()));
+        let flips = (0..image.len()).map(|i| {
+            let mut bad = image.clone();
+            bad[i] ^= 1;
+            (format!("low bit of byte {i} flipped"), bad)
+        });
         let mut lost = None;
-        for cut in 0..image.len() {
-            std::fs::write(seg, &image[..cut]).unwrap();
+        for (damage, bad) in cuts.chain(flips) {
+            std::fs::write(seg, &bad).unwrap();
             let (st, rq, unknown) = reopen();
-            let at = format!("{} cut at {cut}/{}", seg.display(), image.len());
+            let at = format!("{} {damage} of {}", seg.display(), image.len());
             assert_eq!(st.disk_segments, intact.disk_segments - 1, "{at}");
             assert_eq!(st.io_errors, 1, "{at}");
             assert_eq!(st.evicted_points, 0, "{at}");
             assert!(rq.coverage.evicted, "{at}");
             assert!(unknown.evicted, "{at}");
-            // The torn segment goes whole at every offset: no partial
-            // salvage, and every other segment is recovered.
+            // The damaged segment goes whole, whatever the damage: no
+            // partial salvage, and every other segment is recovered.
             let lost_now = intact.disk_points - st.disk_points;
             assert!(lost_now > 0, "{at}");
             assert_eq!(*lost.get_or_insert(lost_now), lost_now, "{at}");
