@@ -27,6 +27,7 @@ use crate::codec::QoS;
 use crate::topic::validate_filter;
 use bytes::Bytes;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Observer called once per message the bridge actually forwards, with
 /// the destination topic, the payload and the retain flag — after
@@ -52,12 +53,12 @@ pub struct Bridge {
     // Source topic → prefixed topic. Telemetry topic universes are
     // small (nodes × channels), so after warm-up the pump loop
     // republishes without re-formatting a String per message.
-    topic_cache: HashMap<String, String>,
+    topic_cache: HashMap<Arc<str>, Arc<str>>,
     // Source topic → last retained payload forwarded. A resubscribe
     // after reconnect replays the retained store into the fresh
     // session; values already forwarded are dropped here so downstream
     // sees each retained state exactly once.
-    retained_seen: HashMap<String, Bytes>,
+    retained_seen: HashMap<Arc<str>, Bytes>,
     source_connected: bool,
     forward_hook: Option<ForwardHook>,
 }
@@ -155,17 +156,24 @@ impl Bridge {
     /// messages are forwarded at most once per distinct value: the
     /// replay a post-restart resubscribe triggers is dropped when that
     /// exact state already crossed the bridge.
+    ///
+    /// Each run of consecutive forwards that share a QoS and retain
+    /// flag goes out as one batch on the destination broker, in drain
+    /// order. The forward hook sees every forward of a run, in order,
+    /// before the run is published.
     pub fn pump(&mut self) -> usize {
         if !self.source_connected {
             return 0;
         }
+        let mut run: Vec<(Arc<str>, Bytes)> = Vec::new();
+        let mut run_flags = (QoS::AtMostOnce, false);
         let mut n = 0;
-        while let Some(msg) = self.source.try_recv() {
+        for msg in self.source.drain() {
             if msg.retain {
                 // Exactly-once for retained state: skip a value we
                 // already forwarded (retained replays repeat the last
                 // value per topic on every resubscribe).
-                if self.retained_seen.get(&msg.topic) == Some(&msg.payload) {
+                if self.retained_seen.get(&*msg.topic) == Some(&msg.payload) {
                     continue;
                 }
                 self.retained_seen
@@ -174,28 +182,41 @@ impl Bridge {
             // Never re-forward retained replays of our own destination
             // side: a one-directional bridge cannot loop, but retained
             // replays at subscribe time would double-deliver old state.
-            let topic: &str = match &self.prefix {
-                Some(p) => {
-                    if !self.topic_cache.contains_key(&msg.topic) {
-                        self.topic_cache
-                            .insert(msg.topic.clone(), format!("{p}/{}", msg.topic));
+            let topic = match &self.prefix {
+                Some(p) => match self.topic_cache.get(&*msg.topic) {
+                    Some(t) => t.clone(),
+                    None => {
+                        let t: Arc<str> = format!("{p}/{}", msg.topic).into();
+                        self.topic_cache.insert(msg.topic.clone(), t.clone());
+                        t
                     }
-                    self.topic_cache[&msg.topic].as_str()
-                }
-                None => &msg.topic,
+                },
+                None => msg.topic,
             };
             // Forward retained flag so site-side late subscribers get
             // status values (e.g. power caps).
-            if let Some(hook) = &mut self.forward_hook {
-                hook(topic, &msg.payload, msg.retain);
+            let flags = (msg.qos, msg.retain);
+            if flags != run_flags {
+                self.forward(&run, run_flags);
+                run.clear();
+                run_flags = flags;
             }
-            let _ = self
-                .destination
-                .publish(topic, msg.payload, msg.qos, msg.retain);
+            if let Some(hook) = &mut self.forward_hook {
+                hook(&topic, &msg.payload, msg.retain);
+            }
+            run.push((topic, msg.payload));
             n += 1;
         }
+        self.forward(&run, run_flags);
         self.forwarded += n as u64;
         n
+    }
+
+    /// Publish one run of forwards on the destination broker.
+    fn forward(&self, run: &[(Arc<str>, Bytes)], (qos, retain): (QoS, bool)) {
+        if !run.is_empty() {
+            let _ = self.destination.publish_batch_as(run, qos, retain);
+        }
     }
 }
 
@@ -239,7 +260,7 @@ mod tests {
 
         assert_eq!(bridge.pump(), 1);
         let m = site_agent.try_recv().unwrap();
-        assert_eq!(m.topic, "rack0/davide/node03/power/node");
+        assert_eq!(&*m.topic, "rack0/davide/node03/power/node");
         assert_eq!(&m.payload[..], b"1700");
         assert!(site_agent.try_recv().is_none());
         assert_eq!(bridge.forwarded(), 1);
@@ -310,7 +331,11 @@ mod tests {
         }
         let total: usize = bridges.iter_mut().map(|b| b.pump()).sum();
         assert_eq!(total, 3);
-        let topics: Vec<String> = site_agent.drain().into_iter().map(|m| m.topic).collect();
+        let topics: Vec<String> = site_agent
+            .drain()
+            .into_iter()
+            .map(|m| m.topic.to_string())
+            .collect();
         assert_eq!(topics.len(), 3);
         assert!(topics.contains(&"rack1/davide/node01/power/node".to_string()));
     }

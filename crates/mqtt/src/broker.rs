@@ -29,6 +29,15 @@
 //! sees one call per message in submission order. Connection
 //! bookkeeping has a lock of its own, off the publish path.
 //!
+//! # Once per message
+//!
+//! A published message's topic is allocated once, as an `Arc<str>`
+//! that every delivery and the retained copy share. Its trace id and
+//! per-topic instruments are resolved once, when the batch is counted
+//! as published, and its deliveries and drops are counted once per
+//! fan-out; the batch's trace stamps go in with one tracer lock per
+//! stage.
+//!
 //! [`Client::publish_batch`]: super::client::Client::publish_batch
 
 use crate::codec::QoS;
@@ -44,8 +53,9 @@ use std::sync::Arc;
 /// An application message as delivered to subscribers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
-    /// Topic it was published on.
-    pub topic: String,
+    /// Topic it was published on: one allocation per published message,
+    /// shared by every delivery of it and by its retained copy.
+    pub topic: Arc<str>,
     /// Payload bytes.
     pub payload: Bytes,
     /// Delivery QoS (min of publish and subscription QoS).
@@ -180,8 +190,93 @@ impl TrieNode {
 #[derive(Debug, Default)]
 struct State {
     trie: TrieNode,
-    retained: HashMap<String, Message>,
+    retained: HashMap<Arc<str>, Message>,
     obs: Option<BrokerObs>,
+}
+
+/// Topic levels split onto the stack; deeper topics spill to the heap.
+const STACK_LEVELS: usize = 16;
+
+/// Run `f` over `topic` split at `/`, with no heap allocation for a
+/// topic of up to [`STACK_LEVELS`] levels.
+fn with_levels<R>(topic: &str, f: impl FnOnce(&[&str]) -> R) -> R {
+    let mut stack = [""; STACK_LEVELS];
+    let mut n = 0;
+    for level in topic.split('/') {
+        if n == STACK_LEVELS {
+            return f(&topic.split('/').collect::<Vec<_>>());
+        }
+        stack[n] = level;
+        n += 1;
+    }
+    f(&stack[..n])
+}
+
+/// One message of a batch on its way to the subscribers.
+struct Outgoing<'a> {
+    /// Position in the batch: indexes the instruments `on_publish`
+    /// resolved for it.
+    i: usize,
+    topic: &'a str,
+    /// The topic allocation its deliveries and retained copy share,
+    /// made on first use.
+    shared: Option<Arc<str>>,
+    payload: &'a Bytes,
+    qos: QoS,
+    retain: bool,
+}
+
+impl Outgoing<'_> {
+    fn shared_topic(&mut self) -> Arc<str> {
+        self.shared
+            .get_or_insert_with(|| Arc::from(self.topic))
+            .clone()
+    }
+}
+
+impl State {
+    /// One fan-out of `m` with the lock held: the retained-store update,
+    /// then one enqueue per matching subscription in trie order. Returns
+    /// the enqueues made and the deliveries a full queue dropped.
+    fn fan_out(&mut self, m: &mut Outgoing<'_>, levels: &[&str]) -> (usize, usize) {
+        if m.retain {
+            if m.payload.is_empty() {
+                // Empty retained payload clears the retained message.
+                self.retained.remove(m.topic);
+            } else {
+                let copy = Message {
+                    topic: m.shared_topic(),
+                    payload: m.payload.clone(),
+                    qos: m.qos,
+                    retain: true,
+                };
+                self.retained.insert(m.shared_topic(), copy);
+            }
+            if let Some(o) = self.obs.as_mut() {
+                o.on_retained(m.i, !m.payload.is_empty(), self.retained.len());
+            }
+        }
+        // $-topics suppress wildcards at the root level only.
+        let skip_wild_at_root = m.topic.starts_with('$');
+        let (mut ok, mut lost) = (0, 0);
+        self.trie
+            .for_each_match(levels, skip_wild_at_root, &mut |s| {
+                // "Retain as published" (the MQTT 5 RAP behaviour): live
+                // deliveries carry the publisher's retain flag so bridges can
+                // preserve retained state downstream.
+                let delivery = Message {
+                    topic: m.shared_topic(),
+                    payload: m.payload.clone(),
+                    qos: m.qos.min(s.qos),
+                    retain: m.retain,
+                };
+                match s.sender.try_send(delivery) {
+                    Ok(()) => ok += 1,
+                    Err(_) => lost += 1,
+                }
+            });
+        (ok, lost)
+    }
 }
 
 /// Connection-level bookkeeping, off the publish hot path: touched only
@@ -233,7 +328,16 @@ pub struct BrokerObs {
     injected_drops: Counter,
     injected_dups: Counter,
     retained_total: Gauge,
-    per_topic: HashMap<String, TopicObs>,
+    /// Topic → its instruments in `topics`.
+    per_topic: HashMap<String, usize>,
+    topics: Vec<TopicObs>,
+    /// The batch in flight, per message: its trace id (traced frames
+    /// only) and its per-topic instruments, resolved once by
+    /// `on_publish` and read by the fan-out.
+    batch: Vec<(Option<u64>, Option<usize>)>,
+    /// Trace ids of the batch's messages that reached a subscriber, in
+    /// message order.
+    delivered_ids: Vec<u64>,
 }
 
 impl BrokerObs {
@@ -252,6 +356,9 @@ impl BrokerObs {
             injected_dups: r.counter("mqtt_injected_dups_total"),
             retained_total: r.gauge("mqtt_retained_messages"),
             per_topic: HashMap::new(),
+            topics: Vec::new(),
+            batch: Vec::new(),
+            delivered_ids: Vec::new(),
         }
     }
 
@@ -262,52 +369,83 @@ impl BrokerObs {
         }
     }
 
-    fn topic_obs(&mut self, topic: &str) -> Option<&mut TopicObs> {
+    /// The per-topic instruments of `topic`, registered on first sight.
+    fn topic_index(&mut self, topic: &str) -> Option<usize> {
         if topic.starts_with("davide/obs/") {
             return None;
         }
-        if !self.per_topic.contains_key(topic) {
-            let r = &self.hub.registry;
-            let t = TopicObs {
-                published: r.counter(&format!("mqtt_topic_published{{topic=\"{topic}\"}}")),
-                delivered: r.counter(&format!("mqtt_topic_delivered{{topic=\"{topic}\"}}")),
-                retained: r.gauge(&format!("mqtt_topic_retained{{topic=\"{topic}\"}}")),
-            };
-            self.per_topic.insert(topic.to_string(), t);
+        if let Some(&i) = self.per_topic.get(topic) {
+            return Some(i);
         }
-        self.per_topic.get_mut(topic)
+        let r = &self.hub.registry;
+        self.topics.push(TopicObs {
+            published: r.counter(&format!("mqtt_topic_published{{topic=\"{topic}\"}}")),
+            delivered: r.counter(&format!("mqtt_topic_delivered{{topic=\"{topic}\"}}")),
+            retained: r.gauge(&format!("mqtt_topic_retained{{topic=\"{topic}\"}}")),
+        });
+        self.per_topic
+            .insert(topic.to_string(), self.topics.len() - 1);
+        Some(self.topics.len() - 1)
     }
 
-    fn on_publish(&mut self, topic: &str, payload: &[u8]) {
-        self.published.inc();
-        if self.traceable(topic, payload) {
+    /// Stamp `stage` on `ids` at one clock read, under one tracer lock.
+    fn stamp(&self, stage: Stage, ids: impl IntoIterator<Item = u64>) {
+        let mut ids = ids.into_iter().peekable();
+        if ids.peek().is_some() {
             let now = self.hub.clock.now_s();
-            self.hub
-                .tracer
-                .stamp(frame_trace_id(topic, payload), Stage::BrokerPublish, now);
-        }
-        if let Some(t) = self.topic_obs(topic) {
-            t.published.inc();
+            self.hub.tracer.stamp_batch(stage, now, ids);
         }
     }
 
-    fn on_deliver(&mut self, topic: &str, payload: &[u8]) {
-        self.delivered.inc();
-        if self.traceable(topic, payload) {
-            let now = self.hub.clock.now_s();
-            self.hub
-                .tracer
-                .stamp(frame_trace_id(topic, payload), Stage::SessionDeliver, now);
+    /// Count every message of a batch as published and stamp the traced
+    /// ones; each message's trace id and per-topic instruments are
+    /// resolved here, once, for the fan-out.
+    fn on_publish<T: AsRef<str>>(&mut self, msgs: &[(T, Bytes)]) {
+        self.published.add(msgs.len() as u64);
+        self.batch.clear();
+        self.delivered_ids.clear();
+        for (topic, payload) in msgs {
+            let topic = topic.as_ref();
+            let trace = self
+                .traceable(topic, payload)
+                .then(|| frame_trace_id(topic, payload));
+            let t = self.topic_index(topic);
+            if let Some(t) = t {
+                self.topics[t].published.inc();
+            }
+            self.batch.push((trace, t));
         }
-        if let Some(t) = self.topic_obs(topic) {
-            t.delivered.inc();
+        self.stamp(
+            Stage::BrokerPublish,
+            self.batch.iter().filter_map(|&(trace, _)| trace),
+        );
+    }
+
+    /// Batch message `i` was fanned out (twice for a duplicate):
+    /// `delivered` enqueues and `dropped` full-queue losses in all.
+    fn on_fan_out(&mut self, i: usize, delivered: u64, dropped: u64) {
+        let (trace, t) = self.batch[i];
+        if delivered > 0 {
+            self.delivered.add(delivered);
+            if let Some(t) = t {
+                self.topics[t].delivered.add(delivered);
+            }
+            self.delivered_ids.extend(trace);
+        }
+        if dropped > 0 {
+            self.dropped.add(dropped);
         }
     }
 
-    fn on_retained(&mut self, topic: &str, present: bool, total: usize) {
+    /// Stamp every delivered trace of the batch.
+    fn on_batch_delivered(&self) {
+        self.stamp(Stage::SessionDeliver, self.delivered_ids.iter().copied());
+    }
+
+    fn on_retained(&mut self, i: usize, present: bool, total: usize) {
         self.retained_total.set(total as f64);
-        if let Some(t) = self.topic_obs(topic) {
-            t.retained.set(if present { 1.0 } else { 0.0 });
+        if let Some(t) = self.batch[i].1 {
+            self.topics[t].retained.set(if present { 1.0 } else { 0.0 });
         }
     }
 }
@@ -584,99 +722,61 @@ impl Broker {
         // the frame tracer: count every message as published before any
         // is fanned out.
         if let Some(o) = st.obs.as_mut() {
-            for (topic, payload) in msgs {
-                o.on_publish(topic.as_ref(), payload);
-            }
+            o.on_publish(msgs);
         }
-        let mut reached = 0;
+        let (mut reached, mut delivered, mut dropped) = (0, 0, 0);
         for (i, (topic, payload)) in msgs.iter().enumerate() {
-            let topic = topic.as_ref();
-            match fates.get(i).copied().unwrap_or(PublishFate::Deliver) {
-                PublishFate::Deliver => {
-                    reached += self.fan_out_locked(&mut st, topic, payload, qos, retain);
-                }
+            let duplicate = match fates.get(i).copied().unwrap_or(PublishFate::Deliver) {
+                PublishFate::Deliver => false,
                 PublishFate::Drop => {
                     if let Some(o) = st.obs.as_mut() {
                         o.injected_drops.inc();
                     }
+                    continue;
                 }
                 PublishFate::Duplicate => {
                     if let Some(o) = st.obs.as_mut() {
                         o.injected_dups.inc();
                     }
-                    reached += self.fan_out_locked(&mut st, topic, payload, qos, retain);
-                    self.fan_out_locked(&mut st, topic, payload, qos, retain);
+                    true
                 }
-            }
-        }
-        Ok(reached)
-    }
-
-    /// The per-message fan-out body, with the state lock held.
-    fn fan_out_locked(
-        &self,
-        st: &mut State,
-        topic: &str,
-        payload: &Bytes,
-        qos: QoS,
-        retain: bool,
-    ) -> usize {
-        let State {
-            trie,
-            retained,
-            obs,
-        } = st;
-        if retain {
-            if payload.is_empty() {
-                // Empty retained payload clears the retained message.
-                retained.remove(topic);
-            } else {
-                retained.insert(
-                    topic.to_string(),
-                    Message {
-                        topic: topic.to_string(),
-                        payload: payload.clone(),
-                        qos,
-                        retain: true,
-                    },
-                );
-            }
-            if let Some(o) = obs.as_mut() {
-                o.on_retained(topic, !payload.is_empty(), retained.len());
-            }
-        }
-
-        let levels: Vec<&str> = topic.split('/').collect();
-        // $-topics suppress wildcards at the root level only.
-        let skip_wild_at_root = topic.starts_with('$');
-        let mut reached = 0;
-        trie.for_each_match(&levels, skip_wild_at_root, &mut |s| {
-            // "Retain as published" (the MQTT 5 RAP behaviour):
-            // live deliveries carry the publisher's retain flag so
-            // bridges can preserve retained state downstream.
-            let m = Message {
-                topic: topic.to_string(),
-                payload: payload.clone(),
-                qos: qos.min(s.qos),
+            };
+            let mut m = Outgoing {
+                i,
+                topic: topic.as_ref(),
+                shared: None,
+                payload,
+                qos,
                 retain,
             };
-            match s.sender.try_send(m) {
-                Ok(()) => {
-                    reached += 1;
-                    self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = obs.as_mut() {
-                        o.on_deliver(topic, payload);
-                    }
+            let (ok, lost) = with_levels(m.topic, |levels| {
+                let (mut ok, mut lost) = st.fan_out(&mut m, levels);
+                // A duplicate reaches its subscribers once.
+                reached += ok;
+                if duplicate {
+                    let (again, again_lost) = st.fan_out(&mut m, levels);
+                    ok += again;
+                    lost += again_lost;
                 }
-                Err(_) => {
-                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = obs.as_mut() {
-                        o.dropped.inc();
-                    }
-                }
+                (ok, lost)
+            });
+            if let Some(o) = st.obs.as_mut() {
+                o.on_fan_out(i, ok as u64, lost as u64);
             }
-        });
-        reached
+            delivered += ok;
+            dropped += lost;
+        }
+        if let Some(o) = st.obs.as_ref() {
+            o.on_batch_delivered();
+        }
+        drop(st);
+        self.stats
+            .delivered
+            .fetch_add(delivered as u64, Ordering::Relaxed);
+        self.stats
+            .dropped
+            .fetch_add(dropped as u64, Ordering::Relaxed);
+        Ok(reached)
     }
 }
 
@@ -710,7 +810,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         let m = sub.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(m.topic, "davide/node03/power");
+        assert_eq!(&*m.topic, "davide/node03/power");
         assert_eq!(&m.payload[..], b"1720");
     }
 
@@ -1024,7 +1124,7 @@ mod tests {
         assert_eq!(got.len(), 5);
         // Delivery is in slice order with per-message semantics intact.
         for (i, m) in got.iter().enumerate() {
-            assert_eq!(m.topic, batch[i].0);
+            assert_eq!(*m.topic, *batch[i].0);
             assert_eq!(m.payload, batch[i].1);
             assert_eq!(m.qos, QoS::AtMostOnce);
             assert!(!m.retain);
@@ -1059,7 +1159,7 @@ mod tests {
         let reached = publ.publish_batch(&batch).unwrap();
         assert_eq!(reached, 2);
         let got = sub.drain();
-        let topics: Vec<&str> = got.iter().map(|m| m.topic.as_str()).collect();
+        let topics: Vec<&str> = got.iter().map(|m| &*m.topic).collect();
         assert_eq!(
             topics,
             [
@@ -1068,6 +1168,196 @@ mod tests {
                 "davide/node02/power/node"
             ]
         );
+    }
+
+    #[test]
+    fn deliveries_and_the_retained_copy_share_one_topic_allocation() {
+        let broker = Broker::default();
+        let mut subs: Vec<_> = ["davide/#", "davide/+/cap", "davide/node00/cap"]
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut c = broker.connect(format!("agent{i}"));
+                c.subscribe(f, QoS::AtMostOnce).unwrap();
+                c
+            })
+            .collect();
+        let publ = broker.connect("ctl");
+        publ.publish("davide/node00/cap", payload("1500"), QoS::AtMostOnce, true)
+            .unwrap();
+        let got: Vec<Message> = subs.iter_mut().map(|s| s.try_recv().unwrap()).collect();
+        for m in &got[1..] {
+            assert!(Arc::ptr_eq(&got[0].topic, &m.topic));
+        }
+        // A late subscriber's replay is the retained copy itself.
+        let mut late = broker.connect("late");
+        late.subscribe("davide/node00/cap", QoS::AtMostOnce)
+            .unwrap();
+        let replayed = late.try_recv().unwrap();
+        assert!(replayed.retain);
+        assert!(Arc::ptr_eq(&got[0].topic, &replayed.topic));
+        // The next publish on the topic allocates its own.
+        publ.publish("davide/node00/cap", payload("1400"), QoS::AtMostOnce, true)
+            .unwrap();
+        assert!(!Arc::ptr_eq(
+            &got[0].topic,
+            &subs[0].try_recv().unwrap().topic
+        ));
+    }
+
+    #[test]
+    fn full_queue_drops_are_counted_once_per_lost_delivery() {
+        let broker = Broker::new(2);
+        let (hub, _clock) = ObsHub::manual();
+        broker.set_obs(Some(BrokerObs::new(&hub, None)));
+        let mut slow = broker.connect("slow");
+        slow.subscribe("t/#", QoS::AtMostOnce).unwrap();
+        let mut other = broker.connect("other");
+        other.subscribe("t/a", QoS::AtMostOnce).unwrap();
+        let publ = broker.connect("gw");
+        let batch: Vec<(&str, Bytes)> = (0..5).map(|i| ("t/a", payload(&i.to_string()))).collect();
+        // Each queue takes two; the other three of each are lost.
+        assert_eq!(publ.publish_batch(&batch).unwrap(), 4);
+        let r = &hub.registry;
+        let counter = |name: &str| r.find_counter(name).unwrap().get();
+        assert_eq!(counter("mqtt_dropped_total"), 6);
+        assert_eq!(broker.stats().dropped.load(Ordering::Relaxed), 6);
+        assert_eq!(counter("mqtt_delivered_total"), 4);
+        assert_eq!(broker.stats().delivered.load(Ordering::Relaxed), 4);
+        assert_eq!(counter("mqtt_topic_delivered{topic=\"t/a\"}"), 4);
+        assert_eq!(counter("mqtt_topic_published{topic=\"t/a\"}"), 5);
+        assert_eq!((slow.drain().len(), other.drain().len()), (2, 2));
+    }
+
+    #[test]
+    fn duplicate_counts_two_deliveries_and_one_trace() {
+        const MAGIC: &[u8] = b"FRM0";
+        let broker = Broker::default();
+        let (hub, clock) = ObsHub::manual();
+        broker.set_obs(Some(BrokerObs::new(&hub, Some(MAGIC))));
+        broker.set_fault_hook(Some(Box::new(|_: &str| PublishFate::Duplicate)));
+        let mut sub = broker.connect("agent");
+        sub.subscribe("davide/+/power/node", QoS::AtMostOnce)
+            .unwrap();
+        let publ = broker.connect("gw");
+        let frame = Bytes::from_static(b"FRM0 frame header and samples");
+        clock.set(3.0);
+        assert_eq!(
+            publ.publish(
+                "davide/node00/power/node",
+                frame.clone(),
+                QoS::AtMostOnce,
+                false
+            )
+            .unwrap(),
+            1,
+            "a duplicate reaches its subscribers once"
+        );
+        assert_eq!(sub.drain().len(), 2);
+        let r = &hub.registry;
+        let counter = |name: &str| r.find_counter(name).unwrap().get();
+        assert_eq!(counter("mqtt_delivered_total"), 2);
+        assert_eq!(broker.stats().delivered.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            counter("mqtt_topic_delivered{topic=\"davide/node00/power/node\"}"),
+            2
+        );
+        assert_eq!(counter("mqtt_injected_dups_total"), 1);
+        // One trace, stamped at publish and at delivery: closing it
+        // records one publish → deliver lag.
+        let id = frame_trace_id("davide/node00/power/node", &frame);
+        assert!(hub.tracer.is_resident(id));
+        hub.tracer.close(id);
+        assert_eq!(hub.tracer.completed(), 1);
+        let lag = r
+            .find_histogram("obs_trace_stage_ns{from=\"broker_publish\",to=\"session_deliver\"}")
+            .unwrap()
+            .snapshot();
+        assert_eq!((lag.count, lag.max), (1, 0));
+    }
+
+    #[test]
+    fn per_topic_delivered_equals_deliveries_made() {
+        let broker = Broker::default();
+        let (hub, _clock) = ObsHub::manual();
+        broker.set_obs(Some(BrokerObs::new(&hub, None)));
+        let filters = [
+            "davide/#",
+            "davide/+/power/node",
+            "davide/node01/#",
+            "+/+/temp",
+        ];
+        let mut subs: Vec<_> = filters
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut c = broker.connect(format!("agent{i}"));
+                c.subscribe(f, QoS::AtMostOnce).unwrap();
+                c
+            })
+            .collect();
+        let topics = [
+            "davide/node00/power/node",
+            "davide/node01/power/node",
+            "davide/node01/temp",
+            "site/rack0/temp",
+        ];
+        let batch: Vec<(&str, Bytes)> = (0..12)
+            .map(|i| (topics[i % topics.len()], payload("x")))
+            .collect();
+        let publ = broker.connect("gw");
+        publ.publish_batch(&batch).unwrap();
+        let mut made: HashMap<String, u64> = HashMap::new();
+        for s in &mut subs {
+            for m in s.drain() {
+                *made.entry(m.topic.to_string()).or_default() += 1;
+            }
+        }
+        for t in topics {
+            let counted = hub
+                .registry
+                .find_counter(&format!("mqtt_topic_delivered{{topic=\"{t}\"}}"))
+                .unwrap()
+                .get();
+            assert_eq!(counted, made[t], "{t}");
+        }
+        let total: u64 = made.values().sum();
+        assert_eq!(
+            hub.registry
+                .find_counter("mqtt_delivered_total")
+                .unwrap()
+                .get(),
+            total
+        );
+    }
+
+    #[test]
+    fn topics_deeper_than_the_stack_split_still_match() {
+        let broker = Broker::default();
+        let deep: String = (0..20)
+            .map(|i| format!("l{i}"))
+            .collect::<Vec<_>>()
+            .join("/");
+        let mut plus_filter: Vec<&str> = deep.split('/').collect();
+        plus_filter[18] = "+";
+        let plus_filter = plus_filter.join("/");
+        let mut subs: Vec<_> = ["#", "l0/#", plus_filter.as_str(), deep.as_str(), "l0/+"]
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut c = broker.connect(format!("agent{i}"));
+                c.subscribe(f, QoS::AtMostOnce).unwrap();
+                c
+            })
+            .collect();
+        let publ = broker.connect("gw");
+        assert_eq!(
+            publ.publish(&deep, payload("x"), QoS::AtMostOnce, false)
+                .unwrap(),
+            4
+        );
+        let got: Vec<usize> = subs.iter_mut().map(|s| s.drain().len()).collect();
+        assert_eq!(got, [1, 1, 1, 1, 0]);
     }
 
     #[test]

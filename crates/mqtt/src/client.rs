@@ -49,8 +49,19 @@ impl Client {
     /// fan-in. An installed fault hook is locked once more, before the
     /// state lock and never together with it. Returns the total
     /// subscriber deliveries across the batch.
-    pub fn publish_batch(&self, msgs: &[(String, Bytes)]) -> Result<usize, BrokerError> {
+    pub fn publish_batch<T: AsRef<str>>(&self, msgs: &[(T, Bytes)]) -> Result<usize, BrokerError> {
         self.broker.publish_batch(msgs, QoS::AtMostOnce, false)
+    }
+
+    /// [`publish_batch`](Self::publish_batch) at an explicit QoS and
+    /// retain flag, for the bridge's forwards.
+    pub(crate) fn publish_batch_as<T: AsRef<str>>(
+        &self,
+        msgs: &[(T, Bytes)],
+        qos: QoS,
+        retain: bool,
+    ) -> Result<usize, BrokerError> {
+        self.broker.publish_batch(msgs, qos, retain)
     }
 
     /// Convenience: publish a UTF-8 string payload at QoS 0.

@@ -187,7 +187,9 @@ const MAX_STAGES: usize = 8;
 const PROBE: usize = 16;
 
 /// A trace copied out of the table, finalised after the lock drops.
-#[derive(Clone, Copy)]
+/// Unstamped stages read 0, so two slots are equal exactly when they
+/// record the same stamps.
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct Slot {
     seen: u8,
     t_ns: [u64; MAX_STAGES],
@@ -350,16 +352,23 @@ impl<S: Stages> StageTracer<S> {
             .find(|&i| g.seen[i] != 0 && g.ids[i] == id)
     }
 
-    /// Copy slot `i` out and free it.
+    /// Copy slot `i` out and free it. The table row keeps whatever an
+    /// earlier occupant stamped in the columns this trace never
+    /// stamped; those copy out as 0.
     fn take(g: &mut Table, i: usize) -> Slot {
+        let seen = g.seen[i];
         let mut t_ns = [0; MAX_STAGES];
-        t_ns[..Self::N].copy_from_slice(&g.t_ns[i * Self::N..(i + 1) * Self::N]);
-        let s = Slot {
-            seen: g.seen[i],
-            t_ns,
-        };
+        for (k, (dst, &src)) in t_ns
+            .iter_mut()
+            .zip(&g.t_ns[i * Self::N..(i + 1) * Self::N])
+            .enumerate()
+        {
+            if seen & (1 << k) != 0 {
+                *dst = src;
+            }
+        }
         g.seen[i] = 0;
-        s
+        Slot { seen, t_ns }
     }
 
     /// The probe/insert body shared by [`stamp`](Self::stamp) and
@@ -432,7 +441,28 @@ impl<S: Stages> StageTracer<S> {
             Self::find(&g, id).map(|i| Self::take(&mut g, i))
         };
         if let Some(s) = slot {
-            self.finalize_completed(&s);
+            self.finalize_completed(&s, 1);
+        }
+    }
+
+    /// Close every trace in `ids`, in order, under one table lock: the
+    /// batch form of [`close`](Self::close), leaving the same
+    /// histograms, completion count and table. The closed traces are
+    /// folded after the lock drops, each run of identical ones (the
+    /// frames of one control period usually share every stamp) into
+    /// the histograms once.
+    pub fn close_batch(&self, ids: impl IntoIterator<Item = u64>) {
+        if !self.enabled() {
+            return;
+        }
+        let slots: Vec<Slot> = {
+            let mut g = self.table.lock();
+            ids.into_iter()
+                .filter_map(|id| Self::find(&g, id).map(|i| Self::take(&mut g, i)))
+                .collect()
+        };
+        for run in slots.chunk_by(|a, b| a == b) {
+            self.finalize_completed(&run[0], run.len() as u64);
         }
     }
 
@@ -459,7 +489,10 @@ impl<S: Stages> StageTracer<S> {
         self.completed.get()
     }
 
-    fn finalize_completed(&self, s: &Slot) {
+    /// Fold `n` completed copies of trace `s` into the histograms and
+    /// the completion count.
+    fn finalize_completed(&self, s: &Slot, n: u64) {
+        let record = |h: &Histogram, v: u64| h.record_all(std::iter::repeat_n(v, n as usize));
         let stamped = |i: usize| s.seen & (1 << i) != 0;
         let first = (0..Self::N).find(|&i| stamped(i));
         let mut last: Option<usize> = None;
@@ -467,7 +500,7 @@ impl<S: Stages> StageTracer<S> {
             if let Some(p) = last {
                 // A skipped stage folds the whole gap into the edge
                 // leaving the earlier stamped stage.
-                self.stage_lag[p].record(s.t_ns[i].saturating_sub(s.t_ns[p]));
+                record(&self.stage_lag[p], s.t_ns[i].saturating_sub(s.t_ns[p]));
             }
             last = Some(i);
         }
@@ -475,10 +508,10 @@ impl<S: Stages> StageTracer<S> {
             let from = span.from.or(first).filter(|&i| stamped(i));
             let to = span.to.or(last).filter(|&i| stamped(i));
             if let (Some(a), Some(b)) = (from, to) {
-                h.record(s.t_ns[b].saturating_sub(s.t_ns[a]));
+                record(h, s.t_ns[b].saturating_sub(s.t_ns[a]));
             }
         }
-        self.completed.inc();
+        self.completed.add(n);
     }
 
     fn finalize_lost(&self, s: &Slot) {
@@ -511,6 +544,7 @@ impl<S: Stages> std::fmt::Debug for StageTracer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     type FrameTracer = StageTracer<Stage>;
     type GrantTracer = StageTracer<GrantStage>;
@@ -683,6 +717,110 @@ mod tests {
             r.find_counter("obs_grant_completed_total").unwrap().get(),
             0
         );
+    }
+
+    /// A four-stage set with a 32-slot table, so slots are reused
+    /// (and their rows keep an earlier occupant's stamps) constantly.
+    #[derive(Clone, Copy)]
+    struct Tiny(usize);
+
+    impl Stages for Tiny {
+        const NAMES: &'static [&'static str] = &["a", "b", "c", "d"];
+        const PREFIX: &'static str = "tiny";
+        const CAPACITY: usize = 32;
+        const SPANS: &'static [Span] = &[
+            Span {
+                name: "e2e_ns",
+                from: None,
+                to: None,
+            },
+            Span {
+                name: "b_to_d_ns",
+                from: Some(1),
+                to: Some(3),
+            },
+        ];
+        fn index(self) -> usize {
+            self.0
+        }
+    }
+
+    /// Every sample a registry holds, in exposition order.
+    fn samples(r: &MetricsRegistry) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        r.visit_samples(|name, v| out.push((name.to_string(), v)));
+        out
+    }
+
+    proptest! {
+        /// `close_batch` leaves every histogram, the completion count
+        /// and the loss counters exactly as one `close` per id does.
+        /// Stamps draw from 48 ids, four stages and three instants, in
+        /// rounds that each end with a close list (repeats and
+        /// non-resident ids included): many closed traces are
+        /// identical, and many differ only in the columns they never
+        /// stamped, which their slot's row still holds from an earlier
+        /// resident.
+        #[test]
+        fn close_batch_matches_close_per_id(
+            stamps in proptest::collection::vec(0u64..(48 * 4 * 3), 0..400),
+            closes in proptest::collection::vec(0u64..48, 0..160),
+            rounds in 1usize..6,
+        ) {
+            let (ra, rb) = (MetricsRegistry::new(), MetricsRegistry::new());
+            let (a, b) = (StageTracer::<Tiny>::new(&ra), StageTracer::<Tiny>::new(&rb));
+            let per_round = |v: usize| v.div_ceil(rounds).max(1);
+            let mut stamp_rounds = stamps.chunks(per_round(stamps.len()));
+            let mut close_rounds = closes.chunks(per_round(closes.len()));
+            for _ in 0..rounds {
+                for &x in stamp_rounds.next().unwrap_or(&[]) {
+                    let (id, stage, t) = (x % 48, (x / 48 % 4) as usize, (x / 192) as f64);
+                    a.stamp(id, Tiny(stage), t);
+                    b.stamp(id, Tiny(stage), t);
+                }
+                let ids = close_rounds.next().unwrap_or(&[]);
+                for &id in ids {
+                    a.close(id);
+                }
+                b.close_batch(ids.iter().copied());
+                prop_assert_eq!(samples(&ra), samples(&rb));
+            }
+            a.flush();
+            b.flush();
+            prop_assert_eq!(samples(&ra), samples(&rb));
+        }
+    }
+
+    #[test]
+    fn close_batch_ignores_columns_an_earlier_resident_stamped() {
+        let (ra, rb) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let (a, b) = (FrameTracer::new(&ra), FrameTracer::new(&rb));
+        for t in [&a, &b] {
+            // Trace 1 stamps every stage and closes; trace 2 takes its
+            // slot but stamps only the first two stages, so its row
+            // still holds trace 1's later stamps.
+            for stage in [
+                Stage::BrokerPublish,
+                Stage::SessionDeliver,
+                Stage::IngestAppend,
+                Stage::DvfsPublish,
+            ] {
+                t.stamp(1, stage, 5.0);
+            }
+            t.close(1);
+            for id in [1, 2, 3] {
+                t.stamp(id, Stage::BrokerPublish, 1.0);
+                t.stamp(id, Stage::SessionDeliver, 2.0);
+            }
+        }
+        for id in [1, 2, 3] {
+            a.close(id);
+        }
+        b.close_batch([1, 2, 3]);
+        assert_eq!(samples(&ra), samples(&rb));
+        assert_eq!(b.completed(), 4);
+        let e2e = rb.find_histogram("obs_trace_e2e_ns").unwrap().snapshot();
+        assert_eq!((e2e.count, e2e.sum), (4, 3_000_000_000));
     }
 
     #[test]

@@ -230,12 +230,11 @@ impl ControlPlaneObs {
     }
 
     /// One telemetry frame reached the store (`stored` of its samples
-    /// accepted): stamp the ingest stage and record its age — the lag
-    /// between the first sample's timestamp and the loop seeing it.
-    fn on_frame(&mut self, f: &FrameView<'_>, stored: usize) {
-        let now = self.hub.clock.now_s();
-        self.hub.tracer.stamp(f.trace_id, Stage::IngestAppend, now);
-        self.pending.push(f.trace_id);
+    /// accepted) at `now`: queue it for the tick's trace stamps and
+    /// record its age — the lag between the first sample's timestamp
+    /// and the loop seeing it.
+    fn on_frame(&mut self, now: f64, f: &FrameView<'_>, stored: usize) {
+        self.pending.push(f.trace_id());
         self.frames.inc();
         self.samples_stored.add(stored as u64);
         self.samples_stale.add((f.watts.len() - stored) as u64);
@@ -245,20 +244,19 @@ impl ControlPlaneObs {
         }
     }
 
-    /// Stamp `stage` on every frame ingested this tick.
+    /// Stamp `stage` on every frame ingested this tick, under one
+    /// tracer lock.
     fn stamp_pending(&self, stage: Stage) {
         let now = self.hub.clock.now_s();
-        for &id in &self.pending {
-            self.hub.tracer.stamp(id, stage, now);
-        }
+        self.hub
+            .tracer
+            .stamp_batch(stage, now, self.pending.iter().copied());
     }
 
     /// Retire the tick: close every trace it ingested, folding the
     /// stage lags into the hub's latency histograms.
     fn close_tick(&mut self) {
-        for id in self.pending.drain(..) {
-            self.hub.tracer.close(id);
-        }
+        self.hub.tracer.close_batch(self.pending.drain(..));
     }
 }
 
@@ -504,15 +502,23 @@ impl ControlPlane {
     /// Drain the MQTT subscription into the store and the per-node live
     /// view. Frames on any topic but a known node's
     /// `davide/node{NN}/power/node` are not routed and count nowhere.
+    /// The drain's frames are stamped as ingested together, at the
+    /// drain instant.
     fn ingest_telemetry(&mut self) {
+        let now = self.obs.hub.clock.now_s();
         self.ingest.drain_with(|f| {
             let Some((node_id, "power/node")) = parse_node_topic(f.topic) else {
                 return None;
             };
             let node = self.nodes.get_mut(node_id as usize)?;
-            let id = self.db.resolve(f.topic);
+            // The node's series, unless this frame came in under another
+            // spelling of its topic.
+            let id = match node.series {
+                Some(id) if self.db.name(id) == Some(f.topic) => id,
+                _ => self.db.resolve(f.topic),
+            };
             let stored = self.db.append_frame_id(id, f.t0_s, f.dt_s, f.watts);
-            self.obs.on_frame(&f, stored);
+            self.obs.on_frame(now, &f, stored);
             // An entirely stale frame (a duplicate or a badly delayed
             // one) must not move the live view backwards.
             if stored > 0 {
@@ -522,6 +528,7 @@ impl ControlPlane {
             }
             Some(stored)
         });
+        self.obs.stamp_pending(Stage::IngestAppend);
         // Seal/demote outside the append path; a no-op for untiered
         // stores.
         self.db.compact();
@@ -958,7 +965,7 @@ mod tests {
         assert!(r.steps_down >= 1, "sustained overcap throttles: {r:?}");
         let msgs = watch.drain();
         assert!(
-            msgs.iter().any(|m| m.topic == speed_topic(0)),
+            msgs.iter().any(|m| *m.topic == *speed_topic(0)),
             "speed command published"
         );
     }

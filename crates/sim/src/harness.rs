@@ -41,6 +41,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use davide_core::rng::Rng;
 use davide_core::time::{SimDuration, SimTime};
 use davide_mqtt::{Broker, BrokerObs, Client, PublishFate, QoS};
@@ -191,13 +192,47 @@ struct LossRule {
 }
 
 /// State shared with the broker's fault hook. The hook runs inside
-/// `publish`; the harness sets `t_s` before each gateway publish and
-/// takes the fate the hook recorded right after.
+/// `publish_batch`; the harness sets `t_s` before each gateway batch
+/// (every frame of a batch shares its instant) and takes the fates the
+/// hook appended, one per power frame in message order, right after.
 struct HookState {
     rng: Rng,
     t_s: f64,
     rules: Vec<LossRule>,
-    last: Option<PublishFate>,
+    fates: Vec<PublishFate>,
+}
+
+/// What one node's gateway did with a tick's window. The gateway phase
+/// records one per node, in node order, publishes the tick's frames as
+/// one batch, then replays the outcomes in that order: the event log,
+/// the dirty windows, the store model and the counters must see every
+/// node's frame in node order, with its fate, as the pinned digests
+/// encode it.
+enum GatewayOutcome {
+    /// No frame: the node is dead, the broker is down, or a dropout
+    /// fault silences it. `t0_s` is the window start on the node's
+    /// clock.
+    Suppressed { fate: FrameFate, t0_s: f64 },
+    /// Held back by a reorder fault; its `LateFrame` event is already
+    /// scheduled.
+    Delayed { t0_s: f64, n: u32, delay_ticks: u32 },
+    /// Published in the tick's batch.
+    Published(SampleFrame),
+}
+
+/// Publish `msgs` (power frames sharing instant `t`) as one gateway
+/// batch and return each message's fate from the fault hook, in order.
+fn publish_frames(
+    hook: &Mutex<HookState>,
+    gateway: &Client,
+    t: f64,
+    msgs: &[(&str, Bytes)],
+) -> Vec<PublishFate> {
+    hook.lock().t_s = t;
+    let _ = gateway.publish_batch(msgs);
+    let fates = std::mem::take(&mut hook.lock().fates);
+    assert_eq!(fates.len(), msgs.len(), "hook sees every power publish");
+    fates
 }
 
 /// A reordered frame parked in the delay slab; its landing instant is
@@ -249,6 +284,8 @@ pub(crate) struct RackSim {
     cp: ControlPlane,
     ctl_watch: Client,
     gateway: Client,
+    /// Each node's power topic, formatted once.
+    node_topics: Vec<String>,
     /// Federated runs only: subscribed to `fed/+/cap` on the rack
     /// broker; cap grants bridged down from the site are applied at the
     /// head of the control phase. `None` in single-rack runs — zero
@@ -403,7 +440,7 @@ impl RackSim {
             rng: Rng::seed_from(sc.seed ^ 0xd1b5_4a32_d192_ed03),
             t_s: 0.0,
             rules,
-            last: None,
+            fates: Vec::new(),
         }));
         {
             let state = Arc::clone(&hook_state);
@@ -430,7 +467,7 @@ impl RackSim {
                         fate = PublishFate::Duplicate;
                     }
                 }
-                st.last = Some(fate);
+                st.fates.push(fate);
                 fate
             })));
         }
@@ -462,6 +499,7 @@ impl RackSim {
             cp,
             ctl_watch,
             gateway,
+            node_topics: (0..sc.n_nodes).map(|i| power_topic(i, "node")).collect(),
             cap_watch: None,
             hook_state,
             hub,
@@ -665,29 +703,17 @@ impl RackSim {
         );
     }
 
-    /// Deliver one frame through the broker, attribute its fate, and
-    /// mirror what the store is entitled to absorb.
-    fn publish_frame(
+    /// Attribute the fate of one frame published at `t`, and mirror
+    /// what the store is entitled to absorb.
+    fn record_frame(
         &mut self,
         t: f64,
         node: u32,
         frame: &SampleFrame,
         true_end_s: f64,
         late: bool,
+        fate: PublishFate,
     ) {
-        self.hook_state.lock().t_s = t;
-        let _ = self.gateway.publish(
-            &power_topic(node, "node"),
-            frame.encode(),
-            QoS::AtMostOnce,
-            false,
-        );
-        let fate = self
-            .hook_state
-            .lock()
-            .last
-            .take()
-            .expect("hook sees every power publish");
         let logged = match fate {
             PublishFate::Drop => FrameFate::Lost,
             PublishFate::Duplicate => FrameFate::Duplicated,
@@ -723,8 +749,8 @@ impl RackSim {
         });
     }
 
-    /// Gateways publish the window `[t − tick, t)`; reorder-delayed
-    /// frames become [`SimEvent::LateFrame`] entries.
+    /// Gateways publish the window `[t − tick, t)` as one batch;
+    /// reorder-delayed frames become [`SimEvent::LateFrame`] entries.
     fn gateway_phase(&mut self, q: &mut EventQueue<SimEvent>, t: SimTime) {
         if self.done {
             return;
@@ -733,6 +759,7 @@ impl RackSim {
         let t_ns = t.0;
         if t_s > 0.0 {
             let t0 = t_s - self.tick;
+            let mut outcomes = Vec::with_capacity(self.sc.n_nodes as usize);
             for node in 0..self.sc.n_nodes {
                 let i = node as usize;
                 let suppressed = if self.dead[i] {
@@ -748,15 +775,8 @@ impl RackSim {
                     None
                 };
                 if let Some(fate) = suppressed {
-                    self.frames_suppressed += 1;
-                    self.dirty[i].push((t0 - self.tick, t_s + self.tick));
-                    self.log.push(Event::Frame {
-                        t_ns,
-                        node,
-                        t0_bits: (t0 + self.clock_offset[i]).to_bits(),
-                        n: 0,
-                        fate,
-                    });
+                    let t0_s = t0 + self.clock_offset[i];
+                    outcomes.push(GatewayOutcome::Suppressed { fate, t0_s });
                     continue;
                 }
                 let w = self.node_draw_w[i];
@@ -790,15 +810,14 @@ impl RackSim {
                 });
                 if let Some((_, delay_ticks)) = reorder.filter(|&(p, _)| self.inject_rng.chance(p))
                 {
-                    self.log.push(Event::Frame {
-                        t_ns,
-                        node,
-                        t0_bits: frame.t0_s.to_bits(),
+                    outcomes.push(GatewayOutcome::Delayed {
+                        t0_s: frame.t0_s,
                         n: frame.watts.len() as u32,
-                        fate: FrameFate::Delayed,
+                        delay_ticks,
                     });
-                    self.dirty[i]
-                        .push((t0 - self.tick, t_s + (delay_ticks as f64 + 1.0) * self.tick));
+                    // Scheduled here, in node order: the kernel's
+                    // insertion seqs follow node order, as the pinned
+                    // digests encode them.
                     let due = t + SimDuration(self.tick_dur.0 * delay_ticks as u64);
                     let slot = self.delay_slab.len();
                     let seq = q.schedule(
@@ -818,7 +837,56 @@ impl RackSim {
                     self.delayed_outstanding += 1;
                     continue;
                 }
-                self.publish_frame(t_s, node, &frame, t_s, false);
+                outcomes.push(GatewayOutcome::Published(frame));
+            }
+
+            let batch: Vec<(&str, Bytes)> = outcomes
+                .iter()
+                .enumerate()
+                .filter_map(|(i, o)| match o {
+                    GatewayOutcome::Published(frame) => {
+                        Some((self.node_topics[i].as_str(), frame.encode()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let mut fates =
+                publish_frames(&self.hook_state, &self.gateway, t_s, &batch).into_iter();
+
+            for (node, outcome) in (0..self.sc.n_nodes).zip(outcomes) {
+                let i = node as usize;
+                match outcome {
+                    GatewayOutcome::Suppressed { fate, t0_s } => {
+                        self.frames_suppressed += 1;
+                        self.dirty[i].push((t0 - self.tick, t_s + self.tick));
+                        self.log.push(Event::Frame {
+                            t_ns,
+                            node,
+                            t0_bits: t0_s.to_bits(),
+                            n: 0,
+                            fate,
+                        });
+                    }
+                    GatewayOutcome::Delayed {
+                        t0_s,
+                        n,
+                        delay_ticks,
+                    } => {
+                        self.log.push(Event::Frame {
+                            t_ns,
+                            node,
+                            t0_bits: t0_s.to_bits(),
+                            n,
+                            fate: FrameFate::Delayed,
+                        });
+                        self.dirty[i]
+                            .push((t0 - self.tick, t_s + (delay_ticks as f64 + 1.0) * self.tick));
+                    }
+                    GatewayOutcome::Published(frame) => {
+                        let fate = fates.next().expect("one fate per published frame");
+                        self.record_frame(t_s, node, &frame, t_s, false, fate);
+                    }
+                }
             }
         }
         q.schedule(
@@ -853,7 +921,12 @@ impl RackSim {
         }
         let df = self.delay_slab[slot].take().expect("live delay slot");
         self.delayed_outstanding -= 1;
-        self.publish_frame(t_s, df.node, &df.frame, df.true_end_s, true);
+        let msg = (
+            self.node_topics[df.node as usize].as_str(),
+            df.frame.encode(),
+        );
+        let fate = publish_frames(&self.hook_state, &self.gateway, t_s, &[msg])[0];
+        self.record_frame(t_s, df.node, &df.frame, df.true_end_s, true, fate);
     }
 
     /// One trace job reaches its submit time and enters the queue.

@@ -23,10 +23,12 @@
 //!   and at end of run the broker's retained command mirrors the
 //!   controller's final state bit-for-rendered-bit.
 
+use std::collections::BTreeMap;
+
 use davide_sched::controlplane::{BAND_W, SUSTAIN_S};
 use davide_sched::{ControlPlane, ControlPlaneReport};
 use davide_telemetry::gateway::{power_topic, speed_topic};
-use davide_telemetry::tsdb::Resolution;
+use davide_telemetry::tsdb::{Resolution, SeriesId, TsDb};
 
 /// One invariant breach, with the virtual time it was detected at.
 #[derive(Debug, Clone, PartialEq)]
@@ -440,29 +442,47 @@ impl InvariantChecker {
         // INV-ENERGY (c): fault-free completed jobs — telemetry energy
         // matches plant truth within measurement noise. A job whose
         // window retention has already dropped is skipped: the store
-        // can no longer vouch for it either way.
-        for j in truth.jobs.iter().filter(|j| j.clean && !j.aborted) {
-            let dur = j.end_s - j.start_s;
-            if dur <= 0.0 {
-                continue;
+        // can no longer vouch for it either way. Each job's per-node
+        // means over `[start − 0.5, end − 0.5)` come from one sweep per
+        // node over all of that node's job windows.
+        let jobs: Vec<&JobTruth> = truth
+            .jobs
+            .iter()
+            .filter(|j| j.clean && !j.aborted && j.end_s - j.start_s > 0.0)
+            .collect();
+        // Per job, per node in job order: the mean and whether its
+        // history is complete (a node with no series has neither a mean
+        // nor lost history).
+        let mut means: Vec<Vec<(Option<f64>, bool)>> = jobs
+            .iter()
+            .map(|j| vec![(None, true); j.nodes.len()])
+            .collect();
+        let mut by_node: BTreeMap<u32, Vec<(f64, f64, usize, usize)>> = BTreeMap::new();
+        for (k, j) in jobs.iter().enumerate() {
+            for (slot, &n) in j.nodes.iter().enumerate() {
+                by_node
+                    .entry(n)
+                    .or_default()
+                    .push((j.start_s - 0.5, j.end_s - 0.5, k, slot));
             }
+        }
+        for (n, mut ws) in by_node {
+            let Some(id) = cp.db().lookup(&power_topic(n, "node")) else {
+                continue;
+            };
+            ws.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let windows: Vec<(f64, f64)> = ws.iter().map(|&(a, b, _, _)| (a, b)).collect();
+            for (&(_, _, k, slot), m) in ws.iter().zip(window_means(cp.db(), id, &windows)) {
+                means[k][slot] = m;
+            }
+        }
+        for (j, node_means) in jobs.iter().zip(&means) {
+            let dur = j.end_s - j.start_s;
             let mut measured = 0.0;
             let mut missing = false;
             let mut complete = true;
-            for &n in &j.nodes {
-                let (mean, coverage) = cp
-                    .db()
-                    .lookup(&power_topic(n, "node"))
-                    .map(|id| {
-                        cp.db().mean_id_with_coverage(
-                            id,
-                            Resolution::Raw,
-                            j.start_s - 0.5,
-                            j.end_s - 0.5,
-                        )
-                    })
-                    .unwrap_or_default();
-                complete &= coverage.is_complete();
+            for &(mean, node_complete) in node_means {
+                complete &= node_complete;
                 match mean {
                     Some(m) => measured += m * dur,
                     None => missing = true,
@@ -543,9 +563,154 @@ impl InvariantChecker {
     }
 }
 
+/// Raw means of series `id` over `windows`, each with whether its
+/// history is complete: per window, exactly the mean and
+/// `is_complete()` of [`TsDb::mean_id_with_coverage`] at
+/// [`Resolution::Raw`]. Windows sorted by start and disjoint are folded
+/// from one chronological scan over their span, each summing its
+/// points from `+0.0` in point order — the bits of the per-window mean,
+/// whose whole-block sums are exact by their certificates — so a block
+/// straddling several windows is decoded once. Overlapping windows, or
+/// a scan that had to skip a block, fall back to one query per window.
+pub(crate) fn window_means(
+    db: &TsDb,
+    id: SeriesId,
+    windows: &[(f64, f64)],
+) -> Vec<(Option<f64>, bool)> {
+    let per_window = || {
+        windows
+            .iter()
+            .map(|&(a, b)| {
+                let (mean, coverage) = db.mean_id_with_coverage(id, Resolution::Raw, a, b);
+                (mean, coverage.is_complete())
+            })
+            .collect()
+    };
+    let (Some(&(t0, _)), Some(&(_, t1))) = (windows.first(), windows.last()) else {
+        return Vec::new();
+    };
+    let sweepable =
+        windows.iter().all(|&(a, b)| a <= b) && windows.windows(2).all(|w| w[0].1 <= w[1].0);
+    if !sweepable {
+        return per_window();
+    }
+    let mut sums = vec![(0.0f64, 0usize); windows.len()];
+    let mut k = 0;
+    let mut scan = db.scan_id(id, t0, t1);
+    scan.fold_points((), |(), t, v| {
+        while k < windows.len() && t >= windows[k].1 {
+            k += 1;
+        }
+        if k < windows.len() && t >= windows[k].0 {
+            sums[k].0 += v;
+            sums[k].1 += 1;
+        }
+    });
+    if !scan.coverage().is_complete() {
+        return per_window();
+    }
+    windows
+        .iter()
+        .zip(sums)
+        .map(|(&(a, _), (sum, n))| {
+            let mean = (n > 0).then(|| sum / n as f64);
+            (mean, !db.lost_history_before(id, a))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use davide_telemetry::{TieringConfig, TsDbConfig};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The one-scan sweep answers every window with the mean bits
+        /// and completeness of its own raw-mean query, over tiered
+        /// stores with small blocks (so windows straddle blocks and
+        /// hold whole ones), a memory budget that evicts the oldest
+        /// blocks (so some windows reach past retained history), and
+        /// windows that hold no point at all.
+        #[test]
+        fn window_sweep_matches_per_window_means(
+            seal_block in 4usize..48,
+            hot_retain in 0usize..40,
+            budget_blocks in 1usize..32,
+            frame_lens in proptest::collection::vec(1usize..40, 1..40),
+            dt in 0.05f64..3.0,
+            binade in 0usize..3,
+            jitter in proptest::collection::vec(0.0f32..1.0, 1..64),
+            cuts in proptest::collection::vec(-0.05f64..1.05, 0..30),
+            on_grid in 0usize..2,
+        ) {
+            let mut db = TsDb::with_config(TsDbConfig {
+                raw_capacity: 1 << 16,
+                tiering: Some(TieringConfig {
+                    seal_block,
+                    hot_retain: Some(hot_retain),
+                    // Room for roughly `budget_blocks` blocks of payload.
+                    mem_budget_bytes: budget_blocks * seal_block * 8,
+                    disk: None,
+                }),
+                ..TsDbConfig::default()
+            })
+            .unwrap();
+            let id = db.resolve("davide/node00/power/node");
+            // One binade keeps blocks' sums certified; the others mix
+            // signs and exponents.
+            let scale = [1024.0f32, 0.75, -3.0e5][binade];
+            let mut t = 0.0;
+            let mut k = 0;
+            for &n in &frame_lens {
+                let values: Vec<f32> = (0..n)
+                    .map(|_| {
+                        k += 1;
+                        scale * (1.0 + jitter[k % jitter.len()])
+                    })
+                    .collect();
+                db.append_frame_id(id, t, dt, &values);
+                db.compact();
+                t += n as f64 * dt;
+            }
+            // Window edges over the written span and a little past it,
+            // half the time on sample instants.
+            let mut cuts: Vec<f64> = cuts
+                .iter()
+                .map(|c| match on_grid {
+                    0 => c * t,
+                    _ => (c * t / dt).round() * dt,
+                })
+                .collect();
+            cuts.sort_by(f64::total_cmp);
+            let windows: Vec<(f64, f64)> = cuts.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+            let want: Vec<(Option<u64>, bool)> = windows
+                .iter()
+                .map(|&(a, b)| {
+                    let (mean, coverage) = db.mean_id_with_coverage(id, Resolution::Raw, a, b);
+                    (mean.map(f64::to_bits), coverage.is_complete())
+                })
+                .collect();
+            let got: Vec<(Option<u64>, bool)> = window_means(&db, id, &windows)
+                .into_iter()
+                .map(|(mean, complete)| (mean.map(f64::to_bits), complete))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn overlapping_windows_fall_back_to_one_query_each() {
+        let mut db = TsDb::new();
+        let id = db.resolve("s");
+        db.append_frame_id(id, 0.0, 1.0, &[1.0, 2.0, 3.0, 4.0]);
+        let got = window_means(&db, id, &[(0.0, 3.0), (1.0, 4.0), (2.0, 2.0)]);
+        assert_eq!(
+            got,
+            vec![(Some(2.0), true), (Some(3.0), true), (None, true)]
+        );
+        assert_eq!(window_means(&db, id, &[]), Vec::new());
+    }
 
     #[test]
     fn store_model_mirrors_monotonic_acceptance() {

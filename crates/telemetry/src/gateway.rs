@@ -398,7 +398,7 @@ mod tests {
         }
         let msgs = agg.drain();
         let nodes: std::collections::HashSet<String> =
-            msgs.iter().map(|m| m.topic.clone()).collect();
+            msgs.iter().map(|m| m.topic.to_string()).collect();
         assert_eq!(nodes.len(), 4, "one topic per node");
     }
 }

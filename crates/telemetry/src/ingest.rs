@@ -47,9 +47,9 @@ pub struct IngestStats {
 pub struct FrameView<'a> {
     /// MQTT topic the frame arrived on (the series key).
     pub topic: &'a str,
-    /// Causal trace id ([`frame_trace_id`] over topic + wire header),
-    /// linking this frame to its broker-side trace stamps.
-    pub trace_id: u64,
+    /// The frame's wire payload, from which [`trace_id`](Self::trace_id)
+    /// is hashed on demand.
+    pub payload: &'a [u8],
     /// PTP timestamp of the first sample, seconds.
     pub t0_s: f64,
     /// Sample spacing, seconds.
@@ -59,6 +59,13 @@ pub struct FrameView<'a> {
 }
 
 impl FrameView<'_> {
+    /// Causal trace id ([`frame_trace_id`] over topic + wire header),
+    /// linking this frame to its broker-side trace stamps. Hashed on
+    /// each call, so a consumer that does not trace pays nothing.
+    pub fn trace_id(&self) -> u64 {
+        frame_trace_id(self.topic, self.payload)
+    }
+
     /// Mean power of the frame; 0 for an empty one.
     pub fn mean_w(&self) -> f64 {
         if self.watts.is_empty() {
@@ -179,12 +186,15 @@ impl FrameIngestor {
     ///
     /// The loop alone keeps [`IngestStats`] and feeds [`IngestObs`]:
     /// malformed payloads, frames taken, samples stored, and samples
-    /// the sink dropped as stale. Returns the number of frames taken.
+    /// the sink dropped as stale. Trace ids are hashed for the
+    /// [`IngestObs`] stamps only when one is installed. Returns the
+    /// number of frames taken.
     pub fn drain_with(&mut self, mut sink: impl FnMut(FrameView<'_>) -> Option<usize>) -> usize {
         let msgs = self.client.drain();
         let malformed_before = self.stats.malformed;
         let mut stored_total = 0u64;
         let mut offered_total = 0u64;
+        let mut frames = 0;
         self.ids_scratch.clear();
         self.t0s_scratch.clear();
         for m in &msgs {
@@ -193,22 +203,24 @@ impl FrameIngestor {
                 self.stats.malformed += 1;
                 continue;
             };
-            let trace_id = frame_trace_id(&m.topic, &m.payload);
-            let Some(stored) = sink(FrameView {
+            let view = FrameView {
                 topic: &m.topic,
-                trace_id,
+                payload: &m.payload,
                 t0_s,
                 dt_s,
                 watts: &self.watts_scratch,
-            }) else {
+            };
+            let Some(stored) = sink(view) else {
                 continue;
             };
+            frames += 1;
             stored_total += stored as u64;
             offered_total += self.watts_scratch.len() as u64;
-            self.ids_scratch.push(trace_id);
-            self.t0s_scratch.push(t0_s);
+            if self.obs.is_some() {
+                self.ids_scratch.push(view.trace_id());
+                self.t0s_scratch.push(t0_s);
+            }
         }
-        let frames = self.ids_scratch.len();
         self.stats.frames += frames as u64;
         self.stats.samples += stored_total;
         self.stats.stale_dropped += offered_total - stored_total;

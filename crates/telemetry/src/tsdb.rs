@@ -502,6 +502,15 @@ impl TsDb {
         self.tier.as_ref().is_some_and(TierEngine::lost_segment)
     }
 
+    /// Has series `id` lost history that a window starting at `t0`
+    /// could have included? This is the part of a query's
+    /// [`QueryCoverage::evicted`] that does not depend on its scan, for
+    /// a caller that folds one [`scan_id`](Self::scan_id) over several
+    /// windows and needs each window's completeness.
+    pub fn lost_history_before(&self, id: SeriesId, t0: f64) -> bool {
+        self.evicted_before(id.index(), t0)
+    }
+
     /// Has this series lost history that a window starting at `t0`
     /// could have included?
     fn evicted_before(&self, idx: usize, t0: f64) -> bool {

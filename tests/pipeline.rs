@@ -111,7 +111,10 @@ fn component_channels_sum_close_to_node_channel() {
     let mut per_chan: HashMap<String, EnergyIntegrator> = HashMap::new();
     for m in agent.drain() {
         let frame = SampleFrame::decode(m.payload).unwrap();
-        per_chan.entry(m.topic.clone()).or_default().push(&frame);
+        per_chan
+            .entry(m.topic.to_string())
+            .or_default()
+            .push(&frame);
     }
     assert_eq!(per_chan.len(), 5, "five channels seen");
     let e = |c: &str| per_chan[&format!("davide/node11/power/{c}")].energy().0;

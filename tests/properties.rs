@@ -502,7 +502,7 @@ proptest! {
             let got: Vec<(String, Vec<u8>)> = c
                 .drain()
                 .into_iter()
-                .map(|m| (m.topic, m.payload.to_vec()))
+                .map(|m| (m.topic.to_string(), m.payload.to_vec()))
                 .collect();
             let want: Vec<(String, Vec<u8>)> = topics
                 .iter()
