@@ -73,20 +73,11 @@ impl Shape {
 /// One timed fan-out run: build the subscriber population (untimed),
 /// then let `threads` publishers hammer their node slices from behind
 /// a barrier. Returns (wall seconds, deliveries, drops).
-///
-/// Queue slots are allocated up front per client, so depths are sized
-/// per subscriber class — an exact-match agent sees only its own
-/// topic's publishes, a per-node wildcard one node's, and only the
-/// handful of global wildcards need room for every publish in flight
-/// (10 000 subscribers × a worst-case-for-all depth would be tens of
-/// gigabytes of empty ring buffers).
 fn fanout_run(broker: &Broker, shape: &Shape) -> (f64, u64, u64) {
     // Subscribers stay alive (and undrained) for the whole run.
-    let per_topic = shape.total_publishes() / (shape.nodes * shape.channels);
-    let per_node = shape.total_publishes() / shape.nodes;
     let mut subs = Vec::with_capacity(shape.total_subs());
     for i in 0..shape.exact_subs {
-        let mut c = broker.connect_with_depth(format!("exact{i}"), 4 * per_topic);
+        let mut c = broker.connect(format!("exact{i}"));
         c.subscribe(
             &format!(
                 "davide/node{}/power/ch{}",
@@ -99,7 +90,7 @@ fn fanout_run(broker: &Broker, shape: &Shape) -> (f64, u64, u64) {
         subs.push(c);
     }
     for n in 0..shape.node_wildcards {
-        let mut c = broker.connect_with_depth(format!("nodewild{n}"), 4 * per_node);
+        let mut c = broker.connect(format!("nodewild{n}"));
         c.subscribe(
             &format!("davide/node{}/#", n % shape.nodes),
             QoS::AtMostOnce,
@@ -108,7 +99,7 @@ fn fanout_run(broker: &Broker, shape: &Shape) -> (f64, u64, u64) {
         subs.push(c);
     }
     for g in 0..shape.global_wildcards {
-        let mut c = broker.connect_with_depth(format!("global{g}"), shape.total_publishes() + 16);
+        let mut c = broker.connect(format!("global{g}"));
         c.subscribe("davide/#", QoS::AtMostOnce).unwrap();
         subs.push(c);
     }
@@ -177,15 +168,16 @@ pub fn e30() {
         if smoke() { "  [smoke]" } else { "" }
     );
 
-    // The broker-default depth only covers the (receive-free) publisher
-    // clients; every subscriber sizes its own queue in `fanout_run`.
-    // Best of three for the reported rate: each run builds a fresh
-    // broker and population, so the first eats the allocator warm-up.
+    // Every mailbox may hold the whole run, so only a broker fault can
+    // drop; a mailbox holds only what reached it, so the depth costs no
+    // memory. Best of three for the reported rate: each run builds a
+    // fresh broker and population, so the first eats the allocator
+    // warm-up.
     let mut best = 0.0f64;
     for _ in 0..3 {
-        let broker = Broker::new(1024);
+        let broker = Broker::new(shape.total_publishes() + 16);
         let (wall, delivered, dropped) = fanout_run(&broker, &shape);
-        assert_eq!(dropped, 0, "queues are sized for the whole run");
+        assert_eq!(dropped, 0, "mailboxes are deep enough for the whole run");
         assert_eq!(
             delivered, shape.deliveries,
             "every publish reaches exactly its matching subscribers"

@@ -153,23 +153,29 @@ pub fn e29() {
         ..TsDbConfig::default()
     };
 
-    // A/B overhead: best-of-2 each way to damp scheduler noise; the
-    // instrumentation differs only in the tracers' atomic early-outs.
+    // A/B overhead: best of 3 each way, alternating which side runs
+    // first, so a slow minute of host load cannot land on one side
+    // alone; the instrumentation differs only in the tracers' atomic
+    // early-outs.
     let mut base_s = f64::INFINITY;
     let mut traced_s = f64::INFINITY;
     let mut base_digest = 0u64;
     let mut traced = None;
-    for _ in 0..2 {
-        let t = std::time::Instant::now();
-        let out = run_federated_traced(&fs, db.clone(), false);
-        base_s = base_s.min(t.elapsed().as_secs_f64());
-        base_digest = out.digest();
-        let t = std::time::Instant::now();
-        let out = run_federated_traced(&fs, db.clone(), true);
-        traced_s = traced_s.min(t.elapsed().as_secs_f64());
-        traced = Some(out);
+    for i in 0..3 {
+        for armed in [i % 2 == 1, i % 2 == 0] {
+            let t = std::time::Instant::now();
+            let out = run_federated_traced(&fs, db.clone(), armed);
+            let took = t.elapsed().as_secs_f64();
+            if armed {
+                traced_s = traced_s.min(took);
+                traced = Some(out);
+            } else {
+                base_s = base_s.min(took);
+                base_digest = out.digest();
+            }
+        }
     }
-    let out = traced.expect("two iterations ran");
+    let out = traced.expect("three iterations ran");
     println!(
         "\nuntraced {base_s:.3}s, traced {traced_s:.3}s  (overhead {:+.2}%)",
         (traced_s / base_s - 1.0) * 100.0

@@ -21,7 +21,7 @@
 //! [`disconnect_source`]: Bridge::disconnect_source
 //! [`reconnect_source`]: Bridge::reconnect_source
 
-use crate::broker::{Broker, BrokerError};
+use crate::broker::{Broker, BrokerError, Message};
 use crate::client::Client;
 use crate::codec::QoS;
 use crate::topic::validate_filter;
@@ -61,6 +61,10 @@ pub struct Bridge {
     retained_seen: HashMap<Arc<str>, Bytes>,
     source_connected: bool,
     forward_hook: Option<ForwardHook>,
+    // Scratch reused by every pump: the drained source messages and
+    // the run of forwards being batched.
+    inbox: Vec<Message>,
+    run: Vec<(Arc<str>, Bytes)>,
 }
 
 impl Bridge {
@@ -96,6 +100,8 @@ impl Bridge {
             retained_seen: HashMap::new(),
             source_connected: true,
             forward_hook: None,
+            inbox: Vec::new(),
+            run: Vec::new(),
         })
     }
 
@@ -151,11 +157,12 @@ impl Bridge {
 
     /// Drain everything queued on the source side and republish it
     /// downstream. Returns the number of messages forwarded. Prefixed
-    /// topics are built once per distinct source topic and cached, so
-    /// the steady-state pump republishes without allocating. Retained
-    /// messages are forwarded at most once per distinct value: the
-    /// replay a post-restart resubscribe triggers is dropped when that
-    /// exact state already crossed the bridge.
+    /// topics are built once per distinct source topic and cached, and
+    /// the cached `Arc<str>` is the topic every downstream delivery
+    /// shares, so the steady-state pump republishes without allocating.
+    /// Retained messages are forwarded at most once per distinct value:
+    /// the replay a post-restart resubscribe triggers is dropped when
+    /// that exact state already crossed the bridge.
     ///
     /// Each run of consecutive forwards that share a QoS and retain
     /// flag goes out as one batch on the destination broker, in drain
@@ -165,10 +172,10 @@ impl Bridge {
         if !self.source_connected {
             return 0;
         }
-        let mut run: Vec<(Arc<str>, Bytes)> = Vec::new();
+        self.source.drain_into(&mut self.inbox);
         let mut run_flags = (QoS::AtMostOnce, false);
         let mut n = 0;
-        for msg in self.source.drain() {
+        for msg in self.inbox.drain(..) {
             if msg.retain {
                 // Exactly-once for retained state: skip a value we
                 // already forwarded (retained replays repeat the last
@@ -197,26 +204,26 @@ impl Bridge {
             // status values (e.g. power caps).
             let flags = (msg.qos, msg.retain);
             if flags != run_flags {
-                self.forward(&run, run_flags);
-                run.clear();
+                forward(&self.destination, &mut self.run, run_flags);
                 run_flags = flags;
             }
             if let Some(hook) = &mut self.forward_hook {
                 hook(&topic, &msg.payload, msg.retain);
             }
-            run.push((topic, msg.payload));
+            self.run.push((topic, msg.payload));
             n += 1;
         }
-        self.forward(&run, run_flags);
+        forward(&self.destination, &mut self.run, run_flags);
         self.forwarded += n as u64;
         n
     }
+}
 
-    /// Publish one run of forwards on the destination broker.
-    fn forward(&self, run: &[(Arc<str>, Bytes)], (qos, retain): (QoS, bool)) {
-        if !run.is_empty() {
-            let _ = self.destination.publish_batch_as(run, qos, retain);
-        }
+/// Publish one run of forwards on the destination broker and empty it.
+fn forward(destination: &Client, run: &mut Vec<(Arc<str>, Bytes)>, (qos, retain): (QoS, bool)) {
+    if !run.is_empty() {
+        let _ = destination.publish_batch_as(run, qos, retain);
+        run.clear();
     }
 }
 
@@ -264,6 +271,36 @@ mod tests {
         assert_eq!(&m.payload[..], b"1700");
         assert!(site_agent.try_recv().is_none());
         assert_eq!(bridge.forwarded(), 1);
+    }
+
+    #[test]
+    fn site_deliveries_share_the_bridge_topic_allocation() {
+        let rack = Broker::default();
+        let site = Broker::default();
+        let mut bridge =
+            Bridge::connect(&rack, &site, "rack0", &["davide/+/power/#"], Some("rack0")).unwrap();
+        let mut agents: Vec<_> = (0..2)
+            .map(|i| {
+                let mut c = site.connect(format!("site-agent{i}"));
+                c.subscribe("rack0/davide/#", QoS::AtMostOnce).unwrap();
+                c
+            })
+            .collect();
+        let gw = rack.connect("eg");
+        for pumps in 0..2 {
+            gw.publish_str("davide/node03/power/node", &pumps.to_string())
+                .unwrap();
+            assert_eq!(bridge.pump(), 1);
+        }
+        // Both frames, in both site sessions, carry the topic the
+        // bridge cached on its first forward: no copy per frame.
+        let got: Vec<Message> = agents.iter_mut().flat_map(|a| a.drain()).collect();
+        assert_eq!(got.len(), 4);
+        let cached = &bridge.topic_cache["davide/node03/power/node"];
+        assert_eq!(&**cached, "rack0/davide/node03/power/node");
+        for m in &got {
+            assert!(Arc::ptr_eq(cached, &m.topic));
+        }
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! messages and per-subscriber bounded queues with drop accounting (a
 //! slow profiler must not stall the control agents).
 //!
+//! # Mailboxes
+//!
+//! Each client's queue is a broker-owned mailbox: a `VecDeque` behind
+//! a lock of its own, which refuses a push at the broker's queue
+//! depth. Nothing is allocated up front, so queue memory follows the
+//! backlog a subscriber actually builds, not `clients × depth`. A
+//! receiver takes only its mailbox lock, once per
+//! [`Client::drain_into`], and the publish path takes it under the
+//! state lock: the lock order is always state → mailbox.
+//!
 //! # One delivery mode
 //!
 //! Every delivery is a single enqueue. A message carries the QoS it was
@@ -32,21 +42,22 @@
 //! # Once per message
 //!
 //! A published message's topic is allocated once, as an `Arc<str>`
-//! that every delivery and the retained copy share. Its trace id and
-//! per-topic instruments are resolved once, when the batch is counted
-//! as published, and its deliveries and drops are counted once per
-//! fan-out; the batch's trace stamps go in with one tracer lock per
-//! stage.
+//! that every delivery and the retained copy share; a publisher that
+//! already holds the topic as an `Arc<str>` (the bridge) hands that
+//! one over ([`PublishTopic`]). Its trace id and per-topic instruments
+//! are resolved once, when the batch is counted as published, and its
+//! deliveries and drops are counted once per fan-out; the batch's
+//! trace stamps go in with one tracer lock per stage.
 //!
 //! [`Client::publish_batch`]: super::client::Client::publish_batch
+//! [`Client::drain_into`]: super::client::Client::drain_into
 
 use crate::codec::QoS;
 use crate::topic::{filter_matches, validate_filter, validate_topic, TopicError};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use davide_obs::{frame_trace_id, Counter, Gauge, ObsHub, Stage};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -90,13 +101,85 @@ impl From<TopicError> for BrokerError {
     }
 }
 
+/// A topic a publisher hands to [`Client::publish_batch`]. The broker
+/// shares one `Arc<str>` per published message across its deliveries
+/// and retained copy; an `Arc<str>` topic is that allocation already,
+/// while borrowed or owned text is copied into one.
+///
+/// [`Client::publish_batch`]: super::client::Client::publish_batch
+pub trait PublishTopic: AsRef<str> {
+    /// The topic as the allocation its deliveries share.
+    fn to_shared(&self) -> Arc<str> {
+        Arc::from(self.as_ref())
+    }
+}
+
+impl PublishTopic for &str {}
+
+impl PublishTopic for String {}
+
+impl PublishTopic for Arc<str> {
+    fn to_shared(&self) -> Arc<str> {
+        Arc::clone(self)
+    }
+}
+
+/// One client's bounded FIFO queue, owned by the broker and shared by
+/// `Arc` between the client, its connection record and its trie
+/// entries. It holds only what is queued: capacity grows with the
+/// backlog (and keeps its high-water mark for reuse), never with the
+/// depth.
+#[derive(Debug)]
+pub(crate) struct Mailbox {
+    queue: Mutex<VecDeque<Message>>,
+    depth: usize,
+}
+
+impl Mailbox {
+    fn new(depth: usize) -> Self {
+        Mailbox {
+            queue: Mutex::new(VecDeque::new()),
+            depth,
+        }
+    }
+
+    /// Queue `m`; false, with `m` dropped, when the mailbox is at its
+    /// depth.
+    fn push(&self, m: Message) -> bool {
+        let mut q = self.queue.lock();
+        let room = q.len() < self.depth;
+        if room {
+            q.push_back(m);
+        }
+        room
+    }
+
+    /// The oldest queued message.
+    pub(crate) fn pop(&self) -> Option<Message> {
+        self.queue.lock().pop_front()
+    }
+
+    /// Move everything queued onto the end of `out`, in FIFO order,
+    /// under one lock hold.
+    pub(crate) fn drain_into(&self, out: &mut Vec<Message>) {
+        let mut q = self.queue.lock();
+        out.reserve(q.len());
+        out.extend(q.drain(..));
+    }
+
+    /// Messages queued now.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.lock().len()
+    }
+}
+
 #[derive(Debug)]
 struct SubEntry {
     client: u64,
     qos: QoS,
-    /// The subscriber's queue, stored in the trie entry so fan-out
+    /// The subscriber's mailbox, stored in the trie entry so fan-out
     /// never has to consult a global client table.
-    sender: Sender<Message>,
+    mailbox: Arc<Mailbox>,
 }
 
 /// Subscription trie node: one level of the topic hierarchy.
@@ -213,36 +296,45 @@ fn with_levels<R>(topic: &str, f: impl FnOnce(&[&str]) -> R) -> R {
 }
 
 /// One message of a batch on its way to the subscribers.
-struct Outgoing<'a> {
+struct Outgoing<'a, T> {
     /// Position in the batch: indexes the instruments `on_publish`
     /// resolved for it.
     i: usize,
-    topic: &'a str,
+    topic: &'a T,
     /// The topic allocation its deliveries and retained copy share,
-    /// made on first use.
+    /// taken on first use.
     shared: Option<Arc<str>>,
     payload: &'a Bytes,
     qos: QoS,
     retain: bool,
 }
 
-impl Outgoing<'_> {
+impl<T: PublishTopic> Outgoing<'_, T> {
+    fn topic(&self) -> &str {
+        self.topic.as_ref()
+    }
+
     fn shared_topic(&mut self) -> Arc<str> {
         self.shared
-            .get_or_insert_with(|| Arc::from(self.topic))
+            .get_or_insert_with(|| self.topic.to_shared())
             .clone()
     }
 }
 
 impl State {
     /// One fan-out of `m` with the lock held: the retained-store update,
-    /// then one enqueue per matching subscription in trie order. Returns
-    /// the enqueues made and the deliveries a full queue dropped.
-    fn fan_out(&mut self, m: &mut Outgoing<'_>, levels: &[&str]) -> (usize, usize) {
+    /// then one mailbox push per matching subscription in trie order.
+    /// Returns the pushes made and the deliveries a full mailbox
+    /// dropped.
+    fn fan_out<T: PublishTopic>(
+        &mut self,
+        m: &mut Outgoing<'_, T>,
+        levels: &[&str],
+    ) -> (usize, usize) {
         if m.retain {
             if m.payload.is_empty() {
                 // Empty retained payload clears the retained message.
-                self.retained.remove(m.topic);
+                self.retained.remove(m.topic());
             } else {
                 let copy = Message {
                     topic: m.shared_topic(),
@@ -257,7 +349,7 @@ impl State {
             }
         }
         // $-topics suppress wildcards at the root level only.
-        let skip_wild_at_root = m.topic.starts_with('$');
+        let skip_wild_at_root = m.topic().starts_with('$');
         let (mut ok, mut lost) = (0, 0);
         self.trie
             .for_each_match(levels, skip_wild_at_root, &mut |s| {
@@ -270,9 +362,10 @@ impl State {
                     qos: m.qos.min(s.qos),
                     retain: m.retain,
                 };
-                match s.sender.try_send(delivery) {
-                    Ok(()) => ok += 1,
-                    Err(_) => lost += 1,
+                if s.mailbox.push(delivery) {
+                    ok += 1;
+                } else {
+                    lost += 1;
                 }
             });
         (ok, lost)
@@ -283,7 +376,7 @@ impl State {
 /// by connect, disconnect, subscribe and unsubscribe.
 #[derive(Debug)]
 struct ClientInfo {
-    sender: Sender<Message>,
+    mailbox: Arc<Mailbox>,
     filters: HashSet<String>,
 }
 
@@ -295,9 +388,9 @@ struct ClientInfo {
 pub struct BrokerStats {
     /// PUBLISH packets accepted.
     pub published: AtomicU64,
-    /// Messages enqueued to subscribers.
+    /// Messages queued in subscriber mailboxes.
     pub delivered: AtomicU64,
-    /// Messages dropped because a subscriber queue was full.
+    /// Messages dropped because a subscriber mailbox was full.
     pub dropped: AtomicU64,
 }
 
@@ -563,31 +656,19 @@ impl Broker {
             .map(|m| m.payload.clone())
     }
 
-    /// Connect a client; returns its handle.
+    /// Connect a client with an empty mailbox of the broker's queue
+    /// depth; returns its handle.
     pub fn connect(&self, client_id: impl Into<String>) -> super::client::Client {
-        self.connect_with_depth(client_id, self.queue_depth)
-    }
-
-    /// Connect a client with an explicit queue depth instead of the
-    /// broker default. Queue slots are allocated up front per client,
-    /// so large fan-out populations size them per subscriber class: a
-    /// global-wildcard auditor needs room for every publish in flight,
-    /// an exact-match agent only for its own topic's.
-    pub fn connect_with_depth(
-        &self,
-        client_id: impl Into<String>,
-        queue_depth: usize,
-    ) -> super::client::Client {
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(queue_depth);
+        let mailbox = Arc::new(Mailbox::new(self.queue_depth));
         self.clients.lock().insert(
             id,
             ClientInfo {
-                sender: tx,
+                mailbox: Arc::clone(&mailbox),
                 filters: HashSet::new(),
             },
         );
-        super::client::Client::new(self.clone(), id, client_id.into(), rx)
+        super::client::Client::new(self.clone(), id, client_id.into(), mailbox)
     }
 
     /// Shared statistics handle.
@@ -619,13 +700,13 @@ impl Broker {
 
     pub(crate) fn subscribe(&self, client: u64, filter: &str, qos: QoS) -> Result<(), BrokerError> {
         validate_filter(filter)?;
-        let sender = {
+        let mailbox = {
             let mut cl = self.clients.lock();
             let info = cl
                 .get_mut(&client)
                 .ok_or(BrokerError::UnknownClient(client))?;
             info.filters.insert(filter.to_string());
-            info.sender.clone()
+            Arc::clone(&info.mailbox)
         };
         let levels: Vec<&str> = filter.split('/').collect();
         // The trie update and the retained snapshot happen under one
@@ -641,7 +722,7 @@ impl Broker {
                 SubEntry {
                     client,
                     qos,
-                    sender: sender.clone(),
+                    mailbox: Arc::clone(&mailbox),
                 },
             );
             st.retained
@@ -653,18 +734,17 @@ impl Broker {
         // Replay retained messages matching the new filter, in topic
         // order — the map iterates in per-process random order, and
         // replay order must not leak that nondeterminism to sessions.
+        // The state lock is released: the pushes take only the mailbox.
         matches.sort_unstable_by(|a, b| a.topic.cmp(&b.topic));
         for mut m in matches {
             m.retain = true;
             m.qos = m.qos.min(qos);
-            match sender.try_send(m) {
-                Ok(()) => {
-                    self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let counter = if mailbox.push(m) {
+                &self.stats.delivered
+            } else {
+                &self.stats.dropped
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -690,12 +770,12 @@ impl Broker {
     /// the state lock once each, never both at the same time. The order
     /// is fixed: validate every topic, draw every fate, call every
     /// `on_publish`, then fan each message out in trie order. A
-    /// delivery is one enqueue at `min(qos, subscription QoS)`; nothing
-    /// about it is kept once it is queued or dropped.
+    /// delivery is one mailbox push at `min(qos, subscription QoS)`;
+    /// nothing about it is kept once it is queued or dropped.
     ///
     /// Errors on the first invalid topic, before any message is
     /// published.
-    pub(crate) fn publish_batch<T: AsRef<str>>(
+    pub(crate) fn publish_batch<T: PublishTopic>(
         &self,
         msgs: &[(T, Bytes)],
         qos: QoS,
@@ -743,13 +823,13 @@ impl Broker {
             };
             let mut m = Outgoing {
                 i,
-                topic: topic.as_ref(),
+                topic,
                 shared: None,
                 payload,
                 qos,
                 retain,
             };
-            let (ok, lost) = with_levels(m.topic, |levels| {
+            let (ok, lost) = with_levels(topic.as_ref(), |levels| {
                 let (mut ok, mut lost) = st.fan_out(&mut m, levels);
                 // A duplicate reaches its subscribers once.
                 reached += ok;
@@ -780,15 +860,10 @@ impl Broker {
     }
 }
 
-/// A receiving endpoint handed to subscribers (re-export of the
-/// crossbeam receiver so callers can `recv`, `try_recv`, iterate…).
-pub type MessageReceiver = Receiver<Message>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
-    use std::time::Duration;
 
     fn payload(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -809,7 +884,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 1);
-        let m = sub.recv_timeout(Duration::from_secs(1)).unwrap();
+        let m = sub.try_recv().unwrap();
         assert_eq!(&*m.topic, "davide/node03/power");
         assert_eq!(&m.payload[..], b"1720");
     }
@@ -857,7 +932,7 @@ mod tests {
         // Late subscriber still sees the value.
         let mut sub = broker.connect("late-agent");
         sub.subscribe("davide/+/cap", QoS::AtLeastOnce).unwrap();
-        let m = sub.recv_timeout(Duration::from_secs(1)).unwrap();
+        let m = sub.try_recv().unwrap();
         assert!(m.retain);
         assert_eq!(&m.payload[..], b"1500");
         // Clearing: empty retained payload.

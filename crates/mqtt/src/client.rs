@@ -1,28 +1,29 @@
 //! Client handle for the in-process broker.
 
-use crate::broker::{Broker, BrokerError, Message};
+use crate::broker::{Broker, BrokerError, Mailbox, Message, PublishTopic};
 use crate::codec::QoS;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
-use std::time::Duration;
+use std::sync::Arc;
 
 /// A connected MQTT client: publish from any thread, receive on this
-/// handle. Dropping the handle disconnects.
+/// handle. Delivery is synchronous: a publish has queued its messages
+/// in every matching mailbox by the time it returns. Dropping the
+/// handle disconnects.
 pub struct Client {
     broker: Broker,
     id: u64,
     client_id: String,
-    rx: Receiver<Message>,
+    mailbox: Arc<Mailbox>,
     connected: bool,
 }
 
 impl Client {
-    pub(crate) fn new(broker: Broker, id: u64, client_id: String, rx: Receiver<Message>) -> Self {
+    pub(crate) fn new(broker: Broker, id: u64, client_id: String, mailbox: Arc<Mailbox>) -> Self {
         Client {
             broker,
             id,
             client_id,
-            rx,
+            mailbox,
             connected: true,
         }
     }
@@ -47,15 +48,19 @@ impl Client {
     /// Publish a batch of non-retained QoS 0 messages under one hold of
     /// the broker's state lock — the bulk path for telemetry frame
     /// fan-in. An installed fault hook is locked once more, before the
-    /// state lock and never together with it. Returns the total
-    /// subscriber deliveries across the batch.
-    pub fn publish_batch<T: AsRef<str>>(&self, msgs: &[(T, Bytes)]) -> Result<usize, BrokerError> {
+    /// state lock and never together with it. Topics are `&str`,
+    /// `String` or a shared `Arc<str>` ([`PublishTopic`]). Returns the
+    /// total subscriber deliveries across the batch.
+    pub fn publish_batch<T: PublishTopic>(
+        &self,
+        msgs: &[(T, Bytes)],
+    ) -> Result<usize, BrokerError> {
         self.broker.publish_batch(msgs, QoS::AtMostOnce, false)
     }
 
     /// [`publish_batch`](Self::publish_batch) at an explicit QoS and
     /// retain flag, for the bridge's forwards.
-    pub(crate) fn publish_batch_as<T: AsRef<str>>(
+    pub(crate) fn publish_batch_as<T: PublishTopic>(
         &self,
         msgs: &[(T, Bytes)],
         qos: QoS,
@@ -84,33 +89,29 @@ impl Client {
         self.broker.unsubscribe(self.id, filter)
     }
 
-    /// Non-blocking receive.
+    /// The oldest queued message, if any.
     pub fn try_recv(&mut self) -> Option<Message> {
-        self.rx.try_recv().ok()
+        self.mailbox.pop()
     }
 
-    /// Blocking receive with timeout.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Message> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Blocking receive.
-    pub fn recv(&mut self) -> Option<Message> {
-        self.rx.recv().ok()
-    }
-
-    /// Drain everything currently queued.
+    /// Take everything queued, in arrival order, under one lock hold.
     pub fn drain(&mut self) -> Vec<Message> {
         let mut out = Vec::new();
-        while let Ok(m) = self.rx.try_recv() {
-            out.push(m);
-        }
+        self.drain_into(&mut out);
         out
     }
 
-    /// Number of messages waiting in this client's queue.
+    /// [`drain`](Self::drain) onto the end of `out`: a consumer that
+    /// reuses one buffer drains without allocating once it has grown
+    /// to the largest backlog.
+    pub fn drain_into(&mut self, out: &mut Vec<Message>) {
+        self.mailbox.drain_into(out);
+    }
+
+    /// Number of messages waiting in this client's mailbox: exact, read
+    /// under its lock.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.mailbox.len()
     }
 
     /// Explicit disconnect (also happens on drop).

@@ -12,9 +12,11 @@
 //!   remaining-length, length-prefixed UTF-8), so every packet the broker
 //!   handles can round-trip through bytes;
 //! * [`broker`] — topic-trie subscription store, retained messages,
-//!   bounded per-subscriber queues with delivery/drop accounting; one
+//!   bounded per-subscriber mailboxes with delivery/drop accounting; one
 //!   lock guards the trie, the retained store and the obs instruments,
-//!   and any thread may publish;
+//!   and any thread may publish. A mailbox is a queue behind its own
+//!   lock that holds only what is queued, so queue memory follows the
+//!   backlog, not the depth;
 //! * [`client`] — the publish/subscribe handle used by gateways & agents;
 //! * [`bridge`] — rack→site forwarding that passes each distinct
 //!   retained value across a source restart exactly once.
@@ -34,6 +36,8 @@ pub mod codec;
 pub mod topic;
 
 pub use bridge::Bridge;
-pub use broker::{Broker, BrokerError, BrokerObs, BrokerStats, FaultHook, Message, PublishFate};
+pub use broker::{
+    Broker, BrokerError, BrokerObs, BrokerStats, FaultHook, Message, PublishFate, PublishTopic,
+};
 pub use client::Client;
 pub use codec::{CodecError, Packet, QoS};

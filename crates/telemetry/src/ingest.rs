@@ -22,7 +22,7 @@
 use crate::gateway::SampleFrame;
 use crate::storage::TierStats;
 use crate::tsdb::{TsDb, TsDbConfig};
-use davide_mqtt::{Broker, BrokerError, Client, QoS};
+use davide_mqtt::{Broker, BrokerError, Client, Message, QoS};
 use davide_obs::{fnv1a, frame_trace_id, Counter, Histogram, ObsHub, Stage};
 use rayon::prelude::*;
 
@@ -142,6 +142,7 @@ pub struct FrameIngestor {
     obs: Option<IngestObs>,
     // Scratch reused across drains so the hot path decodes without a
     // per-frame `Vec<f32>` (or any other steady-state) allocation.
+    inbox: Vec<Message>,
     watts_scratch: Vec<f32>,
     ids_scratch: Vec<u64>,
     t0s_scratch: Vec<f64>,
@@ -159,6 +160,7 @@ impl FrameIngestor {
             client,
             stats: IngestStats::default(),
             obs: None,
+            inbox: Vec::new(),
             watts_scratch: Vec::new(),
             ids_scratch: Vec::new(),
             t0s_scratch: Vec::new(),
@@ -176,13 +178,13 @@ impl FrameIngestor {
     }
 
     /// Drain every queued message through `sink` — the one decode loop
-    /// every consumer of the frame stream shares. Each payload decodes
-    /// into the ingestor's reusable scratch, so the steady state
-    /// allocates nothing per frame, and reaches `sink` as a
-    /// [`FrameView`]. The sink returns
-    /// `Some(stored)`, how many of the frame's samples it stored, or
-    /// `None` for a frame it does not route (a topic it does not
-    /// serve), which then counts nowhere.
+    /// every consumer of the frame stream shares. The mailbox empties
+    /// into a reused buffer under one lock hold, and each payload
+    /// decodes into the ingestor's reusable scratch, so the steady state
+    /// allocates nothing per drain or frame; each frame reaches `sink`
+    /// as a [`FrameView`]. The sink returns `Some(stored)`, how many of
+    /// the frame's samples it stored, or `None` for a frame it does not
+    /// route (a topic it does not serve), which then counts nowhere.
     ///
     /// The loop alone keeps [`IngestStats`] and feeds [`IngestObs`]:
     /// malformed payloads, frames taken, samples stored, and samples
@@ -190,14 +192,14 @@ impl FrameIngestor {
     /// [`IngestObs`] stamps only when one is installed. Returns the
     /// number of frames taken.
     pub fn drain_with(&mut self, mut sink: impl FnMut(FrameView<'_>) -> Option<usize>) -> usize {
-        let msgs = self.client.drain();
+        self.client.drain_into(&mut self.inbox);
         let malformed_before = self.stats.malformed;
         let mut stored_total = 0u64;
         let mut offered_total = 0u64;
         let mut frames = 0;
         self.ids_scratch.clear();
         self.t0s_scratch.clear();
-        for m in &msgs {
+        for m in &self.inbox {
             let Some((t0_s, dt_s)) = SampleFrame::decode_into(&m.payload, &mut self.watts_scratch)
             else {
                 self.stats.malformed += 1;
@@ -221,6 +223,8 @@ impl FrameIngestor {
                 self.t0s_scratch.push(t0_s);
             }
         }
+        // Release the payloads now, not at the next drain.
+        self.inbox.clear();
         self.stats.frames += frames as u64;
         self.stats.samples += stored_total;
         self.stats.stale_dropped += offered_total - stored_total;

@@ -514,3 +514,129 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// Subscriber mailboxes are plain bounded FIFOs. Under a random depth
+    /// 1–8 and a random interleaving of `publish_batch` (with `Drop` and
+    /// `Duplicate` fates), `try_recv`, `drain`, `drain_into` and
+    /// `pending`, every subscriber receives exactly what a reference
+    /// model of per-subscriber bounded queues predicts, `pending` reads
+    /// the model's length, and `BrokerStats` and the registry's
+    /// delivered/dropped counters equal the model's pushes and refusals.
+    #[test]
+    fn mailboxes_match_a_bounded_fifo_model(
+        depth in 1usize..9,
+        ops in proptest::collection::vec(any::<u64>(), 1..64),
+    ) {
+        use bytes::Bytes;
+        use davide::mqtt::{Broker, BrokerObs, Message, PublishFate, QoS};
+        use davide_obs::ObsHub;
+        use std::collections::VecDeque;
+        use std::sync::atomic::Ordering::Relaxed;
+        use std::sync::{Arc, Mutex};
+
+        const TOPICS: [&str; 3] = ["rack/a/power", "rack/b/power", "rack/a/temp"];
+        const FILTERS: [&str; 3] = ["rack/#", "rack/a/+", "rack/+/power"];
+        let broker = Broker::new(depth);
+        let (hub, _clock) = ObsHub::manual();
+        broker.set_obs(Some(BrokerObs::new(&hub, None)));
+        // The hook hands out the fates each batch queued, in order.
+        let fates: Arc<Mutex<VecDeque<PublishFate>>> = Arc::default();
+        let hook_fates = Arc::clone(&fates);
+        broker.set_fault_hook(Some(Box::new(move |_: &str| {
+            hook_fates.lock().unwrap().pop_front().unwrap_or(PublishFate::Deliver)
+        })));
+        let mut subs: Vec<_> = FILTERS
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut c = broker.connect(format!("agent{i}"));
+                c.subscribe(f, QoS::AtMostOnce).unwrap();
+                c
+            })
+            .collect();
+        let publ = broker.connect("gw");
+
+        type Key = (String, Bytes);
+        let key = |m: &Message| (m.topic.to_string(), m.payload.clone());
+        let mut model: Vec<VecDeque<Key>> = vec![VecDeque::new(); FILTERS.len()];
+        let (mut published, mut delivered, mut dropped) = (0u64, 0u64, 0u64);
+        let mut seq = 0u64;
+        let mut scratch: Vec<Message> = Vec::new();
+        for op in ops {
+            let s = (op >> 8) as usize % FILTERS.len();
+            match op % 5 {
+                0 => {
+                    let n = 1 + (op >> 16) as usize % 4;
+                    let mut batch = Vec::with_capacity(n);
+                    let mut reached = 0;
+                    for j in 0..n {
+                        let r = op >> (20 + 6 * j);
+                        let topic = TOPICS[(r % 3) as usize];
+                        let fate = match (r >> 2) % 4 {
+                            0 => PublishFate::Drop,
+                            1 => PublishFate::Duplicate,
+                            _ => PublishFate::Deliver,
+                        };
+                        seq += 1;
+                        let payload = Bytes::from(seq.to_string().into_bytes());
+                        let copies = match fate {
+                            PublishFate::Drop => 0,
+                            PublishFate::Deliver => 1,
+                            PublishFate::Duplicate => 2,
+                        };
+                        for copy in 0..copies {
+                            for (q, f) in model.iter_mut().zip(FILTERS) {
+                                if !filter_matches(f, topic) {
+                                    continue;
+                                }
+                                if q.len() < depth {
+                                    q.push_back((topic.to_string(), payload.clone()));
+                                    delivered += 1;
+                                    reached += usize::from(copy == 0);
+                                } else {
+                                    dropped += 1;
+                                }
+                            }
+                        }
+                        fates.lock().unwrap().push_back(fate);
+                        batch.push((topic, payload));
+                    }
+                    published += n as u64;
+                    prop_assert_eq!(publ.publish_batch(&batch).unwrap(), reached);
+                }
+                1 => prop_assert_eq!(subs[s].try_recv().map(|m| key(&m)), model[s].pop_front()),
+                2 => {
+                    let got: Vec<Key> = subs[s].drain().iter().map(key).collect();
+                    let want: Vec<Key> = model[s].drain(..).collect();
+                    prop_assert_eq!(got, want);
+                }
+                3 => {
+                    // Appends after whatever the buffer already holds.
+                    let before = scratch.len();
+                    subs[s].drain_into(&mut scratch);
+                    let got: Vec<Key> = scratch[before..].iter().map(key).collect();
+                    let want: Vec<Key> = model[s].drain(..).collect();
+                    prop_assert_eq!(got, want);
+                }
+                _ => prop_assert_eq!(subs[s].pending(), model[s].len()),
+            }
+        }
+        for (c, q) in subs.iter_mut().zip(&mut model) {
+            prop_assert_eq!(c.pending(), q.len());
+            let got: Vec<Key> = c.drain().iter().map(key).collect();
+            let want: Vec<Key> = q.drain(..).collect();
+            prop_assert_eq!(got, want);
+        }
+        let stats = broker.stats();
+        prop_assert_eq!(
+            (stats.published.load(Relaxed), stats.delivered.load(Relaxed), stats.dropped.load(Relaxed)),
+            (published, delivered, dropped)
+        );
+        let counter = |name: &str| hub.registry.find_counter(name).unwrap().get();
+        prop_assert_eq!(
+            (counter("mqtt_delivered_total"), counter("mqtt_dropped_total")),
+            (delivered, dropped)
+        );
+    }
+}
